@@ -382,8 +382,14 @@ class _StepField(VelocityField):
             raise DomainError("cells must tile the domain exactly")
         self.edges = edges
         self.values = values
+        self._table = _dyadic_table(edges, values)
 
     def _eval_inside(self, x):
+        if self._table is not None:
+            # x * 2**j is exact, so truncation finds the dyadic cell; the clip
+            # sends x < 0 and x >= 1 to the end cells, as the binary search does
+            idx = (x * len(self._table)).astype(np.intp)
+            return np.take(self._table, idx, mode="clip")
         idx = np.clip(np.searchsorted(self.edges, x, side="right") - 1, 0, len(self.values) - 1)
         return self.values[idx]
 
@@ -399,6 +405,26 @@ class _StepField(VelocityField):
 
     def _all_plateaus(self):
         return _merge_step_runs(self.edges, self.values, self.periodic)
+
+
+_MAX_TABLE_BITS = 16  # the deepest binary cascade has 2**16 cells
+
+
+def _dyadic_table(edges, values):
+    """Cell values on the coarsest grid k/2**j of [0, 1] holding every edge.
+
+    Returns None when an edge is not dyadic, or is finer than
+    2**-_MAX_TABLE_BITS; those fields keep the binary search.
+    """
+    if edges[0] != 0.0 or edges[-1] != 1.0:
+        return None
+    for bits in range(_MAX_TABLE_BITS + 1):
+        n = 1 << bits
+        if np.all(edges * n == np.floor(edges * n)):
+            left = np.arange(n) / n
+            idx = np.searchsorted(edges, left, side="right") - 1
+            return values[idx]
+    return None
 
 
 def _merge_step_runs(edges, values, periodic):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 from shearmix import kernels as kr
 from shearmix import mcsim
-from shearmix.velocity import PiecewiseConstantField, two_plateau
+from shearmix.velocity import (BinaryCascadeField, GridField, PiecewiseConstantField,
+                               SineField, two_plateau)
 
 ZERO = PiecewiseConstantField([0.0], [0.0])
 CONST = PiecewiseConstantField([0.0], [0.4])
@@ -94,6 +96,13 @@ class TestSimulate:
         assert h1.t == pytest.approx(0.2) and h2.t == pytest.approx(0.4)
         assert int(h1.counts.sum()) == int(h2.counts.sum()) == cfg.n_paths
 
+    def test_start_outside_torus_is_wrapped(self):
+        # one left-rule step reads V at the start, V(-0.25 mod 1) = V(0.75) = 1,
+        # so every path ends at y = 0.25, in column 2 of 8
+        cfg = small_cfg(dt=0.25, t_end=0.25, n_paths=500, bins=8)
+        hist = mcsim.simulate((-0.25, 0.0), TWO, cfg)
+        assert int(hist.counts[:, 2].sum()) == cfg.n_paths
+
     def test_killed_variant_absorbs(self):
         cfg = small_cfg(t_end=0.5)
         hist = mcsim.simulate((0.5, 0.5), ZERO, cfg, kill_interval=(0.25, 0.75))
@@ -111,6 +120,62 @@ class TestSimulate:
         meta = hist.metadata()
         assert meta["velocity"]["kind"] == "piecewise_constant"
         assert meta["seed"] == hist.meta["seed"]
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+_GOLDEN_RNG = np.random.default_rng(11)
+_GRID16 = GridField(_GOLDEN_RNG.uniform(-1, 1, 16))
+_GRID10 = GridField(_GOLDEN_RNG.uniform(-1, 1, 10))
+
+
+class TestGoldenHistograms:
+    """Digests recorded with the out-of-place step and binary-search lookup.
+
+    The runs cross several draw chunks, blocks and both workers, and cover
+    the dyadic-table fields, the binary-search fields, a smooth field under
+    the trapezoid rule, absorption, and plane shear V(x) = x, whose velocity
+    is the position array itself.
+    """
+
+    @staticmethod
+    def cfg(**kw):
+        base = dict(dt=1e-3, n_paths=3000, t_end=0.3, seed=4242, bins=8,
+                    block_size=1024, workers=2)
+        base.update(kw)
+        return mcsim.PathConfig(**base)
+
+    @pytest.mark.parametrize("field, rule, kill, times, digests, absorbed", [
+        (_GRID16, "left", None, [0.1, 0.3],
+         ["65849e34ac39b4b3", "b6ecad29a4c762ae"], [0, 0]),
+        (_GRID10, "left", None, [0.1, 0.3],
+         ["fb7ee41728040067", "e4de7d0c44acd0b1"], [0, 0]),
+        (PiecewiseConstantField([0.0, 0.1, 0.35, 0.6], [0.3, -1.0, 0.8, 0.1]),
+         "left", None, [0.1, 0.3], ["2eb842f8fe39a6d5", "e555a7a52a43f7c8"], [0, 0]),
+        (BinaryCascadeField(c=0.01), "left", None, [0.1, 0.3],
+         ["005ec01ac5bd8187", "6a5cfe6a74a06ca7"], [0, 0]),
+        (SineField(amplitude=1.0, frequency=2), "trapezoid", None, [0.1, 0.3],
+         ["5def7fc44369e019", "a41d73b294e6cddd"], [0, 0]),
+        (TWO, "left", (0.2, 0.8), [0.02, 0.05],
+         ["c5707d1d2e69a936", "0b819e9f3f75d8cf"], [629, 1820]),
+    ], ids=["grid16", "grid10", "uneven", "cascade", "sine-trapezoid", "killed"])
+    def test_torus(self, field, rule, kill, times, digests, absorbed):
+        hists = mcsim.simulate_snapshots((0.5, 0.125), field, self.cfg(y_integrator=rule),
+                                         times, kill_interval=kill)
+        assert [_digest(h.counts) for h in hists] == digests
+        assert [h.n_absorbed for h in hists] == absorbed
+
+    @pytest.mark.parametrize("rule, digest", [("left", "735cb7aff71a7bfe"),
+                                              ("trapezoid", "22c9989b8a16f0c3")])
+    def test_plane_shear(self, rule, digest):
+        cfg = self.cfg(dt=1e-2, t_end=1.0, geometry="plane", y_integrator=rule)
+        positions = mcsim._run((0.0, 0.0), lambda x: x, cfg, {100}, collect_positions=True)
+        assert _digest(*positions[100]) == digest
 
 
 class TestDoeblin:

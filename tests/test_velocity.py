@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shearmix.velocity import (
     BinaryCascadeField,
@@ -341,3 +343,56 @@ class TestCascadeValues:
     def test_depth_grows_as_c_shrinks(self):
         assert len(BinaryCascadeField(c=1.0).coefficients) == 2
         assert len(BinaryCascadeField(c=0.01).coefficients) == 5
+
+
+def _binary_search_eval(field, x):
+    """The step lookup by binary search over the cell edges."""
+    idx = np.clip(np.searchsorted(field.edges, x, side="right") - 1, 0, len(field.values) - 1)
+    return field.values[idx]
+
+
+def _edge_probes(field, xs):
+    edges = field.edges
+    return np.concatenate([xs, edges, np.nextafter(edges, -np.inf),
+                           np.nextafter(edges, np.inf), [0.0, 1.0]])
+
+
+class TestStepLookup:
+    """The dyadic table lookup returns the binary search's bits."""
+
+    unit_floats = st.lists(st.floats(0.0, 1.0), max_size=64)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cells=st.sampled_from([1, 2, 3, 4, 8, 10, 12, 16, 64, 100, 1024]),
+           seed=st.integers(0, 2**32 - 1), xs=unit_floats)
+    def test_grid(self, cells, seed, xs):
+        field = GridField(np.random.default_rng(seed).uniform(-1.0, 1.0, cells))
+        assert (field._table is not None) == (cells & (cells - 1) == 0)
+        x = _edge_probes(field, xs)
+        assert field._eval_inside(x).tobytes() == _binary_search_eval(field, x).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), bits=st.integers(1, 12), dyadic=st.booleans(),
+           xs=unit_floats)
+    def test_uneven_cells(self, data, bits, dyadic, xs):
+        if dyadic:
+            ks = data.draw(st.sets(st.integers(1, 2**bits - 1), max_size=20))
+            inner = [k / 2**bits for k in ks]
+        else:
+            inner = data.draw(st.sets(st.floats(0.0, 1.0, exclude_min=True,
+                                                exclude_max=True), max_size=20))
+        breakpoints = [0.0] + sorted(inner)
+        values = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=len(breakpoints),
+                                    max_size=len(breakpoints)))
+        field = PiecewiseConstantField(breakpoints, values)
+        if dyadic:
+            assert field._table is not None
+        x = _edge_probes(field, xs)
+        assert field._eval_inside(x).tobytes() == _binary_search_eval(field, x).tobytes()
+
+    @pytest.mark.parametrize("c", [1e-9, 1e-3, 1.0])
+    def test_cascade(self, c):
+        field = BinaryCascadeField(c=c)
+        assert field._table is not None
+        x = _edge_probes(field, np.random.default_rng(5).uniform(0.0, 1.0, 4096))
+        assert field._eval_inside(x).tobytes() == _binary_search_eval(field, x).tobytes()
