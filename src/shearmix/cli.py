@@ -187,34 +187,16 @@ def task_spectrum(config, ws, args):
     return EXIT_OK
 
 
-_INITIALS = ("cos_y", "cos_xy", "random")
-
-
-def _initial_samples(kind, nx, ny, seed):
-    x = np.arange(nx) / nx
-    y = np.arange(ny) / ny
-    xx, yy = np.meshgrid(x, y, indexing="ij")
-    if kind == "cos_y":
-        return np.cos(2 * np.pi * yy)
-    if kind == "cos_xy":
-        return np.cos(2 * np.pi * xx) * np.cos(2 * np.pi * yy)
-    if kind == "random":
-        rng = np.random.default_rng(seed)
-        out = np.zeros((nx, ny))
-        for k in range(1, 3):
-            for m in range(-2, 3):
-                out += rng.normal(scale=0.5) * np.cos(
-                    2 * np.pi * (m * xx + k * yy) + rng.uniform(0, 2 * np.pi))
-        return out
-    raise ConfigError(f"initial must be one of {_INITIALS}, got {kind!r}")
-
-
 def task_evolve(config, ws, args):
     field = field_from_config(config["velocity"])
     params = config.get("params", {})
     nx = int(params.get("nx", 64))
     ny = int(params.get("ny", 17))
-    u0 = _initial_samples(params.get("initial", "cos_y"), nx, ny, _seeded(config, args))
+    try:
+        u0 = evolve.initial_samples(params.get("initial", "cos_y"), nx, ny,
+                                    _seeded(config, args))
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
     trace = evolve.relax_trace(
         u0, field,
         t_end=float(params.get("t_end", 10.0)),
@@ -380,23 +362,19 @@ def main(argv=None):
         p.add_argument("--workers", type=int, default=1, help="worker count hint")
     args = parser.parse_args(argv)
 
-    if args.config is not None:
-        try:
-            config = load_config(args.config)
-        except ConfigError as err:
-            print(f"config error: {err}", file=sys.stderr)
-            return EXIT_CONFIG
-        if config["task"] != args.command:
-            print(f"config error: config task {config['task']!r} does not match "
-                  f"subcommand {args.command!r}", file=sys.stderr)
-            return EXIT_CONFIG
-    else:
-        config = {"task": args.command, "params": {}}
-
-    out_dir = args.out or config.get("out_dir") or "shearmix-out"
-    ws = Workspace(out_dir, config)
     try:
+        if args.config is not None:
+            config = load_config(args.config)
+            if config["task"] != args.command:
+                raise ConfigError(f"config task {config['task']!r} does not match "
+                                  f"subcommand {args.command!r}")
+        else:
+            config = {"task": args.command, "params": {}}
+        ws = Workspace(args.out or config.get("out_dir") or "shearmix-out", config)
         status = _RUNNERS[args.command](config, ws, args)
+    except ConfigError as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
     except (ArithmeticError, np.linalg.LinAlgError) as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC

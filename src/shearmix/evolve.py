@@ -25,6 +25,7 @@ __all__ = [
     "StripTrace",
     "field_from_samples",
     "field_to_samples",
+    "initial_samples",
     "relax_trace",
     "strip_trace",
     "save_snapshot",
@@ -124,6 +125,31 @@ def field_to_samples(field, ny):
     for k in range(-field.k_max, field.k_max + 1):
         spectrum[:, k % ny] = field.mode(k)
     return np.fft.ifft(spectrum * ny, axis=1).real
+
+
+def initial_samples(kind, nx, ny, seed=0):
+    """Initial data u0[x_i, y_j] on the grid (i/nx, j/ny) of the torus.
+
+    `cos_y` is cos(2 pi y) and `cos_xy` is cos(2 pi x) cos(2 pi y); `random`
+    sums ten modes cos(2 pi (m x + k y) + phase), k = 1, 2 and m = -2..2, with
+    N(0, 1/4) amplitudes and uniform phases drawn from `seed`.
+    """
+    x = np.arange(nx) / nx
+    y = np.arange(ny) / ny
+    xx, yy = np.meshgrid(x, y, indexing="ij")
+    if kind == "cos_y":
+        return np.cos(2 * np.pi * yy)
+    if kind == "cos_xy":
+        return np.cos(2 * np.pi * xx) * np.cos(2 * np.pi * yy)
+    if kind == "random":
+        rng = np.random.default_rng(seed)
+        out = np.zeros((nx, ny))
+        for k in range(1, 3):
+            for m in range(-2, 3):
+                out += rng.normal(scale=0.5) * np.cos(
+                    2 * np.pi * (m * xx + k * yy) + rng.uniform(0, 2 * np.pi))
+        return out
+    raise ValueError(f"initial must be 'cos_y', 'cos_xy' or 'random', got {kind!r}")
 
 
 class Evolution:

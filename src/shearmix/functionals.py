@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy.optimize import linprog
 
-from .velocity import VelocityField, estimate_flatness_constant
+from .velocity import VelocityField, _flatness_from_windows, estimate_flatness_constant
 
 __all__ = [
     "lipschitz_correlation",
@@ -204,18 +204,17 @@ def min_affine_residual(field, eps, interval=None, j_points=129):
     fixed lattice.
     """
     a, b = (field.a, field.b) if interval is None else (float(interval[0]), float(interval[1]))
-    length = b - a
+    windows = field.primitive(base=a).windows(a, b, j_points, 2.0 * eps)
+    return _min_residual(windows, eps, b - a)
+
+
+def _min_residual(windows, eps, length):
+    """Smallest residual in a window table over windows of length >= 2 eps."""
     # eps = |I|/2 is admitted: exactly one window (J = I) qualifies there
     if not 0.0 < eps <= 0.5 * length:
         raise ValueError("eps must lie in (0, |I|/2]")
-    pv = field.primitive(base=a)
-    grid = np.linspace(a, b, j_points)
-    best = math.inf
-    for i in range(j_points - 1):
-        for j in range(i + 1, j_points):
-            if grid[j] - grid[i] >= 2.0 * eps - 1e-12:
-                best = min(best, pv.affine_residual(grid[i], grid[j]))
-    return best
+    return min((res for left, right, _, _, res in windows if right - left >= 2.0 * eps - 1e-12),
+               default=math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -427,9 +426,11 @@ class BoundsReport:
         if self.flatness_time is not None:
             assert self.flatness_mass_log is not None and self.flatness_mass_log < 0.0
         if self.doeblin_c_minus_one is not None:
-            # positivity is certified in log space when the mass underflows
             assert self.doeblin_rho_log is not None and math.isfinite(self.doeblin_rho_log)
-            assert self.doeblin_c_minus_one > 0.0 or self.plateau_time is None
+            # where the plateau mass underflows, C - 1 rounds to 0.0 and its
+            # positivity is certified by the finite, negative log mass
+            assert self.doeblin_c_minus_one > 0.0 or self.plateau_time is None or (
+                math.exp(self.plateau_mass_log) == 0.0 and math.isfinite(self.plateau_mass_log))
 
 
 DEFAULT_EPS_GRID = (0.05, 0.1, 0.2, 0.4)
@@ -447,7 +448,19 @@ def compute_bounds_report(field, *, grid_n=512, eps_grid=DEFAULT_EPS_GRID,
     corr = lipschitz_correlation(field, boundary="periodic", grid_n=grid_n)
     prov["lip_correlation"] = f"lp-{grid_n}"
     res_full = full_affine_residual(field)
-    res_table = {eps: min_affine_residual(field, eps, j_points=j_points) for eps in eps_grid}
+    # one table of lattice windows over the domain serves every eps, and the
+    # flatness scan too when its interval is the domain
+    domain = (field.a, field.b)
+    interval = flatness_interval if flatness_interval is not None else domain
+    interval = (float(interval[0]), float(interval[1]))
+    length = interval[1] - interval[0]
+    scan_eps = [e * length for e in (0.1, 0.2, 0.4, 0.8)]
+    shortest = [2.0 * eps for eps in eps_grid]
+    if interval == domain:
+        shortest.append(scan_eps[0])
+    windows = list(field.primitive(base=field.a).windows(*domain, j_points,
+                                                         min(shortest, default=math.inf)))
+    res_table = {eps: _min_residual(windows, eps, field.length) for eps in eps_grid}
     gap_table = {eps: gap_bound_from_residual(res, eps, lambda1=0.0)
                  for eps, res in res_table.items()}
     report = BoundsReport(
@@ -475,11 +488,10 @@ def compute_bounds_report(field, *, grid_n=512, eps_grid=DEFAULT_EPS_GRID,
         report.plateau_mass_log = consts.log_mass
         prov["plateau"] = "plateau-pair-scan"
 
-    interval = flatness_interval if flatness_interval is not None else (field.a, field.b)
-    interval = (float(interval[0]), float(interval[1]))
-    length = interval[1] - interval[0]
-    scan_eps = [e * length for e in (0.1, 0.2, 0.4, 0.8)]
-    flat = estimate_flatness_constant(field, interval, scan_eps, j_points=j_points)
+    if interval == domain:
+        flat = _flatness_from_windows(windows, scan_eps)
+    else:
+        flat = estimate_flatness_constant(field, interval, scan_eps, j_points=j_points)
     report.flatness_interval = interval
     report.flatness_feasible = flat.feasible
     if flat.feasible:
@@ -506,7 +518,7 @@ def compute_bounds_report(field, *, grid_n=512, eps_grid=DEFAULT_EPS_GRID,
         prov["doeblin"] = "flatness"
     if t_star is not None:
         alpha = math.exp(log_mass)
-        report.doeblin_c_minus_one = alpha / (1.0 - alpha) if alpha > 0.0 else 0.0
+        report.doeblin_c_minus_one = alpha / (1.0 - alpha)
         report.doeblin_c = 1.0 + report.doeblin_c_minus_one
         report.doeblin_rho = -math.log1p(-alpha) / t_star
         report.doeblin_rho_log = log_mass - math.log(t_star)

@@ -186,32 +186,30 @@ class Primitive:
             out = self._eval_inside(np.clip(x, self.a, self.b))
         return out if out.shape else float(out)
 
-    def moments(self, alpha, beta):
-        """Return (integral PV, integral x*PV, integral PV^2) over [alpha, beta]."""
-        xs, ws = self._quad(alpha, beta)
-        vals = self._eval_inside(xs)
-        return (
-            float(np.dot(ws, vals)),
-            float(np.dot(ws, xs * vals)),
-            float(np.dot(ws, vals * vals)),
-        )
-
-    def affine_fit(self, alpha, beta):
-        """Least-squares affine fit p*x + q of PV on [alpha, beta]."""
+    def _fit_and_residual(self, alpha, beta):
+        """(p, q, residual) of the least-squares affine fit p*x + q of PV on [alpha, beta]."""
         length = beta - alpha
         mid = 0.5 * (alpha + beta)
         xs, ws = self._quad(alpha, beta)
         vals = self._eval_inside(xs)
         d0 = float(np.dot(ws, vals)) / length
-        d1 = float(np.dot(ws, (xs - mid) * vals)) * 12.0 / length**3
-        return d1, d0 - d1 * mid
+        p = float(np.dot(ws, (xs - mid) * vals)) * 12.0 / length**3
+        q = d0 - p * mid
+        dev = vals - (p * xs + q)
+        return p, q, float(np.dot(ws, dev * dev))
 
     def affine_residual(self, alpha, beta):
         """inf over (p, q) of the integral of |PV - p x - q|^2 over [alpha, beta]."""
-        p, q = self.affine_fit(alpha, beta)
-        xs, ws = self._quad(alpha, beta)
-        dev = self._eval_inside(xs) - (p * xs + q)
-        return float(np.dot(ws, dev * dev))
+        return self._fit_and_residual(alpha, beta)[2]
+
+    def windows(self, lo, hi, points, min_len):
+        """Yield (left, right, p, q, residual) for the windows of length >= min_len
+        on the uniform `points`-point lattice of [lo, hi], in lattice order."""
+        grid = np.linspace(lo, hi, points)
+        for i in range(points - 1):
+            for j in range(i + 1, points):
+                if grid[j] - grid[i] >= min_len - 1e-12:
+                    yield (grid[i], grid[j], *self._fit_and_residual(grid[i], grid[j]))
 
 
 class PiecewisePolyPrimitive(Primitive):
@@ -732,16 +730,6 @@ def field_from_config(config):
 # non-flatness estimation
 
 
-def _lattice_pairs(a, b, points, min_len):
-    grid = np.linspace(a, b, points)
-    out = []
-    for i in range(points - 1):
-        for j in range(i + 1, points):
-            if grid[j] - grid[i] >= min_len - 1e-12:
-                out.append((grid[i], grid[j]))
-    return out
-
-
 def estimate_flatness_constant(field, interval, eps_grid, j_points=65):
     """Estimate the non-flatness constant of `field` on `interval`.
 
@@ -760,15 +748,20 @@ def estimate_flatness_constant(field, interval, eps_grid, j_points=65):
     eps_grid = sorted(float(e) for e in eps_grid)
     if not eps_grid or eps_grid[0] <= 0 or eps_grid[-1] >= hi - lo:
         raise ValueError("eps values must lie strictly between 0 and the interval length")
-    pv = field.primitive(base=lo)
-    pairs = _lattice_pairs(lo, hi, j_points, eps_grid[0])
+    windows = field.primitive(base=lo).windows(lo, hi, j_points, eps_grid[0])
+    return _flatness_from_windows(windows, eps_grid)
+
+
+def _flatness_from_windows(windows, eps_grid):
+    """`estimate_flatness_constant` over windows as `Primitive.windows` yields them;
+    windows shorter than eps_grid[0] are skipped, and eps_grid must be sorted."""
     residuals = []
-    for (ja, jb) in pairs:
-        p, q = pv.affine_fit(ja, jb)
-        res = pv.affine_residual(ja, jb)
-        if res <= 1e-13 * (jb - ja) * (1.0 + p * p + q * q):
-            return FlatnessEstimate(math.inf, False, (ja, jb), {})
-        residuals.append((jb - ja, res))
+    for left, right, p, q, res in windows:
+        if right - left < eps_grid[0] - 1e-12:
+            continue
+        if res <= 1e-13 * (right - left) * (1.0 + p * p + q * q):
+            return FlatnessEstimate(math.inf, False, (left, right), {})
+        residuals.append((right - left, res))
     table = {}
     best = -math.inf
     for eps in eps_grid:

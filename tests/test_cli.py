@@ -49,6 +49,14 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, {"task": "bounds", "velocity": TWO_PLATEAU})
         assert cli.main(["spectrum", "--config", cfg]) == cli.EXIT_CONFIG
 
+    def test_unknown_initial(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"task": "evolve", "velocity": TWO_PLATEAU,
+                                      "params": {"initial": "bogus"}})
+        status = cli.main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert status == cli.EXIT_CONFIG
+        assert "initial must be" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
 
 class TestBoundsTask:
     def test_two_plateau_golden(self, tmp_path):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -9,6 +11,7 @@ from shearmix.velocity import (
     GridField,
     HeavisideField,
     PiecewiseConstantField,
+    PiecewiseLinearField,
     SawtoothField,
     SineField,
     two_plateau,
@@ -271,6 +274,66 @@ class TestAffineResidualScan:
         with pytest.raises(ValueError):
             fn.min_affine_residual(COS, 0.6)
 
+    @pytest.mark.parametrize("field, eps, expected", [
+        (COS, 0.05, 2.054703774356023e-09),
+        (COS, 0.5, 0.004965661264278969),
+        (BinaryCascadeField(1.0), 0.05, 0.0),
+        (BinaryCascadeField(1.0), 0.5, 6.988804748034954e-06),
+    ])
+    def test_golden_bits(self, field, eps, expected):
+        assert fn.min_affine_residual(field, eps, j_points=129) == expected
+
+
+def _seeded_linear_field(seed):
+    rng = np.random.default_rng(seed)
+    knots = [0.0] + np.sort(rng.uniform(0.02, 0.98, 7)).tolist()
+    return PiecewiseLinearField(knots, rng.uniform(-1.0, 1.0, 8))
+
+
+# a 16-cell grid whose plateau mass, exp(-1465.4), underflows to 0.0
+UNDERFLOW_GRID = GridField(np.random.default_rng(3).uniform(-1.0, 1.0, 16))
+
+
+class TestBoundsGolden:
+    """Whole bounds reports pinned bit for bit.
+
+    Each digest is the SHA-256 of the report's sorted-key JSON, whose float
+    reprs round-trip exactly.  Recorded at grid_n=128 and the default
+    j_points=65 with numpy 2.4.6 and scipy 1.17.1; the LP values depend on
+    the HiGHS build.
+    """
+
+    CASES = {
+        "cos": (COS, {}),
+        "sawtooth": (SawtoothField(1.0), {}),
+        "two_plateau": (two_plateau(0.0, 1.0), {}),
+        "cascade": (BinaryCascadeField(1.0), {}),
+        "grid": (UNDERFLOW_GRID, {}),
+        "piecewise_linear": (_seeded_linear_field(5), {}),
+        "cos_flatness_interval": (COS, {"flatness_interval": (0.1, 0.6)}),
+        # flat on the 3/64 windows inside a cell, which only eps = 0.02 admits:
+        # the flatness scan must skip them, as they are shorter than its 0.1
+        "grid_fine_eps": (UNDERFLOW_GRID, {"eps_grid": (0.02, 0.3)}),
+    }
+    DIGESTS = {
+        "cos": "dd62d73dd49344c8948458b3e42dfa91c7db52f6df8fec434e715edbdb48999f",
+        "sawtooth": "a1d8036f5acb8766b22f6925ec3f8a8e17626b6b760324df05882ddda9601d7f",
+        "two_plateau": "69474a83783bbdad85d3b8a43dd26109b5990f582f475daa102898828a3f8ccb",
+        "cascade": "d3654b8420a7245ced0b0ceb05c3af6e953d013f90930fd57f5acc459c4d05c1",
+        "grid": "0dc4780632a31d732d761a7991d8fe468263aee74dec8e71173889fa612b2c96",
+        "piecewise_linear": "f31222e55f0bd89abe5bd1b07314f31f3e55168c3b0ffa9aae3f4a0c1c2f7ad7",
+        "cos_flatness_interval":
+            "20aec46e201490557cf4f9a488ca31f918d62dd5779fab219b2b530d7623bb2e",
+        "grid_fine_eps": "9b737eb7ee9bc9d10290ef5ba1d1a5c67878092e4913ad88714a4e152fa4319a",
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_report_bits(self, name):
+        field, kwargs = self.CASES[name]
+        report = fn.compute_bounds_report(field, grid_n=128, **kwargs).to_json_dict()
+        blob = json.dumps(report, sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest() == self.DIGESTS[name], blob
+
 
 class TestBoundsReport:
     def test_two_plateau_report(self):
@@ -292,6 +355,19 @@ class TestBoundsReport:
         assert report.flatness_mass == 0.0  # underflows by design
         assert report.flatness_mass_log < -1e4
         assert report.l2_mixing_rate > 0.0
+
+    def test_underflowed_plateau_mass_validates(self):
+        report = fn.compute_bounds_report(UNDERFLOW_GRID, grid_n=64, j_points=17)
+        assert report.plateau_mass_log < -1400.0
+        assert report.doeblin_c_minus_one == 0.0 and report.doeblin_c == 1.0
+        report.validate()
+
+    def test_zero_c_minus_one_without_underflow_fails_validation(self):
+        report = fn.compute_bounds_report(two_plateau(0.0, 1.0), grid_n=64, j_points=9)
+        report.validate()
+        report.doeblin_c_minus_one = 0.0
+        with pytest.raises(AssertionError):
+            report.validate()
 
     def test_json_round_trip(self):
         import json

@@ -256,6 +256,40 @@ class TestAffineResidual:
         assert pv.affine_residual(0.0, 1.0) < 1e-25
 
 
+
+def _random_field(kind, rng):
+    if kind == "grid":
+        return GridField(rng.uniform(-2.0, 2.0, int(rng.integers(1, 20))))
+    if kind == "linear":
+        inner = np.unique(rng.uniform(0.01, 0.99, int(rng.integers(0, 8))))
+        return PiecewiseLinearField([0.0, *inner], rng.uniform(-2.0, 2.0, len(inner) + 1))
+    return SineField(rng.uniform(-2.0, 2.0), int(rng.integers(1, 4)), rng.uniform(0.0, 6.0))
+
+
+class TestWindowScan:
+    """Primitive.windows: every lattice window once, with affine_residual's bits."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["grid", "linear", "sine"]), seed=st.integers(0, 2**32 - 1),
+           lo=st.floats(0.0, 0.5), span=st.floats(0.05, 0.5), points=st.integers(2, 10),
+           min_frac=st.floats(0.0, 1.0))
+    def test_table(self, kind, seed, lo, span, points, min_frac):
+        hi = lo + span
+        pv = _random_field(kind, np.random.default_rng(seed)).primitive(base=lo)
+        table = list(pv.windows(lo, hi, points, min_frac * span))
+        grid = np.linspace(lo, hi, points)
+        expected = [(grid[i], grid[j]) for i in range(points) for j in range(i + 1, points)
+                    if grid[j] - grid[i] >= min_frac * span - 1e-12]
+        assert [(left, right) for left, right, *_ in table] == expected
+        for left, right, _, _, res in table:
+            assert res == pv.affine_residual(left, right)
+        # a window's residual is at most that of any window containing it
+        for left, right, _, _, res in table:
+            for outer_left, outer_right, _, _, outer in table:
+                if outer_left <= left and right <= outer_right:
+                    assert res <= outer * (1.0 + 1e-9) + 1e-15
+
+
 class TestFlatnessEstimate:
     def test_plateau_infeasible(self):
         v = PiecewiseConstantField([0.0, 0.5], [0.0, 1.0])
