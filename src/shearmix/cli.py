@@ -53,7 +53,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evolve, functionals, mcsim, validation
-from .spectral import make_operator, resolvent_gap
+from .spectral import ModeOperator, make_operator, resolvent_gap
 from .velocity import field_from_config
 
 EXIT_OK = 0
@@ -153,13 +153,23 @@ def _seeded(config, args):
     return int(config.get("seed", 0))
 
 
+def _require(ok, message):
+    if not ok:
+        raise ConfigError(message)
+
+
 def task_bounds(config, ws, args):
     field = field_from_config(config["velocity"])
     params = config.get("params", {})
+    _require(field.periodic, "bounds reports are defined for torus fields")
+    eps_grid = tuple(params.get("eps_grid", functionals.DEFAULT_EPS_GRID))
+    half = 0.5 * field.length
+    _require(all(isinstance(e, (int, float)) and 0.0 < e <= half for e in eps_grid),
+             f"eps_grid entries must lie in (0, {half:g}], got {list(eps_grid)}")
     report = functionals.compute_bounds_report(
         field,
         grid_n=int(params.get("grid_n", 512)),
-        eps_grid=tuple(params.get("eps_grid", functionals.DEFAULT_EPS_GRID)),
+        eps_grid=eps_grid,
         flatness_interval=params.get("flatness_interval"),
         j_points=int(params.get("j_points", 65)),
     )
@@ -170,15 +180,20 @@ def task_bounds(config, ws, args):
 def task_spectrum(config, ws, args):
     field = field_from_config(config["velocity"])
     params = config.get("params", {})
-    op = make_operator(
-        field,
-        k=int(params.get("k", 1)),
-        boundary=params.get("boundary", "periodic"),
-        n=int(params.get("n", 256)),
-        discretization=params.get("discretization"),
-    )
-    summary = resolvent_gap(op, s_points=int(params.get("s_points", 192)),
-                            return_trace=True)
+    boundary = params.get("boundary", "periodic")
+    discretization = params.get("discretization")
+    n = int(params.get("n", 256))
+    s_points = int(params.get("s_points", 192))
+    _require(boundary in ModeOperator.BOUNDARIES,
+             f"boundary must be one of {ModeOperator.BOUNDARIES}, got {boundary!r}")
+    _require(discretization is None or discretization in ModeOperator.DISCRETIZATIONS,
+             f"discretization must be one of {ModeOperator.DISCRETIZATIONS}, "
+             f"got {discretization!r}")
+    _require(n >= 16, f"n must be at least 16, got {n}")
+    _require(s_points >= 64, f"s_points must be at least 64, got {s_points}")
+    op = make_operator(field, k=int(params.get("k", 1)), boundary=boundary, n=n,
+                       discretization=discretization)
+    summary = resolvent_gap(op, s_points=s_points, return_trace=True)
     payload = summary.to_json_dict()
     ws.write_json("spectral_summary.json", payload)
     lines = ["s,sigma_min"]

@@ -57,6 +57,35 @@ class TestConfigValidation:
         assert "initial must be" in capsys.readouterr().err
         assert not (tmp_path / "o" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("params,message", [
+        ({"boundary": "bogus"}, "boundary must be"),
+        ({"discretization": "bogus"}, "discretization must be"),
+        ({"n": 8}, "n must be at least 16"),
+        ({"s_points": 32}, "s_points must be at least 64"),
+    ])
+    def test_bad_spectrum_params(self, tmp_path, capsys, params, message):
+        cfg = write_config(tmp_path, {"task": "spectrum", "velocity": TWO_PLATEAU,
+                                      "params": params})
+        status = cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert status == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("velocity,params,message", [
+        (TWO_PLATEAU, {"eps_grid": [0.1, 0.6]}, "eps_grid entries must lie in (0, 0.5]"),
+        (TWO_PLATEAU, {"eps_grid": [0.0]}, "eps_grid entries must lie in (0, 0.5]"),
+        (TWO_PLATEAU, {"eps_grid": [-0.1]}, "eps_grid entries must lie in (0, 0.5]"),
+        ({"kind": "grid", "samples": [0.0, 1.0], "domain": [0.0, 0.5]}, {},
+         "defined for torus fields"),
+    ])
+    def test_bad_bounds_params(self, tmp_path, capsys, velocity, params, message):
+        cfg = write_config(tmp_path, {"task": "bounds", "velocity": velocity,
+                                      "params": params})
+        status = cli.main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert status == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
 
 class TestBoundsTask:
     def test_two_plateau_golden(self, tmp_path):

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shearmix import functionals as fn
+from shearmix import spectral
 from shearmix.spectral import (
     ModeOperator,
     laplace_eigs,
@@ -12,7 +15,15 @@ from shearmix.spectral import (
     resolvent_gap,
     semigroup_norm,
 )
-from shearmix.velocity import HeavisideField, PiecewiseConstantField, SineField
+from shearmix.velocity import (
+    BinaryCascadeField,
+    GridField,
+    HeavisideField,
+    PiecewiseConstantField,
+    SawtoothField,
+    SineField,
+    two_plateau,
+)
 
 COS = SineField(1.0, 1, math.pi / 2)
 
@@ -175,3 +186,157 @@ class TestResolventGap:
         assert summary.trace is not None and summary.trace.shape[1] == 2
         blob = summary.to_json_dict()
         assert blob["lambda1"] == 0.0 and len(blob["e1"]) == 32
+
+
+GOLDEN_FIELDS = {
+    "two_plateau": lambda: two_plateau(0.0, 1.0),
+    "sawtooth": lambda: SawtoothField(1.0),
+    "heaviside": lambda: HeavisideField(),
+    "cascade": lambda: BinaryCascadeField(1.0),
+    "cos": lambda: SineField(1.0, 1, math.pi / 2),
+    "grid3": lambda: GridField(np.random.default_rng(3).uniform(-1.0, 1.0, 16)),
+    "grid8": lambda: GridField(np.random.default_rng(8).uniform(-1.0, 1.0, 16)),
+}
+
+
+class TestGapGolden:
+    """r_lambda1, s_argmin, window_extensions and refinement_warning of fd2
+    operators, recorded with the all-dense sweep and compared exactly.  The
+    mirror-symmetric fields have twin sweep points whose dense values differ
+    only by roundoff; five of these cases change when the banded sweep's
+    candidates and their neighbours are not evaluated again with the dense SVD."""
+
+    CASES = [
+        # field, k, boundary, n, s_points, options, r_lambda1, s_argmin, extensions, warned
+        ("two_plateau", 2, "periodic", 32, 64, {},
+         0.8116074269446558, 6.2831860884437365, 0, False),
+        ("sawtooth", 2, "dirichlet", 32, 64, {},
+         0.17245932015353238, 6.283185222069912, 0, False),
+        ("heaviside", 1, "dirichlet", 48, 96, {},
+         0.24863063022551327, 3.141592633312455, 0, False),
+        ("two_plateau", 1, "periodic", 32, 64, {},
+         0.20610900996883247, 3.141592866914823, 0, False),
+        ("heaviside", 1, "dirichlet", 32, 64, {},
+         0.2496456787458229, 3.141592440264763, 0, False),
+        ("sawtooth", 2, "periodic", 32, 64, {},
+         0.219988125083306, 6.086835678623726, 0, False),
+        ("cascade", 1, "dirichlet", 48, 96, {},
+         0.000336607400026658, -5.1151460335669026e-08, 0, False),
+        ("cos", 3, "dirichlet", 48, 96, {},
+         1.0922188676994193, -9.562195857510638, 0, False),
+        ("grid3", 1, "periodic", 48, 96, {},
+         0.04006498880968203, -0.5193195161088158, 0, False),
+        ("grid8", 2, "dirichlet", 64, 128, {},
+         0.41347211013800406, -2.677605846952981, 0, False),
+        ("two_plateau", 1, "periodic", 32, 64, {"s_window": (0.5, 1.0)},
+         0.2061090099691818, 3.1415928302501097, 3, False),
+        ("two_plateau", 1, "periodic", 32, 64, {"s_window": (40.0, 41.0)},
+         0.20610900996890275, 3.1415926663186617, 5, False),
+        ("two_plateau", 1, "periodic", 32, 64, {"s_window": (1000.0, 1001.0)},
+         630.5357054735034, 636.0, 6, False),
+        ("sawtooth", 1, "dirichlet", 32, 64, {"refine_tol": 0.0},
+         0.043389573311596395, 3.1415926045083395, 0, True),
+    ]
+
+    @pytest.mark.parametrize("name,k,boundary,n,s_points,options,r,s,ext,warned", CASES)
+    def test_golden(self, name, k, boundary, n, s_points, options, r, s, ext, warned):
+        op = make_operator(GOLDEN_FIELDS[name](), k, boundary=boundary, n=n,
+                           discretization="fd2")
+        summary = resolvent_gap(op, s_points=s_points, **options)
+        got = (summary.r_lambda1, summary.s_argmin, summary.meta["window_extensions"],
+               summary.meta["refinement_warning"])
+        assert got == (r, s, ext, warned)
+
+    def test_fallbacks_are_counted_and_change_nothing(self, monkeypatch):
+        name, k, boundary, n, s_points, _, r, s, ext, warned = self.CASES[0]
+        banded = spectral._BandedSigma.__call__
+        calls = []
+
+        def every_third_fails(engine, z):
+            calls.append(z)
+            return None if len(calls) % 3 == 0 else banded(engine, z)
+
+        monkeypatch.setattr(spectral._BandedSigma, "__call__", every_third_fails)
+        op = make_operator(GOLDEN_FIELDS[name](), k, boundary=boundary, n=n)
+        summary = resolvent_gap(op, s_points=s_points)
+        assert (summary.r_lambda1, summary.s_argmin) == (r, s)
+        evals = summary.meta["sigma_evals"]
+        assert evals["dense_fallbacks"] == s_points // 3
+        assert evals["banded"] + evals["dense_fallbacks"] == len(calls) == s_points
+        assert evals["dense"] > evals["dense_fallbacks"]
+
+
+class TestGapMeta:
+    def test_certified_flag(self):
+        op = make_operator(two_plateau(0.0, 1.0), 1, boundary="periodic", n=32)
+        assert resolvent_gap(op, s_points=64).meta["certified"] is True
+        far = resolvent_gap(op, s_window=(1000.0, 1001.0), s_points=64)
+        assert far.meta["window_extensions"] == 6
+        assert far.meta["certified"] is False
+
+    def test_sigma_evals_fd2(self):
+        op = make_operator(two_plateau(0.0, 1.0), 1, boundary="periodic", n=32)
+        summary = resolvent_gap(op, s_window=(0.5, 1.0), s_points=64)
+        evals = summary.meta["sigma_evals"]
+        swept = 64 * (1 + summary.meta["window_extensions"])
+        assert evals["banded"] + evals["dense_fallbacks"] == swept
+        # the dense SVD re-evaluates the candidates and runs the trisection
+        assert evals["dense"] > 0
+
+    def test_sigma_evals_collocation_is_dense(self):
+        op = make_operator(COS, k=1, boundary="periodic", n=32)
+        assert op.discretization == "spectral"
+        evals = resolvent_gap(op, s_points=64).meta["sigma_evals"]
+        assert evals["banded"] == 0 and evals["dense_fallbacks"] == 0
+        assert evals["dense"] > 64
+
+
+def _assert_banded_matches_dense(op, fraction):
+    engine = spectral._BandedSigma(op)
+    w = op.skew_values
+    spread = float(w.max() - w.min())
+    s = w.min() - 3.0 * spread - 1.0 + fraction * (8.0 * spread + 2.0)
+    z = op.lambda1_discrete + 1j * s
+    banded = engine(z)
+    mat = op.matrix()
+    dense = sla.svdvals(mat - z * np.eye(op.n))[-1]
+    norm1 = np.abs(mat).sum(axis=0).max()
+    assert banded is not None
+    assert abs(banded - dense) <= 16.0 * np.finfo(float).eps * norm1
+
+
+class TestBandedSigma:
+    """The banded inverse-Lanczos sigma_min against the dense SVD."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), cells=st.integers(1, 16),
+           boundary=st.sampled_from(["periodic", "dirichlet"]), k=st.sampled_from([1, 3]),
+           n=st.sampled_from([16, 33, 64]), fraction=st.floats(0.0, 1.0))
+    def test_random_grid_fields(self, seed, cells, boundary, k, n, fraction):
+        field = GridField(np.random.default_rng(seed).uniform(-1.0, 1.0, cells))
+        op = make_operator(field, k, boundary=boundary, n=n)
+        _assert_banded_matches_dense(op, fraction)
+
+    @settings(max_examples=30, deadline=None)
+    @given(fraction=st.floats(0.0, 1.0))
+    @pytest.mark.parametrize("field,boundary", [
+        (SineField(1.0, 1, math.pi / 2), "dirichlet"),
+        (SineField(1.0, 1, 0.0), "periodic"),
+    ])
+    def test_symmetric_fields(self, field, boundary, fraction):
+        # a symmetric Lanczos start vector misses the wanted singular vector here
+        op = make_operator(field, 3, boundary=boundary, n=64, discretization="fd2")
+        _assert_banded_matches_dense(op, fraction)
+
+    def test_near_singular_shift(self):
+        # A - zI is the periodic Laplacian, singular up to roundoff
+        zero = PiecewiseConstantField([0.0], [0.0])
+        op = make_operator(zero, 1, boundary="periodic", n=16)
+        banded = spectral._BandedSigma(op)(0.0)
+        norm1 = np.abs(op.matrix()).sum(axis=0).max()
+        assert banded is not None and banded <= 16.0 * np.finfo(float).eps * norm1
+
+    def test_unconverged_lanczos_returns_none(self, monkeypatch):
+        monkeypatch.setattr(spectral._BandedSigma, "MAX_STEPS", 1)
+        op = make_operator(two_plateau(0.0, 1.0), 1, boundary="periodic", n=32)
+        assert spectral._BandedSigma(op)(op.lambda1_discrete + 3.0j) is None
