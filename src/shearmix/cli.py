@@ -34,7 +34,7 @@ Task parameter blocks (all optional, with defaults):
     evolve:   t_end, samples, k_max, nx, ny, initial ("cos_y" | "cos_xy" |
               "random"), snapshots (count of field dumps)
     simulate: start [x, y], t_end, dt, n_paths, bins, y_integrator,
-              geometry, kill_interval?
+              kill_interval?
     validate: criteria (list of ids, default all)
     report:   (none; reads artifacts already in the output directory)
 
@@ -73,7 +73,7 @@ _PARAM_KEYS = {
     "spectrum": {"k", "boundary", "n", "s_points", "discretization"},
     "evolve": {"t_end", "samples", "k_max", "nx", "ny", "initial", "snapshots"},
     "simulate": {"start", "t_end", "dt", "n_paths", "bins", "y_integrator",
-                 "geometry", "kill_interval"},
+                 "kill_interval"},
     "validate": {"criteria"},
     "report": set(),
 }
@@ -158,6 +158,13 @@ def _require(ok, message):
         raise ConfigError(message)
 
 
+def _pair(value, name):
+    _require(isinstance(value, (list, tuple)) and len(value) == 2
+             and all(isinstance(v, (int, float)) for v in value),
+             f"{name} must be a pair of numbers, got {value!r}")
+    return tuple(value)
+
+
 def task_bounds(config, ws, args):
     field = field_from_config(config["velocity"])
     params = config.get("params", {})
@@ -194,11 +201,8 @@ def task_spectrum(config, ws, args):
     op = make_operator(field, k=int(params.get("k", 1)), boundary=boundary, n=n,
                        discretization=discretization)
     summary = resolvent_gap(op, s_points=s_points, return_trace=True)
-    payload = summary.to_json_dict()
-    ws.write_json("spectral_summary.json", payload)
-    lines = ["s,sigma_min"]
-    lines += [f"{s:.17g},{v:.17g}" for s, v in summary.trace]
-    ws.write_text("sweep.csv", "\n".join(lines) + "\n")
+    ws.write_json("spectral_summary.json", summary.to_json_dict())
+    ws.write_text("sweep.csv", summary.sweep_csv())
     return EXIT_OK
 
 
@@ -207,32 +211,30 @@ def task_evolve(config, ws, args):
     params = config.get("params", {})
     nx = int(params.get("nx", 64))
     ny = int(params.get("ny", 17))
+    t_end = float(params.get("t_end", 10.0))
+    n_samples = int(params.get("samples", 33))
+    n_snapshots = int(params.get("snapshots", 0))
+    k_max = params.get("k_max")
+    _require(nx >= 16, f"nx must be at least 16, got {nx}")
+    _require(t_end > 0.0, f"t_end must be positive, got {t_end}")
+    _require(n_samples >= 1, f"samples must be at least 1, got {n_samples}")
+    _require(n_snapshots >= 0, f"snapshots must be nonnegative, got {n_snapshots}")
     try:
         u0 = evolve.initial_samples(params.get("initial", "cos_y"), nx, ny,
                                     _seeded(config, args))
+        evolve.field_from_samples(u0, k_max=k_max)  # rejects a ny that aliases k_max
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    trace = evolve.relax_trace(
-        u0, field,
-        t_end=float(params.get("t_end", 10.0)),
-        n_samples=int(params.get("samples", 33)),
-        k_max=params.get("k_max"),
-    )
+    trace = evolve.relax_trace(u0, field, t_end=t_end, n_samples=n_samples, k_max=k_max)
     trace.to_csv(ws.out / "decay.csv")
     ws.record_file("decay.csv")
-    n_snapshots = int(params.get("snapshots", 0))
     if n_snapshots:
         fld = evolve.field_from_samples(u0)
         evo = evolve.Evolution(field, fld.k_max, nx)
-        times = np.linspace(0.0, float(params.get("t_end", 10.0)), n_snapshots)
-        current, prev_t = fld, 0.0
-        for i, t in enumerate(times):
-            if t > prev_t:
-                current = evo.propagate(current, t - prev_t)
-                prev_t = t
+        for i, (t, state) in enumerate(evo.trajectory(fld, t_end, n_snapshots)):
             name = f"field-{i:03d}.f64"
-            evolve.save_snapshot(ws.out / name, evolve.field_to_samples(current, ny),
-                                 meta={"time": float(t)})
+            evolve.save_snapshot(ws.out / name, evolve.field_to_samples(state, ny),
+                                 meta={"time": t})
             ws.record_file(name)
             ws.record_file(name + ".json")
     return EXIT_OK
@@ -241,18 +243,23 @@ def task_evolve(config, ws, args):
 def task_simulate(config, ws, args):
     field = field_from_config(config["velocity"])
     params = config.get("params", {})
-    cfg = mcsim.PathConfig(
-        dt=float(params.get("dt", 1e-3)),
-        n_paths=int(params.get("n_paths", 100_000)),
-        t_end=float(params.get("t_end", 1.0)),
-        seed=_seeded(config, args),
-        y_integrator=params.get("y_integrator", "left"),
-        geometry=params.get("geometry", "torus2"),
-        bins=int(params.get("bins", 32)),
-        workers=args.workers,
-    )
-    start = tuple(params.get("start", (0.0, 0.0)))
+    _require(field.periodic, "simulate needs a torus velocity field")
+    start = _pair(params.get("start", (0.0, 0.0)), "start")
     kill = params.get("kill_interval")
+    if kill is not None:
+        kill = _pair(kill, "kill_interval")
+    try:
+        cfg = mcsim.PathConfig(
+            dt=float(params.get("dt", 1e-3)),
+            n_paths=int(params.get("n_paths", 100_000)),
+            t_end=float(params.get("t_end", 1.0)),
+            seed=_seeded(config, args),
+            y_integrator=params.get("y_integrator", "left"),
+            bins=int(params.get("bins", 32)),
+            workers=args.workers,
+        )
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
     hist = mcsim.simulate(start, field, cfg, kill_interval=kill)
     hist.to_csv(ws.out / "histogram.csv")
     ws.record_file("histogram.csv")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import functionals
-from .spectral import make_operator
+from .spectral import _grid, make_operator
 
 __all__ = [
     "ModeField",
@@ -61,9 +61,7 @@ class ModeField:
 
     @property
     def h(self):
-        if self.boundary == "periodic":
-            return self.length / self.nx
-        return self.length / (self.nx + 1)
+        return _grid(self.boundary, *self.interval, self.nx)[0]
 
     def mode(self, k):
         if abs(k) > self.k_max:
@@ -86,10 +84,9 @@ class ModeField:
         return math.sqrt(self.h * total)
 
     def conjugate_symmetry_defect(self):
-        defect = 0.0
-        for k in range(1, self.k_max + 1):
-            defect = max(defect, float(np.max(np.abs(self.mode(-k) - np.conj(self.mode(k))))))
-        return defect
+        negative = self.coeffs[:self.k_max][::-1]  # modes -1, -2, ..., -k_max
+        positive = self.coeffs[self.k_max + 1:]
+        return float(np.max(np.abs(negative - np.conj(positive)), initial=0.0))
 
     def copy(self):
         return ModeField(self.coeffs.copy(), self.k_max, self.boundary, self.interval)
@@ -111,9 +108,7 @@ def field_from_samples(u0, k_max=None, boundary="periodic", interval=(0.0, 1.0))
     if ny < 2 * k_max + 1:
         raise ValueError(f"ny = {ny} aliases modes up to k_max = {k_max}")
     spectrum = np.fft.fft(u0, axis=1) / ny
-    coeffs = np.empty((2 * k_max + 1, u0.shape[0]), dtype=complex)
-    for k in range(-k_max, k_max + 1):
-        coeffs[k + k_max] = spectrum[:, k % ny]
+    coeffs = spectrum.T[np.arange(-k_max, k_max + 1) % ny]
     return ModeField(coeffs, k_max, boundary, tuple(interval))
 
 
@@ -122,8 +117,7 @@ def field_to_samples(field, ny):
     if ny < 2 * field.k_max + 1:
         raise ValueError("ny too small for the stored modes")
     spectrum = np.zeros((field.nx, ny), dtype=complex)
-    for k in range(-field.k_max, field.k_max + 1):
-        spectrum[:, k % ny] = field.mode(k)
+    spectrum[:, np.arange(-field.k_max, field.k_max + 1) % ny] = field.coeffs.T
     return np.fft.ifft(spectrum * ny, axis=1).real
 
 
@@ -159,22 +153,19 @@ class Evolution:
     so only k >= 0 operators are materialized.
     """
 
-    def __init__(self, field_v, k_max, nx, boundary="periodic", interval=None,
-                 discretization=None):
+    def __init__(self, field_v, k_max, nx, boundary="periodic", interval=None):
         self.field_v = field_v
         self.k_max = int(k_max)
         self.nx = int(nx)
         self.boundary = boundary
         self.interval = tuple(interval) if interval is not None else (field_v.a, field_v.b)
-        self.discretization = discretization
         self._ops: dict = {}
 
     def operator(self, k):
         k = abs(int(k))
         if k not in self._ops:
             self._ops[k] = make_operator(self.field_v, k, boundary=self.boundary,
-                                         interval=self.interval, n=self.nx,
-                                         discretization=self.discretization)
+                                         interval=self.interval, n=self.nx)
         return self._ops[k]
 
     def step(self, field, dt):
@@ -199,6 +190,18 @@ class Evolution:
             field = self.step(field, dt)
         return field
 
+    def trajectory(self, field, t_end, n_samples):
+        """Yield (t, state) at the n_samples times linspace(0, t_end, n_samples).
+
+        The state at t = 0 is `field` itself; each later state is one exact
+        step of times[1] - times[0] from the one before.
+        """
+        times = np.linspace(0.0, t_end, n_samples)
+        for i, t in enumerate(times):
+            if i > 0:
+                field = self.step(field, times[1] - times[0])
+            yield float(t), field
+
 
 @dataclass
 class DecayTrace:
@@ -219,33 +222,22 @@ class DecayTrace:
                 handle.write(f"{t:.17g},{d:.17g},{e:.17g},{f}\n")
 
 
-def relax_trace(u0, field_v, t_end, n_samples=32, k_max=None, nx=None, rate=None,
-                correlation_grid=256, discretization=None):
+def relax_trace(u0, field_v, t_end, n_samples=32, k_max=None, correlation_grid=256):
     """Evolve torus samples u0 and compare deviations with the envelope.
 
     The envelope is exp(pi/2 - rate * t) times the initial deviation, with
-    the rate computed from the correlation LP of the velocity field unless
-    supplied.  No violation is expected; any sample exceeding the envelope is
-    reported by index.
+    the rate computed from the correlation LP of the velocity field.  No
+    violation is expected; any sample exceeding the envelope is reported by
+    index.
     """
     u0 = np.asarray(u0, dtype=float)
     fld = field_from_samples(u0, k_max=k_max, boundary="periodic",
                              interval=(field_v.a, field_v.b))
-    if nx is not None and nx != fld.nx:
-        raise ValueError("nx is fixed by the sample grid")
-    if rate is None:
-        corr = functionals.lipschitz_correlation(field_v, grid_n=correlation_grid)
-        rate = functionals.mixing_rate(corr, field_v.oscillation())
-    evo = Evolution(field_v, fld.k_max, fld.nx, boundary="periodic",
-                    discretization=discretization)
-    times = np.linspace(0.0, t_end, n_samples)
-    dt = times[1] - times[0] if n_samples > 1 else t_end
-    dev = np.empty(n_samples)
-    dev[0] = fld.deviation()
-    current = fld
-    for i in range(1, n_samples):
-        current = evo.step(current, dt)
-        dev[i] = current.deviation()
+    corr = functionals.lipschitz_correlation(field_v, grid_n=correlation_grid)
+    rate = functionals.mixing_rate(corr, field_v.oscillation())
+    evo = Evolution(field_v, fld.k_max, fld.nx)
+    samples = [(t, state.deviation()) for t, state in evo.trajectory(fld, t_end, n_samples)]
+    times, dev = (np.array(column) for column in zip(*samples))
     envelope = math.e ** (math.pi / 2.0 - rate * times) * dev[0]
     violations = [int(i) for i in np.nonzero(dev > envelope * (1 + 1e-9) + 1e-12)[0]]
     return DecayTrace(times, dev, envelope, rate, violations)
@@ -265,8 +257,7 @@ class StripTrace:
         return self.sup_norms[:, abs(k)]
 
 
-def strip_trace(nu0, field_v, interval, t_end, n_samples=16, k_max=None,
-                discretization="fd2"):
+def strip_trace(nu0, field_v, interval, t_end, n_samples=16, k_max=None):
     """Evolve strip samples under Dirichlet conditions in x.
 
     Tracks the sup norm of every mode, the mode-0 mass (nonincreasing: the
@@ -278,26 +269,18 @@ def strip_trace(nu0, field_v, interval, t_end, n_samples=16, k_max=None,
     a, b = float(interval[0]), float(interval[1])
     length = b - a
     fld = field_from_samples(nu0, k_max=k_max, boundary="dirichlet", interval=(a, b))
-    evo = Evolution(field_v, fld.k_max, fld.nx, boundary="dirichlet", interval=(a, b),
-                    discretization=discretization)
+    evo = Evolution(field_v, fld.k_max, fld.nx, boundary="dirichlet", interval=(a, b))
     nodes = evo.operator(0).nodes
     shape = np.sin(math.pi * (nodes - a) / length)
     kappa0 = float(np.min(np.real(fld.mode(0))))
 
-    times = np.linspace(0.0, t_end, n_samples)
-    dt = times[1] - times[0] if n_samples > 1 else t_end
-    sup_norms = np.empty((n_samples, fld.k_max + 1))
-    mass = np.empty(n_samples)
-    margin = np.empty(n_samples)
-    current = fld
-    for i in range(n_samples):
-        if i > 0:
-            current = evo.step(current, dt)
-        for k in range(fld.k_max + 1):
-            sup_norms[i, k] = float(np.max(np.abs(current.mode(k))))
-        mass[i] = float(np.real(current.mode(0)).sum() * current.h)
-        floor = kappa0 * math.exp(-math.pi**2 / length**2 * times[i]) * shape
-        margin[i] = float(np.min(np.real(current.mode(0)) - floor))
+    rows = []
+    for t, state in evo.trajectory(fld, t_end, n_samples):
+        mode0 = np.real(state.mode(0))
+        floor = kappa0 * math.exp(-math.pi**2 / length**2 * t) * shape
+        rows.append((t, np.abs(state.coeffs[state.k_max:]).max(axis=1),
+                     mode0.sum() * state.h, np.min(mode0 - floor)))
+    times, sup_norms, mass, margin = (np.array(column) for column in zip(*rows))
     return StripTrace(times, sup_norms, mass, margin, kappa0)
 
 

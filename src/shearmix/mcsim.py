@@ -13,6 +13,7 @@ run metadata alone.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
@@ -66,10 +67,7 @@ class PathConfig:
         if self.bins < 1 or self.block_size < 1:
             raise ValueError("bins and block_size must be positive")
 
-    def replace(self, **kw):
-        from dataclasses import replace
-
-        return replace(self, **kw)
+    replace = dataclasses.replace
 
 
 @dataclass
@@ -92,14 +90,14 @@ class TransitionHistogram:
         return float(self.bins**2 * self.counts.min() / self.n_paths)
 
     def alpha_lower_confidence(self, level=0.99):
-        """Exact binomial (Clopper-Pearson) lower bound aggregated by min."""
-        worst = math.inf
-        n = self.n_paths
-        for k in np.sort(self.counts, axis=None)[:16]:
-            k = int(k)
-            lo = 0.0 if k == 0 else float(stats.beta.ppf(1.0 - level, k, n - k + 1))
-            worst = min(worst, self.bins**2 * lo)
-        return worst
+        """Exact binomial (Clopper-Pearson) lower bound aggregated by min.
+
+        The per-cell bound is monotone in the cell count, so the minimum over
+        cells is the bound at the smallest count.
+        """
+        k = int(self.counts.min())
+        lo = 0.0 if k == 0 else float(stats.beta.ppf(1.0 - level, k, self.n_paths - k + 1))
+        return self.bins**2 * lo
 
     def empty_cells(self):
         return [tuple(map(int, idx)) for idx in np.argwhere(self.counts == 0)]
@@ -306,7 +304,7 @@ def doeblin_estimate(field, t_star, starts, cfg):
     """
     if not starts:
         raise ValueError("need at least one starting point")
-    run_cfg = cfg if cfg.t_end == t_star else cfg.replace(t_end=t_star)
+    run_cfg = cfg.replace(t_end=t_star)
     per_start = []
     empty = []
     alpha = math.inf

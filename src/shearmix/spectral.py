@@ -13,6 +13,7 @@ the dense SVD.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -30,6 +31,21 @@ __all__ = [
 ]
 
 
+def _grid(boundary, a, b, n):
+    """Spacing and nodes of the n-point grid on [a, b].
+
+    Periodic nodes are a + h i for i = 0..n-1 with h = (b - a) / n; Dirichlet
+    nodes are the interior a + h i for i = 1..n with h = (b - a) / (n + 1).
+    """
+    if boundary == "periodic":
+        h = (b - a) / n
+        return h, a + h * np.arange(n)
+    if boundary == "dirichlet":
+        h = (b - a) / (n + 1)
+        return h, a + h * np.arange(1, n + 1)
+    raise ValueError(f"unknown boundary: {boundary!r}")
+
+
 def laplace_eigs(boundary, interval=(0.0, 1.0), n=256):
     """Closed-form lowest Laplace eigenvalues and the sampled ground state.
 
@@ -39,19 +55,15 @@ def laplace_eigs(boundary, interval=(0.0, 1.0), n=256):
     """
     a, b = float(interval[0]), float(interval[1])
     length = b - a
+    h, x = _grid(boundary, a, b, n)
     if boundary == "periodic":
-        lam1, lam2 = 0.0, (2.0 * math.pi / length) ** 2
-        h = length / n
+        lam1 = 0.0
         e1 = np.full(n, 1.0 / math.sqrt(length))
-    elif boundary == "dirichlet":
-        lam1, lam2 = (math.pi / length) ** 2, (2.0 * math.pi / length) ** 2
-        h = length / (n + 1)
-        x = a + h * np.arange(1, n + 1)
-        e1 = math.sqrt(2.0 / length) * np.sin(math.pi * (x - a) / length)
     else:
-        raise ValueError(f"unknown boundary: {boundary!r}")
+        lam1 = (math.pi / length) ** 2
+        e1 = math.sqrt(2.0 / length) * np.sin(math.pi * (x - a) / length)
     e1 = e1 / math.sqrt(h * float(np.dot(e1, e1)))
-    return lam1, lam2, e1
+    return lam1, (2.0 * math.pi / length) ** 2, e1
 
 
 class ModeOperator:
@@ -79,26 +91,15 @@ class ModeOperator:
         self.discretization = discretization
         v_samples.setflags(write=False)
         self.v_samples = v_samples
+        self.h, self.nodes = _grid(boundary, self.a, self.b, self.n)
+        self.nodes.setflags(write=False)
         self._matrix = None
         self._laplacian = None
-        self._lambda1_discrete = None
         self._propagators: dict = {}
 
     @property
     def length(self):
         return self.b - self.a
-
-    @property
-    def h(self):
-        if self.boundary == "periodic":
-            return self.length / self.n
-        return self.length / (self.n + 1)
-
-    @property
-    def nodes(self):
-        if self.boundary == "periodic":
-            return self.a + self.h * np.arange(self.n)
-        return self.a + self.h * np.arange(1, self.n + 1)
 
     @property
     def skew_values(self):
@@ -138,21 +139,14 @@ class ModeOperator:
             self._matrix = m
         return self._matrix
 
-    @property
+    @functools.cached_property
     def lambda1_discrete(self):
         """Smallest eigenvalue of the discrete symmetric part.
 
         This is the accretivity edge of the matrix: the numerical range of
         matrix() - lambda1_discrete lies in the closed right half-plane.
         """
-        if self._lambda1_discrete is None:
-            self._lambda1_discrete = float(sla.eigvalsh(self.laplacian())[0])
-        return self._lambda1_discrete
-
-    def lambda_continuum(self):
-        """Closed-form (lambda1, lambda2) of the continuum Laplace operator."""
-        l1, l2, _ = laplace_eigs(self.boundary, (self.a, self.b), self.n)
-        return l1, l2
+        return float(sla.eigvalsh(self.laplacian())[0])
 
     def propagator(self, dt):
         """Dense matrix exponential exp(-dt * A), cached per time step."""
@@ -178,11 +172,7 @@ def make_operator(field, k, boundary="periodic", interval=None, n=256, discretiz
     if discretization is None:
         smooth = getattr(field, "kind", None) == "sine"
         discretization = "spectral" if (boundary == "periodic" and smooth) else "fd2"
-    a, b = float(interval[0]), float(interval[1])
-    if boundary == "periodic":
-        nodes = a + (b - a) / n * np.arange(n)
-    else:
-        nodes = a + (b - a) / (n + 1) * np.arange(1, n + 1)
+    _, nodes = _grid(boundary, float(interval[0]), float(interval[1]), n)
     return ModeOperator(boundary, interval, field(nodes), k, discretization)
 
 
@@ -197,6 +187,11 @@ class SpectralSummary:
     s_argmin: float
     meta: dict = dc_field(default_factory=dict)
     trace: np.ndarray | None = None
+
+    def sweep_csv(self):
+        """The swept (s, sigma_min) pairs as CSV text; every float round-trips."""
+        lines = ["s,sigma_min"] + [f"{s:.17g},{v:.17g}" for s, v in self.trace]
+        return "\n".join(lines) + "\n"
 
     def to_json_dict(self):
         out = {
@@ -215,9 +210,16 @@ def _sigma_min(matrix, z):
     return float(sla.svdvals(matrix - z * np.eye(matrix.shape[0]))[-1])
 
 
-def _candidate_threshold(sigma_low):
-    """Sweep points up to this value are refined if they are local minima."""
-    return sigma_low * 1.25 + 1e-12
+def _candidates(vals, slack):
+    """Mask of the sweep points that are refined as local minima.
+
+    A point qualifies when it is at most 1.25 times the sweep minimum (plus
+    1e-12) and no larger than either neighbour.  `slack` widens every
+    comparison by a bound on the error of each value.
+    """
+    padded = np.concatenate(([math.inf], vals, [math.inf]))
+    return ((vals - slack <= (vals.min() + slack) * 1.25 + 1e-12)
+            & (vals <= padded[:-2] + 2.0 * slack) & (vals <= padded[2:] + 2.0 * slack))
 
 
 class _BandedSigma:
@@ -303,13 +305,12 @@ class _BandedSigma:
 def _banded_sweep(engine, grid, shift, dense, evals):
     """Sweep values of an fd2 operator: banded, then dense wherever it counts.
 
-    Every point that could be a local minimum of the dense sweep below the
-    candidate threshold, given that each banded value is within
-    engine.tolerance of the dense one, is evaluated again with the dense SVD,
-    and so are its two neighbours.  Every other point then lies above the
-    dense minimum in both engines, so the dense minimum, the certification,
-    the candidate set and the candidates' values are those of an all-dense
-    sweep.
+    Every point that could be a refinement candidate of the dense sweep,
+    given that each banded value is within engine.tolerance of the dense one,
+    is evaluated again with the dense SVD, and so are its two neighbours.
+    Every other point then lies above the dense minimum in both engines, so
+    the dense minimum, the certification, the candidate set and the
+    candidates' values are those of an all-dense sweep.
     """
     vals = np.empty(len(grid))
     exact = np.zeros(len(grid), dtype=bool)
@@ -321,10 +322,7 @@ def _banded_sweep(engine, grid, shift, dense, evals):
         else:
             evals["banded"] += 1
         vals[j] = value
-    tol = engine.tolerance(abs(shift) + float(np.abs(grid).max()))
-    padded = np.concatenate(([math.inf], vals, [math.inf]))
-    near = ((vals - tol <= _candidate_threshold(vals.min() + tol))
-            & (vals <= padded[:-2] + 2.0 * tol) & (vals <= padded[2:] + 2.0 * tol))
+    near = _candidates(vals, engine.tolerance(abs(shift) + float(np.abs(grid).max())))
     recheck = near.copy()
     recheck[1:] |= near[:-1]
     recheck[:-1] |= near[1:]
@@ -416,21 +414,10 @@ def resolvent_gap(op, s_window=None, s_points=192, refine_tol=1e-6, return_trace
         hi += width
         extensions += 1
 
-    order = np.argsort(vals)
-    arg_global = int(order[0])
-    candidates = []
-    threshold = _candidate_threshold(interior_min)
-    for j in range(len(grid)):
-        left = vals[j - 1] if j > 0 else math.inf
-        right = vals[j + 1] if j < len(grid) - 1 else math.inf
-        if vals[j] <= threshold and vals[j] <= left and vals[j] <= right:
-            candidates.append(j)
-    if arg_global not in candidates:
-        candidates.append(arg_global)
-
-    best_s, best_f = float(grid[arg_global]), interior_min
+    # the global minimum is always a candidate
+    best_s, best_f = float(grid[np.argsort(vals)[0]]), interior_min
     warned = False
-    for j in candidates:
+    for j in np.flatnonzero(_candidates(vals, 0.0)):
         blo = grid[max(j - 1, 0)]
         bhi = grid[min(j + 1, len(grid) - 1)]
         s_ref, f_ref, ok = _trisect(sigma, float(blo), float(bhi),
@@ -440,8 +427,7 @@ def resolvent_gap(op, s_window=None, s_points=192, refine_tol=1e-6, return_trace
         if f_ref < best_f:
             best_s, best_f = s_ref, f_ref
 
-    lam1, lam2 = op.lambda_continuum()
-    _, _, e1 = laplace_eigs(op.boundary, (op.a, op.b), op.n)
+    lam1, lam2, e1 = laplace_eigs(op.boundary, (op.a, op.b), op.n)
     meta = {
         "n": op.n,
         "boundary": op.boundary,

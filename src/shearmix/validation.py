@@ -9,8 +9,10 @@ inside the criteria, so the battery is deterministic.
 from __future__ import annotations
 
 import math
+import tempfile
 import time
 from dataclasses import dataclass, field as dc_field
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg as sla
@@ -416,11 +418,11 @@ def criterion_10(cache=None):
 
 
 def criterion_11(cache=None, workdir=None):
-    import tempfile
-    from pathlib import Path
-
+    if workdir is None:
+        with tempfile.TemporaryDirectory(prefix="shearmix-det-") as tmp:
+            return criterion_11(cache, tmp)
     details = {}
-    base = Path(workdir) if workdir else Path(tempfile.mkdtemp(prefix="shearmix-det-"))
+    base = Path(workdir)
     field = two_plateau(0.0, 1.0)
 
     def hist_csv(tag, workers):
@@ -449,10 +451,7 @@ def criterion_11(cache=None, workdir=None):
         op = make_operator(field, 1, boundary="periodic", n=64)
         summary = resolvent_gap(op, s_points=64, return_trace=True)
         path = base / f"sweep-{tag}.csv"
-        with open(path, "w") as handle:
-            handle.write("s,sigma_min\n")
-            for s, sig in summary.trace:
-                handle.write(f"{s:.17g},{sig:.17g}\n")
+        path.write_text(summary.sweep_csv())
         return path.read_bytes()
 
     same_sweep = sweep_csv("a") == sweep_csv("b")

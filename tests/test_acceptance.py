@@ -5,6 +5,7 @@ pass/fail lines and the measured numbers.  The same checks back the CLI
 `validate` task.
 """
 
+import tempfile
 import time
 
 import pytest
@@ -27,3 +28,10 @@ def test_criterion(cid, name, func):
     for key, value in details.items():
         print(f"        {key}: {value}")
     assert passed, f"criterion {cid} ({name}) failed: {details}"
+
+
+def test_criterion_11_removes_its_directory(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    _, passed = validation.criterion_11()
+    assert passed
+    assert list(tmp_path.iterdir()) == []

@@ -86,6 +86,43 @@ class TestConfigValidation:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o" / "manifest.json").exists()
 
+    SIMULATE = {"start": [0.25, 0.25], "t_end": 0.05, "dt": 0.01, "n_paths": 100,
+                "bins": 4}
+    HALF_DOMAIN = {"kind": "grid", "samples": [0.0, 1.0], "domain": [0.0, 0.5]}
+
+    @pytest.mark.parametrize("velocity,params,message", [
+        (TWO_PLATEAU, {"geometry": "plane"}, "unknown params"),
+        (TWO_PLATEAU, {"y_integrator": "midpoint"}, "unknown y integrator"),
+        (TWO_PLATEAU, {"dt": 0}, "dt and t_end must be positive"),
+        (TWO_PLATEAU, {"n_paths": 0}, "need at least one path"),
+        (TWO_PLATEAU, {"start": [0.5]}, "start must be a pair of numbers"),
+        (TWO_PLATEAU, {"kill_interval": [0.5]}, "kill_interval must be a pair of numbers"),
+        (HALF_DOMAIN, {}, "needs a torus velocity field"),
+    ])
+    def test_bad_simulate_params(self, tmp_path, capsys, velocity, params, message):
+        cfg = write_config(tmp_path, {"task": "simulate", "velocity": velocity,
+                                      "params": dict(self.SIMULATE, **params)})
+        status = cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert status == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("params,message", [
+        ({"nx": 8}, "nx must be at least 16"),
+        ({"ny": 5, "k_max": 3}, "aliases modes"),
+        ({"t_end": 0}, "t_end must be positive"),
+        ({"samples": 0}, "samples must be at least 1"),
+        ({"snapshots": -1}, "snapshots must be nonnegative"),
+    ])
+    def test_bad_evolve_params(self, tmp_path, capsys, params, message):
+        base = {"t_end": 0.5, "samples": 3, "nx": 16, "ny": 5}
+        cfg = write_config(tmp_path, {"task": "evolve", "velocity": TWO_PLATEAU,
+                                      "params": dict(base, **params)})
+        status = cli.main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert status == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
 
 class TestBoundsTask:
     def test_two_plateau_golden(self, tmp_path):

@@ -1,12 +1,17 @@
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
+from shearmix import cli
 from shearmix.evolve import (
     Evolution,
+    ModeField,
     field_from_samples,
     field_to_samples,
+    initial_samples,
     load_snapshot,
     relax_trace,
     save_snapshot,
@@ -227,3 +232,66 @@ class TestSnapshots:
         np.testing.assert_array_equal(back, grid)
         assert sidecar["time"] == 0.25
         assert sidecar["dtype"] == "<f8"
+
+
+def _sha256(*arrays):
+    return hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)).hexdigest()
+
+
+class TestEvolveGolden:
+    """Evolution outputs pinned bit for bit.
+
+    Recorded with per-caller stepping loops, per-mode copy loops in the y
+    transforms and per-step snapshot propagation in the CLI, with numpy 2.4.6
+    and scipy 1.17.1; the digests do not change between 1 and 2 BLAS threads.
+    """
+
+    @pytest.mark.parametrize("name,field,u0,t_end,n_samples,digest", [
+        ("cos", COS, initial_samples("random", 32, 9, seed=7), 3.0, 7,
+         "5e7167fc82153e8500980c187fb1696761af98df04cba487c7fbb22741fad868"),
+        # dt = 1/6 is not a binary fraction
+        ("two_plateau", two_plateau(0.0, 1.0), initial_samples("cos_xy", 24, 7), 1.0, 7,
+         "ec794e12e0e1d2f365af751cc2bbd33f3aaa7da3307a8cc9b18a962c8796decf"),
+    ])
+    def test_decay_csv(self, tmp_path, name, field, u0, t_end, n_samples, digest):
+        path = tmp_path / f"{name}.csv"
+        relax_trace(u0, field, t_end, n_samples=n_samples, correlation_grid=64).to_csv(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_strip_trace(self):
+        nu0 = 1.0 + np.random.default_rng(5).uniform(size=(32, 9))
+        trace = strip_trace(nu0, two_plateau(0.0, 1.0), (0.25, 0.75), 0.5, n_samples=6)
+        got = _sha256(trace.times, trace.sup_norms, trace.mass, trace.floor_margin,
+                      np.float64(trace.kappa0))
+        assert got == "aee4f159b2bc76fb737e1295cdade9b3a8a26ad6c3a113cf32846432edcfab98"
+
+    def test_cli_snapshots(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "task": "evolve", "seed": 3,
+            "velocity": {"kind": "piecewise_constant", "breakpoints": [0.0, 0.5],
+                         "values": [0.0, 1.0]},
+            "params": {"t_end": 2.0, "samples": 5, "nx": 32, "ny": 9, "initial": "random",
+                       "snapshots": 3},
+        }))
+        out = tmp_path / "out"
+        assert cli.main(["evolve", "--config", str(config), "--out", str(out)]) == 0
+        artifacts = json.loads((out / "manifest.json").read_text())["artifacts"]
+        assert [a["name"] for a in artifacts] == [
+            "decay.csv", "field-000.f64", "field-000.f64.json", "field-001.f64",
+            "field-001.f64.json", "field-002.f64", "field-002.f64.json"]
+        blob = json.dumps(artifacts, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == (
+            "1883f3ced2287342b1209b2909a39d8b2e87bb4370846fc05b80c957e3093054")
+
+    def test_transform_round_trip(self):
+        u0 = np.random.default_rng(17).normal(size=(20, 11))
+        fld = field_from_samples(u0, k_max=4)
+        got = _sha256(fld.coeffs, field_to_samples(fld, 11), field_to_samples(fld, 13))
+        assert got == "304c21f3e58230553dd7fb1e638d1050ea6fc873c925a7e40be6086c8e75d9a1"
+
+    def test_conjugate_symmetry_defect(self):
+        rng = np.random.default_rng(19)
+        fld = ModeField(rng.normal(size=(7, 10)) + 1j * rng.normal(size=(7, 10)), 3)
+        assert fld.conjugate_symmetry_defect() == 4.408546073271454
+        assert ModeField(np.ones((1, 10)), 0).conjugate_symmetry_defect() == 0.0

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from shearmix import kernels as kr
 from shearmix import mcsim
@@ -187,6 +190,20 @@ class TestDoeblin:
                                          (0.0, 0.0), 1.0)
         assert hist.alpha_hat() >= 0.9
         assert hist.alpha_lower_confidence() <= hist.alpha_hat()
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), bins=st.integers(1, 8),
+           n_paths=st.integers(1, 10**7), empty=st.booleans())
+    def test_lower_confidence_is_the_per_cell_minimum(self, seed, bins, n_paths, empty):
+        rng = np.random.default_rng(seed)
+        counts = rng.multinomial(n_paths, rng.dirichlet(np.ones(bins * bins)))
+        if empty:
+            counts[rng.integers(bins * bins)] = 0
+        hist = mcsim.TransitionHistogram(bins, counts.reshape(bins, bins), n_paths,
+                                         (0.0, 0.0), 1.0)
+        per_cell = [0.0 if k == 0 else float(stats.beta.ppf(1.0 - 0.99, k, n_paths - k + 1))
+                    for k in counts.tolist()]
+        assert hist.alpha_lower_confidence() == min(bins**2 * lo for lo in per_cell)
 
     def test_dirac_start_zero_alpha(self):
         cfg = small_cfg(dt=0.001, t_end=0.001, n_paths=2000, bins=8)
