@@ -25,7 +25,8 @@ Velocity kinds and their parameters:
     heaviside:          high?, low?
     binary_cascade:     c, tail_tol?
 
-`domain` is "torus" (default) or [a, b].
+`domain` is "torus" (default) or [a, b].  Only `spectrum` takes a field on
+[a, b]; `bounds`, `evolve` and `simulate` need a torus field.
 
 Task parameter blocks (all optional, with defaults):
 
@@ -35,7 +36,7 @@ Task parameter blocks (all optional, with defaults):
               "random"), snapshots (count of field dumps)
     simulate: start [x, y], t_end, dt, n_paths, bins, y_integrator,
               kill_interval?
-    validate: criteria (list of ids, default all)
+    validate: criteria (non-empty list of known criterion ids 1-11, default all)
     report:   (none; reads artifacts already in the output directory)
 
 Exit codes: 0 success, 1 configuration error, 2 validation-suite failure,
@@ -89,7 +90,7 @@ def load_config(path):
         raise ConfigError(f"config is not valid JSON: {err}") from err
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    allowed = {"task", "velocity", "seed", "out_dir", "params", "workers"}
+    allowed = {"task", "velocity", "seed", "out_dir", "params"}
     extra = set(raw) - allowed
     if extra:
         raise ConfigError(f"unknown config keys: {sorted(extra)}")
@@ -215,6 +216,7 @@ def task_evolve(config, ws, args):
     n_samples = int(params.get("samples", 33))
     n_snapshots = int(params.get("snapshots", 0))
     k_max = params.get("k_max")
+    _require(field.periodic, "evolve needs a torus velocity field")
     _require(nx >= 16, f"nx must be at least 16, got {nx}")
     _require(t_end > 0.0, f"t_end must be positive, got {t_end}")
     _require(n_samples >= 1, f"samples must be at least 1, got {n_samples}")
@@ -222,14 +224,13 @@ def task_evolve(config, ws, args):
     try:
         u0 = evolve.initial_samples(params.get("initial", "cos_y"), nx, ny,
                                     _seeded(config, args))
-        evolve.field_from_samples(u0, k_max=k_max)  # rejects a ny that aliases k_max
+        fld = evolve.field_from_samples(u0, k_max=k_max)  # rejects a ny that aliases k_max
     except ValueError as err:
         raise ConfigError(str(err)) from err
     trace = evolve.relax_trace(u0, field, t_end=t_end, n_samples=n_samples, k_max=k_max)
     trace.to_csv(ws.out / "decay.csv")
     ws.record_file("decay.csv")
     if n_snapshots:
-        fld = evolve.field_from_samples(u0)
         evo = evolve.Evolution(field, fld.k_max, nx)
         for i, (t, state) in enumerate(evo.trajectory(fld, t_end, n_snapshots)):
             name = f"field-{i:03d}.f64"
@@ -270,6 +271,10 @@ def task_simulate(config, ws, args):
 def task_validate(config, ws, args):
     params = config.get("params", {})
     ids = params.get("criteria")
+    known = [cid for cid, _, _ in validation.CRITERIA]
+    _require(ids is None or (isinstance(ids, list) and ids
+                             and all(type(i) is int and i in known for i in ids)),
+             f"criteria must be a non-empty list of ids from {known}, got {ids!r}")
     results = validation.run_all(ids=ids, progress=print)
     # artifacts must regenerate bit-identically, so timings stay on stdout
     lines = [f"[{'PASS' if r.passed else 'FAIL'}] criterion {r.cid:2d}: {r.name}"

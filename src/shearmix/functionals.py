@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 from .velocity import VelocityField, _flatness_from_windows, estimate_flatness_constant
@@ -159,17 +160,14 @@ def lipschitz_correlation(field, boundary="periodic", interval=None, grid_n=256)
     v = np.asarray(field(x), dtype=float)
     slope_cap = 2.0 * math.pi / length * h
 
+    # row i of diff is phi_i - phi_{i+1}; the last row closes the torus, and
+    # Dirichlet drops it
     n = grid_n
-    pairs = [(i, i + 1) for i in range(n - 1)]
-    if boundary == "periodic":
-        pairs.append((n - 1, 0))
-    a_ub = np.zeros((2 * len(pairs), n))
-    for r, (i, j) in enumerate(pairs):
-        a_ub[2 * r, i] = 1.0
-        a_ub[2 * r, j] = -1.0
-        a_ub[2 * r + 1, i] = -1.0
-        a_ub[2 * r + 1, j] = 1.0
-    b_ub = np.full(2 * len(pairs), slope_cap)
+    diff = sparse.eye_array(n) - sparse.eye_array(n, k=1) - sparse.eye_array(n, k=1 - n)
+    if boundary != "periodic":
+        diff = diff.tocsr()[:-1]
+    a_ub = sparse.kron(diff, [[1.0], [-1.0]])  # rows 2i and 2i + 1 bound +-(phi_i - phi_{i+1})
+    b_ub = np.full(a_ub.shape[0], slope_cap)
 
     res = linprog(
         -(v * w),

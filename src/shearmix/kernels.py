@@ -40,20 +40,23 @@ def heat_line(x, t):
     return out if out.shape else float(out)
 
 
-def _torus_images(t, truncation):
-    # tail of the image sum is below erfc((M - 1/2) / (2 sqrt(t)))
-    def tail(m):
-        return float(erfc((m - 0.5) / (2.0 * math.sqrt(t))))
-
+def _term_count(tail, truncation, limit):
+    """The first m >= 1 with tail(m) <= TAIL_TOL, capped at `limit`, or the
+    given truncation once its tail is checked."""
     if truncation is None:
         m = 1
-        while tail(m) > TAIL_TOL and m < 400:
+        while tail(m) > TAIL_TOL and m < limit:
             m += 1
         return m
-    truncation = int(truncation)
-    if truncation < 1 or tail(truncation) > TAIL_TOL:
+    m = int(truncation)
+    if m < 1 or tail(m) > TAIL_TOL:
         raise ValueError("truncation too small for a certified tail below 1e-14")
-    return truncation
+    return m
+
+
+def _torus_images(t, truncation):
+    # tail of the image sum is below erfc((M - 1/2) / (2 sqrt(t)))
+    return _term_count(lambda m: float(erfc((m - 0.5) / (2.0 * math.sqrt(t)))), truncation, 400)
 
 
 def heat_torus(x, xp=0.0, t=0.125, truncation=None):
@@ -98,15 +101,7 @@ def heat_dirichlet(x, xp, interval=(0.0, 1.0), t=0.125, truncation=None):
         # sum_{k>m} e^{-k^2 q} <= integral, evaluated through erfc
         return (2.0 / length) * 0.5 * math.sqrt(math.pi / q) * float(erfc(m * math.sqrt(q)))
 
-    if truncation is None:
-        m = 1
-        while tail(m) > TAIL_TOL and m < 100_000:
-            m += 1
-    else:
-        m = int(truncation)
-        if m < 1 or tail(m) > TAIL_TOL:
-            raise ValueError("truncation too small for a certified tail below 1e-14")
-
+    m = _term_count(tail, truncation, 100_000)
     x = np.asarray(x, dtype=float)
     xp = np.asarray(xp, dtype=float)
     if np.any((x < a - 1e-12) | (x > b + 1e-12) | (xp < a - 1e-12) | (xp > b + 1e-12)):

@@ -22,6 +22,7 @@ import numpy as np
 from scipy import stats
 
 from . import kernels
+from .velocity import _panel_quadrature
 
 __all__ = [
     "PathConfig",
@@ -430,20 +431,13 @@ def kolmogorov_experiment(cfg, bins=24, span_sigmas=4.0):
     y_edges = np.linspace(-span_sigmas * sy, span_sigmas * sy, bins + 1)
     counts, _, _ = np.histogram2d(x, y, bins=[x_edges, y_edges])
 
-    # cell averages of the kernel by 4x4 Gauss-Legendre per cell
-    gl_nodes, gl_w = np.polynomial.legendre.leggauss(4)
-    expected = np.empty((bins, bins))
-    for i in range(bins):
-        xa, xb = x_edges[i], x_edges[i + 1]
-        xs = 0.5 * (xa + xb) + 0.5 * (xb - xa) * gl_nodes
-        wxs = 0.5 * (xb - xa) * gl_w
-        for j in range(bins):
-            ya, yb = y_edges[j], y_edges[j + 1]
-            ys = 0.5 * (ya + yb) + 0.5 * (yb - ya) * gl_nodes
-            wys = 0.5 * (yb - ya) * gl_w
-            xx, yy = np.meshgrid(xs, ys, indexing="ij")
-            vals = kernels.kolmogorov_kernel(t, xx, yy)
-            expected[i, j] = float(wxs @ vals @ wys)
+    # cell averages of the kernel by one tensor-product 4x4 Gauss-Legendre
+    # rule: nodes and weights are indexed (cell, node), the kernel values
+    # (x cell, y cell, x node, y node), and each cell reduces as w_x @ K @ w_y
+    xs, wx = (q.reshape(bins, 4) for q in _panel_quadrature(x_edges, 4))
+    ys, wy = (q.reshape(bins, 4) for q in _panel_quadrature(y_edges, 4))
+    vals = kernels.kolmogorov_kernel(t, xs[:, None, :, None], ys[None, :, None, :])
+    expected = (wx[:, None, None, :] @ vals @ wy[None, :, :, None])[..., 0, 0]
 
     mask = expected >= 0.01
     rel = np.abs(counts[mask] / cfg.n_paths - expected[mask]) / expected[mask]

@@ -15,8 +15,10 @@ of the cell starting there; this is a convention, not a modelling statement
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,33 +46,20 @@ class DomainError(ValueError):
     """Raised when a point lies outside a field's domain."""
 
 
-class Plateau(tuple):
+class Plateau(NamedTuple):
     """Maximal interval (left, right, value) on which V is constant.
 
     For a torus field whose constancy interval wraps through 0, `right`
     exceeds 1 and the interval is understood modulo 1.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, left, right, value):
-        return tuple.__new__(cls, (float(left), float(right), float(value)))
-
-    @property
-    def left(self):
-        return self[0]
-
-    @property
-    def right(self):
-        return self[1]
-
-    @property
-    def value(self):
-        return self[2]
+    left: float
+    right: float
+    value: float
 
     @property
     def length(self):
-        return self[1] - self[0]
+        return self.right - self.left
 
 
 @dataclass(frozen=True)
@@ -111,41 +100,17 @@ class FlatnessEstimate:
 # ---------------------------------------------------------------------------
 # quadrature helpers (exact for piecewise polynomials of modest degree)
 
-_GL_CACHE: dict = {}
-
-
+@functools.cache
 def _gauss_rule(order):
-    try:
-        return _GL_CACHE[order]
-    except KeyError:
-        nodes, weights = np.polynomial.legendre.leggauss(order)
-        _GL_CACHE[order] = (nodes, weights)
-        return nodes, weights
+    return np.polynomial.legendre.leggauss(order)
 
 
-def _panel_quadrature(panels, order):
-    """Gauss-Legendre nodes/weights over a list of (lo, hi) panels."""
+def _panel_quadrature(cuts, order):
+    """Gauss-Legendre nodes/weights over the panels between increasing `cuts`."""
     base, wts = _gauss_rule(order)
-    xs = []
-    ws = []
-    for lo, hi in panels:
-        half = 0.5 * (hi - lo)
-        if half <= 0.0:
-            continue
-        xs.append(0.5 * (lo + hi) + half * base)
-        ws.append(half * wts)
-    if not xs:
-        return np.empty(0), np.empty(0)
-    return np.concatenate(xs), np.concatenate(ws)
-
-
-def _split_panels(alpha, beta, interior):
-    cuts = [alpha]
-    for x in interior:
-        if alpha < x < beta:
-            cuts.append(float(x))
-    cuts.append(beta)
-    return list(zip(cuts[:-1], cuts[1:]))
+    half = 0.5 * (cuts[1:] - cuts[:-1])
+    mid = 0.5 * (cuts[:-1] + cuts[1:])
+    return (mid[:, None] + half[:, None] * base).ravel(), (half[:, None] * wts).ravel()
 
 
 class Primitive:
@@ -236,8 +201,9 @@ class PiecewisePolyPrimitive(Primitive):
         return c[..., 0] + u * (c[..., 1] + u * c[..., 2])
 
     def _quad(self, alpha, beta):
-        panels = _split_panels(alpha, beta, self.nodes[1:-1])
-        return _panel_quadrature(panels, self.QUAD_ORDER)
+        inner = self.nodes[1:-1]
+        cuts = np.concatenate([[alpha], inner[(inner > alpha) & (inner < beta)], [beta]])
+        return _panel_quadrature(cuts, self.QUAD_ORDER)
 
 
 def _poly_segment_value(nodes, coeffs, x):
@@ -262,8 +228,7 @@ class SmoothPrimitive(Primitive):
 
     def _quad(self, alpha, beta):
         n = max(8, int(math.ceil((beta - alpha) * self._per_unit)))
-        cuts = np.linspace(alpha, beta, n + 1)
-        return _panel_quadrature(list(zip(cuts[:-1], cuts[1:])), self.QUAD_ORDER)
+        return _panel_quadrature(np.linspace(alpha, beta, n + 1), self.QUAD_ORDER)
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +289,12 @@ class VelocityField:
         """Maximal constancy intervals of length >= min_length, left to right."""
         if min_length < 0.0:
             raise ValueError("min_length must be nonnegative")
-        return [p for p in self._all_plateaus() if p.length >= max(min_length, 0.0)]
+        return [p for p in self._all_plateaus() if p.length >= min_length]
 
     def _all_plateaus(self):
-        raise NotImplementedError
+        # a field without flat pieces has a plateau only when it is constant
+        lo, hi = self.range()
+        return [Plateau(self.a, self.b, hi)] if lo == hi else []
 
     def find_plateau_pair(self):
         """Best pair of plateaus at distinct heights, or None.
@@ -402,7 +369,7 @@ class _StepField(VelocityField):
         return PiecewisePolyPrimitive(self.edges, coeffs, base, self.bound(), self.periodic)
 
     def _all_plateaus(self):
-        return _merge_step_runs(self.edges, self.values, self.periodic)
+        return _constant_runs(self.edges, self.values, self.periodic)
 
 
 _MAX_TABLE_BITS = 16  # the deepest binary cascade has 2**16 cells
@@ -425,18 +392,21 @@ def _dyadic_table(edges, values):
     return None
 
 
-def _merge_step_runs(edges, values, periodic):
-    runs = []
-    for i, v in enumerate(values):
-        if runs and runs[-1][2] == v:
-            runs[-1][1] = edges[i + 1]
-        else:
-            runs.append([edges[i], edges[i + 1], v])
-    if periodic and len(runs) > 1 and runs[0][2] == runs[-1][2]:
-        span = edges[-1] - edges[0]
+def _constant_runs(edges, values, periodic):
+    """Maximal runs of equal values over the cells [edges[i], edges[i + 1]].
+
+    A NaN cell ends a run and starts none.  On the torus a run reaching the
+    last edge continues an equal run from the first edge, through the seam.
+    """
+    starts = np.flatnonzero(np.concatenate([[True], values[1:] != values[:-1]]))
+    ends = np.append(starts[1:], len(values))
+    runs = [[edges[i], edges[j], values[i]] for i, j in zip(starts, ends)
+            if not np.isnan(values[i])]
+    if periodic and len(runs) > 1 and runs[0][0] == edges[0] and runs[-1][1] == edges[-1] \
+            and runs[0][2] == runs[-1][2]:
         first = runs.pop(0)
-        runs[-1][1] = first[1] + span  # wraps through the seam
-    return [Plateau(*r) for r in runs]
+        runs[-1][1] = first[1] + (edges[-1] - edges[0])
+    return [Plateau(*map(float, run)) for run in runs]
 
 
 class PiecewiseConstantField(_StepField):
@@ -530,9 +500,8 @@ class BinaryCascadeField(_StepField):
         super().__init__(edges, values, 0.0, 1.0, True)
 
     def _all_plateaus(self):
-        if len(self.coefficients) == 0:
-            return [Plateau(0.0, 1.0, 0.0)]
-        return []
+        # judged as the idealized cascade, like a closed-form field, not by its cells
+        return VelocityField._all_plateaus(self)
 
     def to_config(self):
         return {"kind": self.kind, "c": self.c}
@@ -587,20 +556,9 @@ class PiecewiseLinearField(VelocityField):
         return PiecewisePolyPrimitive(self._x, coeffs, base, self.bound(), self.periodic)
 
     def _all_plateaus(self):
-        flat = self._v[:-1] == self._v[1:]  # exact equality, per the representation
-        runs = []
-        for i, is_flat in enumerate(flat):
-            if not is_flat:
-                continue
-            if runs and runs[-1][1] == self._x[i] and runs[-1][2] == self._v[i]:
-                runs[-1][1] = self._x[i + 1]
-            else:
-                runs.append([self._x[i], self._x[i + 1], self._v[i]])
-        if self.periodic and len(runs) > 1 and runs[0][0] == self.a and runs[-1][1] == self.b \
-                and runs[0][2] == runs[-1][2]:
-            first = runs.pop(0)
-            runs[-1][1] = first[1] + self.length
-        return [Plateau(*r) for r in runs]
+        # a segment is flat by exact equality of its end values, per the representation
+        flat = self._v[:-1] == self._v[1:]
+        return _constant_runs(self._x, np.where(flat, self._v[:-1], np.nan), self.periodic)
 
     def to_config(self):
         cfg = {"kind": self.kind, "knots": list(self.knots), "values": list(self.values)}
@@ -641,11 +599,6 @@ class SineField(VelocityField):
         return SmoothPrimitive(pv, 0.0, 1.0, base, abs(amp), True, 0.0,
                                panels_per_unit=32 * freq)
 
-    def _all_plateaus(self):
-        if self.amplitude == 0.0:
-            return [Plateau(0.0, 1.0, 0.0)]
-        return []
-
     def to_config(self):
         return {"kind": self.kind, "amplitude": self.amplitude,
                 "frequency": self.frequency, "phase": self.phase}
@@ -672,11 +625,6 @@ class SawtoothField(VelocityField):
         coeffs = np.array([[0.0, 0.0, 0.5 * self.amplitude]])
         return PiecewisePolyPrimitive(np.array([0.0, 1.0]), coeffs, base,
                                       abs(self.amplitude), True)
-
-    def _all_plateaus(self):
-        if self.amplitude == 0.0:
-            return [Plateau(0.0, 1.0, 0.0)]
-        return []
 
     def to_config(self):
         return {"kind": self.kind, "amplitude": self.amplitude}

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from shearmix import cli
@@ -123,6 +124,30 @@ class TestConfigValidation:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o" / "manifest.json").exists()
 
+    def test_evolve_needs_torus_field(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"task": "evolve", "velocity": self.HALF_DOMAIN,
+                                      "params": {"t_end": 0.5, "samples": 3, "nx": 16,
+                                                 "ny": 5}})
+        status = cli.main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert status == cli.EXIT_CONFIG
+        assert "evolve needs a torus velocity field" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("criteria", [[99], [], "1", ["1"], [1, 2.5], {"1": 1}])
+    def test_bad_validate_criteria(self, tmp_path, capsys, criteria):
+        cfg = write_config(tmp_path, {"task": "validate", "params": {"criteria": criteria}})
+        status = cli.main(["validate", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert status == cli.EXIT_CONFIG
+        assert "criteria must be a non-empty list of ids" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    def test_workers_key_rejected(self, tmp_path, capsys):
+        # the worker count is the --workers flag alone
+        cfg = write_config(tmp_path, {"task": "bounds", "velocity": TWO_PLATEAU, "workers": 2})
+        assert cli.main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) \
+            == cli.EXIT_CONFIG
+        assert "unknown config keys: ['workers']" in capsys.readouterr().err
+
 
 class TestBoundsTask:
     def test_two_plateau_golden(self, tmp_path):
@@ -182,6 +207,19 @@ class TestEvolveTask:
         assert all(r.rsplit(",", 1)[1] == "0" for r in rows[1:])
         data, sidecar = load_snapshot(out / "field-001.f64")
         assert data.shape == tuple(sidecar["shape"]) == (32, 9)
+
+    def test_snapshots_hold_only_k_max_modes(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {
+            "task": "evolve", "velocity": TWO_PLATEAU, "seed": 3,
+            "params": {"t_end": 0.5, "samples": 3, "nx": 16, "ny": 9, "k_max": 1,
+                       "initial": "random", "snapshots": 2},
+        })
+        assert cli.main(["evolve", "--config", cfg, "--out", str(out)]) == 0
+        for name in ("field-000.f64", "field-001.f64"):
+            data, _ = load_snapshot(out / name)
+            modes = np.abs(np.fft.fft(data, axis=1))  # column j holds mode j mod ny
+            assert modes[:, 2:-1].max() < 1e-12 * modes.max()
 
 
 class TestSimulateTask:

@@ -335,6 +335,51 @@ class TestBoundsGolden:
         assert hashlib.sha256(blob.encode()).hexdigest() == self.DIGESTS[name], blob
 
 
+class TestLipschitzCorrelationGolden:
+    """Correlation LP values pinned bit for bit on each boundary case.
+
+    Each digest is the SHA-256 of the repr of the list of values over FIELDS,
+    recorded with numpy 2.4.6 and scipy 1.17.1; the values depend on the
+    HiGHS build.
+    """
+
+    FIELDS = [COS, SawtoothField(1.0), two_plateau(0.0, 1.0), BinaryCascadeField(1.0),
+              UNDERFLOW_GRID, _seeded_linear_field(5)]
+    BOUNDARIES = {
+        "periodic": ("periodic", None),
+        "dirichlet_unit": ("dirichlet", (0.0, 1.0)),
+        "dirichlet_inner": ("dirichlet", (0.2, 0.7)),
+    }
+    DIGESTS = {
+        ("dirichlet_inner", 8):
+            "3ef7a9cab25820555ac98c965a44c58905dfa8a62638ae1b19ff3653b5c29ef4",
+        ("dirichlet_inner", 64):
+            "2ae36d5bcec94c3a6d28ec88a302546c5bde94279907845042631373da530e9b",
+        ("dirichlet_inner", 512):
+            "273ad7a848512d06cca742787d543f7078c6374885a3cec3c94d4751e55d11d4",
+        ("dirichlet_unit", 8):
+            "7432374eae799f8fef7e5f2227b2b0a604f239f9cff14369d015aad16bb40c1f",
+        ("dirichlet_unit", 64):
+            "ccf0be07ea644087d2942863422cc45d91311759870fb306fb86066602ec7951",
+        ("dirichlet_unit", 512):
+            "d237e3b113b62743501d5ac8b8a886867f3d36b35e012a3bf8957d6999c0d115",
+        ("periodic", 8):
+            "87f8b80697e307d8e8ad8d584bc8c4a58c13a43c837b8dd5af2b26005a5259bf",
+        ("periodic", 64):
+            "273bd03e4811a20dfdec08295610e89a09f4e9cb919e3e64dd1a9b222f0d9eef",
+        ("periodic", 512):
+            "c66bbbac8c4f72c0208635d10d52dce25af82f516595311032875b06453480c0",
+    }
+
+    @pytest.mark.parametrize("grid_n", [8, 64, 512])
+    @pytest.mark.parametrize("case", sorted(BOUNDARIES))
+    def test_values_bits(self, case, grid_n):
+        boundary, interval = self.BOUNDARIES[case]
+        values = [fn.lipschitz_correlation(f, boundary, interval, grid_n) for f in self.FIELDS]
+        assert hashlib.sha256(repr(values).encode()).hexdigest() == self.DIGESTS[case, grid_n], \
+            values
+
+
 class TestBoundsReport:
     def test_two_plateau_report(self):
         report = fn.compute_bounds_report(two_plateau(0.0, 1.0), grid_n=128, j_points=17)

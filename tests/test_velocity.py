@@ -199,6 +199,114 @@ class TestPlateaus:
         assert plats[0].length == pytest.approx(0.4)  # [0.8, 1.2) through 0
 
 
+class TestPlateauGolden:
+    """plateaus() and find_plateau_pair() pinned to exact floats.
+
+    The cases cover a flat run through the seam, adjacent equal cells or flat
+    segments, flat runs touching only one end of the torus, and interval
+    fields whose two ends are equal but must not merge.
+    """
+
+    CASES = {
+        "step_seam": PiecewiseConstantField([0.0, 0.3, 0.6], [1.0, 0.0, 1.0]),
+        "step_equal_neighbours": PiecewiseConstantField([0.0, 0.25, 0.5, 0.75],
+                                                        [2.0, 2.0, -1.0, 0.5]),
+        "grid_interval_equal_ends": GridField([1.0, 1.0, 0.0, 0.0, 1.0], domain=[0.0, 1.0]),
+        "grid_seeded": GridField(np.random.default_rng(7).integers(0, 3, 12).astype(float)),
+        "linear_seam": PiecewiseLinearField([0.0, 0.2, 0.5, 0.8], [1.0, 1.0, 0.0, 1.0]),
+        "linear_adjacent_flats": PiecewiseLinearField([0.0, 0.2, 0.4, 0.7],
+                                                      [0.5, 1.0, 1.0, 1.0]),
+        "linear_left_end_only": PiecewiseLinearField([0.0, 0.3, 0.6], [2.0, 2.0, 0.0]),
+        "linear_right_end_only": PiecewiseLinearField([0.0, 0.3, 0.6], [0.0, 1.0, 0.0]),
+        "linear_two_levels_seam": PiecewiseLinearField([0.0, 0.1, 0.4, 0.5, 0.9],
+                                                       [0.0, 0.0, 1.0, 1.0, 0.0]),
+        "linear_interval_equal_ends": PiecewiseLinearField(
+            [0.0, 0.2, 0.5, 0.8, 1.0], [1.0, 1.0, 0.0, 1.0, 1.0], domain=[0.0, 1.0]),
+        "linear_interval_two_levels": PiecewiseLinearField(
+            [0.0, 0.3, 0.7, 1.0], [1.0, 1.0, 0.0, 0.0], domain=[0.0, 1.0]),
+        "linear_constant": PiecewiseLinearField([0.0, 0.5], [3.0, 3.0]),
+    }
+    EXPECTED = {
+        "step_seam":
+            ([(0.3, 0.6, 0.0), (0.6, 1.3, 1.0)], ((0.3, 0.6, 0.0), (0.6, 1.3, 1.0))),
+        "step_equal_neighbours":
+            ([(0.0, 0.5, 2.0), (0.5, 0.75, -1.0), (0.75, 1.0, 0.5)],
+             ((0.0, 0.5, 2.0), (0.5, 0.75, -1.0))),
+        "grid_interval_equal_ends":
+            ([(0.0, 0.4, 1.0), (0.4, 0.8, 0.0), (0.8, 1.0, 1.0)],
+             ((0.0, 0.4, 1.0), (0.4, 0.8, 0.0))),
+        "grid_seeded":
+            ([(0.08333333333333333, 0.16666666666666666, 1.0),
+              (0.16666666666666666, 0.3333333333333333, 2.0),
+              (0.3333333333333333, 0.41666666666666663, 1.0),
+              (0.41666666666666663, 0.5833333333333333, 2.0),
+              (0.5833333333333333, 0.9166666666666666, 0.0),
+              (0.9166666666666666, 1.0833333333333333, 2.0)],
+             ((0.16666666666666666, 0.3333333333333333, 2.0),
+              (0.5833333333333333, 0.9166666666666666, 0.0))),
+        "linear_seam":
+            ([(0.8, 1.2, 1.0)], None),
+        "linear_adjacent_flats":
+            ([(0.2, 0.7, 1.0)], None),
+        "linear_left_end_only":
+            ([(0.0, 0.3, 2.0)], None),
+        "linear_right_end_only":
+            ([(0.6, 1.0, 0.0)], None),
+        "linear_two_levels_seam":
+            ([(0.4, 0.5, 1.0), (0.9, 1.1, 0.0)], ((0.4, 0.5, 1.0), (0.9, 1.1, 0.0))),
+        "linear_interval_equal_ends":
+            ([(0.0, 0.2, 1.0), (0.8, 1.0, 1.0)], None),
+        "linear_interval_two_levels":
+            ([(0.0, 0.3, 1.0), (0.7, 1.0, 0.0)], ((0.0, 0.3, 1.0), (0.7, 1.0, 0.0))),
+        "linear_constant":
+            ([(0.0, 1.0, 3.0)], None),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_exact(self, name):
+        field = self.CASES[name]
+        plats, pair = self.EXPECTED[name]
+        assert [tuple(p) for p in field.plateaus()] == plats
+        assert all(type(x) is float for p in field.plateaus() for x in p)
+        got = field.find_plateau_pair()
+        assert (None if got is None else (tuple(got.first), tuple(got.second))) == pair
+
+
+@settings(max_examples=150, deadline=None)
+@given(segments=st.lists(st.tuples(st.integers(-2, 2), st.integers(1, 4)),
+                         min_size=2, max_size=10),
+       periodic=st.booleans())
+def test_linear_plateaus_constant_and_maximal(segments, periodic):
+    """Every plateau of a piecewise-linear field is a union of flat segments at
+    its value, no flat segment borders it from outside, and every flat segment
+    lies in exactly one plateau."""
+    levels = [float(level) for level, _ in segments]
+    edges = np.concatenate([[0.0], np.cumsum([w for _, w in segments])])
+    edges /= edges[-1]
+    if periodic:
+        field = PiecewiseLinearField(edges[:-1], levels)
+        ends = levels + levels[:1]
+        xs = edges
+    else:
+        field = PiecewiseLinearField(edges[:-1] / edges[-2], levels, domain=[0.0, 1.0])
+        ends = levels
+        xs = edges[:-1] / edges[-2]
+    n_seg = len(ends) - 1
+    flat = [ends[k] == ends[k + 1] for k in range(n_seg)]
+    mids = [0.5 * (xs[k] + xs[k + 1]) for k in range(n_seg)]
+    covered = []
+    for p in field.plateaus():
+        inside = [k for k in range(n_seg)
+                  if p.left < mids[k] < p.right or (periodic and p.left < mids[k] + 1.0 < p.right)]
+        assert inside and all(flat[k] and ends[k] == p.value for k in inside)
+        assert all(field(mids[k]) == p.value for k in inside)
+        assert p.length == pytest.approx(sum(xs[k + 1] - xs[k] for k in inside), abs=1e-12)
+        around = {(k + d) % n_seg if periodic else k + d for k in inside for d in (-1, 1)}
+        assert not any(flat[k] for k in around - set(inside) if 0 <= k < n_seg)
+        covered += inside
+    assert sorted(covered) == [k for k in range(n_seg) if flat[k]]
+
+
 class TestPlateauPair:
     def test_two_level(self):
         pair = two_plateau(0.0, 1.0).find_plateau_pair()
