@@ -275,7 +275,7 @@ def task_validate(config, ws, args):
     _require(ids is None or (isinstance(ids, list) and ids
                              and all(type(i) is int and i in known for i in ids)),
              f"criteria must be a non-empty list of ids from {known}, got {ids!r}")
-    results = validation.run_all(ids=ids, progress=print)
+    results = validation.run_all(ids=ids, progress=print, workers=args.workers)
     # artifacts must regenerate bit-identically, so timings stay on stdout
     lines = [f"[{'PASS' if r.passed else 'FAIL'}] criterion {r.cid:2d}: {r.name}"
              for r in results]
@@ -386,10 +386,13 @@ def main(argv=None):
                        help="path to the JSON config")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--workers", type=int, default=1, help="worker count hint")
+        p.add_argument("--workers", type=int, default=2 if task == "validate" else 1,
+                       help="Monte Carlo worker count of simulate (default 1) and "
+                            "validate (default 2)")
     args = parser.parse_args(argv)
 
     try:
+        _require(args.workers >= 1, f"--workers must be at least 1, got {args.workers}")
         if args.config is not None:
             config = load_config(args.config)
             if config["task"] != args.command:

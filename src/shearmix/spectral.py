@@ -6,9 +6,9 @@ Dirichlet boundary conditions, second-order finite differences or a
 collocation (sine / Fourier) basis.  The module computes the resolvent gap
 along the accretivity edge by a minimum-singular-value sweep with local
 refinement, semigroup operator norms through dense matrix exponentials, and
-cached mode propagators for the PDE evolution driver.  Finite-difference
-sweeps run on a banded inverse-Lanczos engine; every reported gap comes from
-the dense SVD.
+cached mode propagators for the PDE evolution driver.  Sweeps and refinements
+of every operator with a band form run on a banded inverse-Lanczos engine,
+and the dense SVD decides every value that a reported gap depends on.
 """
 
 from __future__ import annotations
@@ -139,6 +139,35 @@ class ModeOperator:
             self._matrix = m
         return self._matrix
 
+    def band_form(self):
+        """(M, w): matrix() in a unitary basis where it is nearly banded, or None.
+
+        fd2 is tridiagonal (w = 1).  The periodic operators are folded by the
+        order 0, n-1, 1, n-2, ..., a permutation that turns a circulant of
+        offsets up to f into a band of width 2f: the periodic fd2 ring
+        (w = 2), and the collocation operator in the unitary DFT basis,
+        diag(xi^2) plus 2 pi k i times the circulant of V's Fourier
+        coefficients, with f the largest frequency whose coefficient is above
+        1e-12 of the largest.  M is computed from matrix(), so its entries
+        outside the band are rounding (and any coefficient below that cut);
+        _BandedSigma bounds their effect by their Frobenius norm.  Dirichlet
+        collocation has no band form.
+        """
+        n = self.n
+        if self.boundary == "dirichlet":
+            return (self.matrix(), 1) if self.discretization == "fd2" else None
+        if self.discretization == "fd2":
+            mat, width = self.matrix(), 2
+        else:
+            mat = np.fft.ifft(np.fft.fft(self.matrix(), axis=0), axis=1)
+            coefs = np.abs(np.fft.fft(self.v_samples))
+            freqs = np.flatnonzero(coefs > 1e-12 * coefs.max())
+            width = min(2 * int(np.minimum(freqs, n - freqs).max(initial=0)), n - 1)
+        order = np.empty(n, dtype=int)
+        order[0::2] = np.arange((n + 1) // 2)
+        order[1::2] = np.arange(n - 1, (n - 1) // 2, -1)
+        return mat[np.ix_(order, order)], width
+
     @functools.cached_property
     def lambda1_discrete(self):
         """Smallest eigenvalue of the discrete symmetric part.
@@ -223,42 +252,36 @@ def _candidates(vals, slack):
 
 
 class _BandedSigma:
-    """sigma_min(A - zI) of an fd2 operator by banded LU and inverse Lanczos.
+    """sigma_min(A - zI) from a band form (M, w) of A, by banded LU and inverse Lanczos.
 
-    The band form is built once: Dirichlet fd2 is tridiagonal, and the
-    periodic ring is folded to bandwidth 2 by the node order 0, n-1, 1, n-2, ...,
-    a permutation, so the singular values are unchanged.  At each shift
-    A - zI is factored once (LAPACK gbtrf); Lanczos with full
-    reorthogonalization on (A-zI)^-1 (A-zI)^-H (two gbtrs solves per step)
+    M has the singular values of A (see ModeOperator.band_form); its band of
+    width w is kept and the rest is dropped, which moves every singular value
+    by at most the dropped part's Frobenius norm.  At each shift the band of
+    M - zI is factored once (LAPACK gbtrf); Lanczos with full
+    reorthogonalization on (M-zI)^-1 (M-zI)^-H (two gbtrs solves per step)
     converges to its largest eigenvalue theta = sigma_min^-2 (Wright and
     Trefethen, SIAM J. Sci. Comput. 23, 2001).  Lanczos stops once the
-    residual bound puts sigma within min(1e-12 sigma, eps ||A - zI||_1) of
+    residual bound puts sigma within min(1e-12 sigma, eps ||M - zI||_1) of
     its limit; the start vector is a fixed-seed normal vector, so it has no
     symmetry that could hide the wanted singular vector.  A call returns
     None when the factor is singular or Lanczos has not converged.
     """
 
-    # bound on |banded - dense sigma_min| in units of eps ||A - zI||_1,
-    # about 30 times the largest difference measured
+    # bound on |banded - dense sigma_min| in units of eps ||M - zI||_1, beyond
+    # the dropped part: about 30 times the largest difference measured on fd2,
+    # and 45 times (0.35) on periodic sine collocation with nothing dropped
     TOLERANCE = 16.0
     MAX_STEPS = 48
 
-    def __init__(self, op):
-        n = op.n
-        mat = op.matrix()
-        if op.boundary == "periodic":
-            order = np.empty(n, dtype=int)
-            order[0::2] = np.arange((n + 1) // 2)
-            order[1::2] = np.arange(n - 1, (n - 1) // 2, -1)
-            mat = mat[np.ix_(order, order)]
-            self.width = 2
-        else:
-            self.width = 1
-        w = self.width
-        # LAPACK band storage: A[i, j] at row 2w + i - j, rows 0..w-1 hold fill-in
-        i, j = np.nonzero(np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= w)
+    def __init__(self, mat, width):
+        n = len(mat)
+        self.width = w = width
+        # LAPACK band storage: M[i, j] at row 2w + i - j, rows 0..w-1 hold fill-in
+        inside = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= w
+        i, j = np.nonzero(inside)
         self.band = np.zeros((3 * w + 1, n), dtype=complex)
         self.band[2 * w + i - j, j] = mat[i, j]
+        self.dropped = float(np.linalg.norm(mat[~inside]))
         self.norm1 = float(np.abs(mat).sum(axis=0).max())
         self.steps = min(n, self.MAX_STEPS)
         start = np.random.default_rng(20011).standard_normal(n)
@@ -266,7 +289,7 @@ class _BandedSigma:
 
     def tolerance(self, z_max):
         """Bound on |banded - dense| for shifts with |z| <= z_max."""
-        return self.TOLERANCE * np.finfo(float).eps * (self.norm1 + z_max)
+        return self.TOLERANCE * np.finfo(float).eps * (self.norm1 + z_max) + self.dropped
 
     def __call__(self, z):
         w = self.width
@@ -302,55 +325,33 @@ class _BandedSigma:
         return None
 
 
-def _banded_sweep(engine, grid, shift, dense, evals):
-    """Sweep values of an fd2 operator: banded, then dense wherever it counts.
+def _trisect(estimate, densify, lo, hi, tol, max_iter=200):
+    """Trisection for a local minimum inside [lo, hi], on estimated values.
 
-    Every point that could be a refinement candidate of the dense sweep,
-    given that each banded value is within engine.tolerance of the dense one,
-    is evaluated again with the dense SVD, and so are its two neighbours.
-    Every other point then lies above the dense minimum in both engines, so
-    the dense minimum, the certification, the candidate set and the
-    candidates' values are those of an all-dense sweep.
+    `estimate(s)` returns a point [s, value, error] whose value is within
+    `error` of the dense SVD's (error 0 for a dense value), and
+    `densify(point)` replaces an estimate by the dense value.  Each step drops
+    the outer third next to the higher of the two inner points (the left
+    third on a tie); a step that the errors cannot decide compares dense
+    values.  So the points visited, the final bracket and `converged` are
+    those of a trisection on dense values.  Returns the visited points, in
+    visit order, and `converged`.
     """
-    vals = np.empty(len(grid))
-    exact = np.zeros(len(grid), dtype=bool)
-    for j, s in enumerate(grid):
-        value = engine(shift + 1j * s)
-        if value is None:
-            evals["dense_fallbacks"] += 1
-            value, exact[j] = dense(s), True
-        else:
-            evals["banded"] += 1
-        vals[j] = value
-    near = _candidates(vals, engine.tolerance(abs(shift) + float(np.abs(grid).max())))
-    recheck = near.copy()
-    recheck[1:] |= near[:-1]
-    recheck[:-1] |= near[1:]
-    for j in np.flatnonzero(recheck & ~exact):
-        vals[j] = dense(grid[j])
-    return vals
-
-
-def _trisect(fn, lo, hi, f_lo_hi, tol, max_iter=200):
-    """Trisection search for a local minimum inside [lo, hi]."""
-    best_s, best_f = f_lo_hi
-    converged = False
+    points = []
     for _ in range(max_iter):
         if hi - lo <= tol:
-            converged = True
-            break
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        f1, f2 = fn(m1), fn(m2)
-        if f1 < best_f:
-            best_s, best_f = m1, f1
-        if f2 < best_f:
-            best_s, best_f = m2, f2
-        if f1 < f2:
-            hi = m2
+            return points, True
+        p1 = estimate(lo + (hi - lo) / 3.0)
+        p2 = estimate(hi - (hi - lo) / 3.0)
+        if abs(p1[1] - p2[1]) <= p1[2] + p2[2]:
+            densify(p1)
+            densify(p2)
+        points += [p1, p2]
+        if p1[1] < p2[1]:
+            hi = p2[0]
         else:
-            lo = m1
-    return best_s, best_f, converged
+            lo = p1[0]
+    return points, False
 
 
 def resolvent_gap(op, s_window=None, s_points=192, refine_tol=1e-6, return_trace=False):
@@ -363,13 +364,28 @@ def resolvent_gap(op, s_window=None, s_points=192, refine_tol=1e-6, return_trace
     width.  The shift lambda1 is the discrete accretivity edge so the
     returned gap feeds the explicit semigroup bound exactly.
 
-    fd2 operators are swept with the banded engine, and every sweep point that
-    can change the candidates or the minimum is evaluated again with the dense
-    SVD, which also runs the trisection; collocation operators are swept
-    dense.  The result is the all-dense one.  meta["certified"] is false when
-    6 window extensions did not certify the window, and meta["sigma_evals"]
-    counts banded evaluations, dense SVDs, and the dense SVDs among them that
-    replaced a failed banded evaluation.
+    Operators with a band form are evaluated by the banded engine, whose
+    values are within engine.tolerance of the dense SVD's; the dense SVD
+    evaluates every value that this bound cannot rule out of a decision:
+    - in the sweep, every point that could be a refinement candidate of the
+      dense sweep, and its two neighbours.  Every other point then lies above
+      the dense minimum in both engines, so the dense minimum, the
+      certification, the candidate set and the candidates' values are those
+      of an all-dense sweep;
+    - in the trisection, both points of a step whose comparison is closer
+      than their errors;
+    - at the end, every visited point whose value less its error is not above
+      the lowest upper bound of any value.  Every other point is above the
+      dense minimum, so the first point with the lowest dense value is the
+      all-dense result.
+    An operator without a band form runs the same code with every value dense.
+    So r_lambda1, s_argmin, window_extensions and refinement_warning are those
+    of an all-dense run.  meta["certified"] is false when 6 window extensions
+    did not certify the window; meta["refinements"] gives each candidate's
+    grid point and whether its trisection converged (refinement_warning is
+    set when one did not); meta["sigma_evals"] counts banded evaluations,
+    dense SVDs, and the dense SVDs among them that replaced a failed banded
+    evaluation, over the sweeps and the refinement.
     """
     if s_points < 64:
         raise ValueError("need at least 64 sweep points")
@@ -380,16 +396,36 @@ def resolvent_gap(op, s_window=None, s_points=192, refine_tol=1e-6, return_trace
     spread = w_hi - w_lo
 
     evals = {"banded": 0, "dense": 0, "dense_fallbacks": 0}
-    engine = _BandedSigma(op) if op.discretization == "fd2" else None
+    form = op.band_form()
+    engine = None if form is None else _BandedSigma(*form)
+    tol = 0.0
 
-    def sigma(s):
+    def dense(s):
         evals["dense"] += 1
         return _sigma_min(mat, shift + 1j * s)
 
+    def densify(point):
+        if point[2]:
+            point[1], point[2] = dense(point[0]), 0.0
+
+    def estimate(s):
+        if engine is not None:
+            value = engine(shift + 1j * s)
+            if value is not None:
+                evals["banded"] += 1
+                return [s, value, tol]
+            evals["dense_fallbacks"] += 1
+        return [s, dense(s), 0.0]
+
     def sweep(grid):
-        if engine is None:
-            return np.array([sigma(s) for s in grid])
-        return _banded_sweep(engine, grid, shift, sigma, evals)
+        points = [estimate(s) for s in grid]
+        near = _candidates(np.array([p[1] for p in points]), tol)
+        recheck = near.copy()
+        recheck[1:] |= near[:-1]
+        recheck[:-1] |= near[1:]
+        for j in np.flatnonzero(recheck):
+            densify(points[j])
+        return np.array([p[1] for p in points])
 
     if s_window is None:
         lo = w_lo - 3.0 * spread - 1.0
@@ -400,6 +436,8 @@ def resolvent_gap(op, s_window=None, s_points=192, refine_tol=1e-6, return_trace
     extensions = 0
     while True:
         grid = np.linspace(lo, hi, s_points)
+        if engine is not None:
+            tol = engine.tolerance(abs(shift) + float(np.abs(grid).max()))
         vals = sweep(grid)
         interior_min = float(vals.min())
         # outside the window sigma(s) >= dist(s, range of the skew symbol),
@@ -416,16 +454,21 @@ def resolvent_gap(op, s_window=None, s_points=192, refine_tol=1e-6, return_trace
 
     # the global minimum is always a candidate
     best_s, best_f = float(grid[np.argsort(vals)[0]]), interior_min
-    warned = False
+    visited, refinements = [], []
     for j in np.flatnonzero(_candidates(vals, 0.0)):
         blo = grid[max(j - 1, 0)]
         bhi = grid[min(j + 1, len(grid) - 1)]
-        s_ref, f_ref, ok = _trisect(sigma, float(blo), float(bhi),
-                                    (float(grid[j]), float(vals[j])), refine_tol)
-        if not ok:
-            warned = True
-        if f_ref < best_f:
-            best_s, best_f = s_ref, f_ref
+        points, ok = _trisect(estimate, densify, float(blo), float(bhi), refine_tol)
+        visited += points
+        refinements.append({"s": float(grid[j]), "converged": ok})
+    # a point whose value less its error is above an upper bound of another
+    # value is not the minimum
+    upper = min([best_f] + [value + error for _, value, error in visited])
+    for point in visited:
+        if point[1] - point[2] <= upper:
+            densify(point)
+        if point[2] == 0.0 and point[1] < best_f:
+            best_s, best_f = point[0], point[1]
 
     lam1, lam2, e1 = laplace_eigs(op.boundary, (op.a, op.b), op.n)
     meta = {
@@ -438,7 +481,8 @@ def resolvent_gap(op, s_window=None, s_points=192, refine_tol=1e-6, return_trace
         "lambda1_discrete": shift,
         "refine_tol": refine_tol,
         "window_extensions": extensions,
-        "refinement_warning": warned,
+        "refinement_warning": not all(r["converged"] for r in refinements),
+        "refinements": refinements,
         "certified": bool(certified),
         "sigma_evals": evals,
     }

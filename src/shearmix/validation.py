@@ -296,9 +296,9 @@ def criterion_7(cache=None):
 # 8. arcsine occupation-time law
 
 
-def criterion_8(cache=None):
+def criterion_8(cache=None, workers=2):
     cfg = mcsim.PathConfig(dt=1e-4, n_paths=200_000, t_end=1.0, seed=81520,
-                           geometry="plane", block_size=1 << 14, workers=2)
+                           geometry="plane", block_size=1 << 14, workers=workers)
     res = mcsim.arcsine_experiment(cfg)
     return {"ks_distance": res.ks_distance, "n_paths": res.n_paths}, res.ks_distance <= 0.02
 
@@ -307,7 +307,7 @@ def criterion_8(cache=None):
 # 9. explicit plane kernel: control identity, histogram, PDE residual
 
 
-def criterion_9(cache=None):
+def criterion_9(cache=None, workers=2):
     details = {}
     rng = np.random.default_rng(90210)
     worst = 0.0
@@ -323,7 +323,7 @@ def criterion_9(cache=None):
 
     cfg = mcsim.PathConfig(dt=1e-3, n_paths=1_000_000, t_end=1.0, seed=90,
                            geometry="plane", y_integrator="trapezoid",
-                           block_size=1 << 14, workers=2)
+                           block_size=1 << 14, workers=workers)
     res = mcsim.kolmogorov_experiment(cfg, bins=24)
     details["histogram_max_rel_error"] = res.max_rel_error
     details["high_mass_cells"] = res.high_mass_cells
@@ -366,7 +366,7 @@ def _tv_fit_rate(times, tv, bias):
     return -float(slope)
 
 
-def criterion_10(cache=None):
+def criterion_10(cache=None, workers=2):
     field = two_plateau(0.0, 1.0)
     t_p = T_PLATEAU
     starts = [((2 * i + 1) / 16.0, ((6 * i + 3) % 16) / 16.0) for i in range(8)]
@@ -374,7 +374,7 @@ def criterion_10(cache=None):
 
     # full-strength histograms at the plateau time itself
     cfg_full = mcsim.PathConfig(dt=4e-3, n_paths=1_000_000, t_end=t_p, seed=1001,
-                                bins=8, block_size=1 << 15, workers=2)
+                                bins=8, block_size=1 << 15, workers=workers)
     est = mcsim.doeblin_estimate(field, t_p, starts, cfg_full)
     alpha_p = fn.plateau_constants(0.5, 1.0).mass
     details["alpha_hat"] = est.alpha_hat
@@ -401,7 +401,7 @@ def criterion_10(cache=None):
 
     # TV decay rate against the Doeblin rate built from (t_P, alpha_hat)
     cfg_tv = mcsim.PathConfig(dt=4e-3, n_paths=200_000, t_end=3 * t_p, seed=1003,
-                              bins=8, block_size=1 << 15, workers=2)
+                              bins=8, block_size=1 << 15, workers=workers)
     decay = mcsim.tv_decay(field, starts[0], starts[4],
                            [t_p, 1.5 * t_p, 2 * t_p, 3 * t_p], cfg_tv)
     fitted = _tv_fit_rate(decay.times, decay.tv, decay.bias)
@@ -475,14 +475,23 @@ CRITERIA = [
 ]
 
 
-def run_all(ids=None, progress=None):
-    """Run the requested criteria (all by default) and return their results."""
+# criteria whose Monte Carlo runs take a worker count
+_MONTE_CARLO = (8, 9, 10)
+
+
+def run_all(ids=None, progress=None, workers=2):
+    """Run the requested criteria (all by default) and return their results.
+
+    `workers` is the Monte Carlo worker count of criteria 8, 9 and 10; their
+    results do not depend on it (criterion 11 checks that for a histogram).
+    """
     todo = [c for c in CRITERIA if ids is None or c[0] in ids]
     cache: dict = {}
     results = []
     for cid, name, func in todo:
         start = time.time()
-        details, passed = func(cache=cache)
+        extra = {"workers": workers} if cid in _MONTE_CARLO else {}
+        details, passed = func(cache=cache, **extra)
         result = CriterionResult(cid, name, passed, details, time.time() - start)
         results.append(result)
         if progress is not None:

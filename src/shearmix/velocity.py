@@ -504,7 +504,7 @@ class BinaryCascadeField(_StepField):
         return VelocityField._all_plateaus(self)
 
     def to_config(self):
-        return {"kind": self.kind, "c": self.c}
+        return {"kind": self.kind, "c": self.c, "tail_tol": self.tail_tol}
 
 
 class PiecewiseLinearField(VelocityField):

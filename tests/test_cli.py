@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from shearmix import cli
+from shearmix import cli, validation
 from shearmix.evolve import load_snapshot
 
 
@@ -264,6 +264,24 @@ class TestValidateTask:
         payload = json.loads((out / "validation.json").read_text())
         assert all(entry["passed"] for entry in payload)
         assert "[PASS]" in capsys.readouterr().out
+
+    def test_workers_reach_monte_carlo_criteria(self, tmp_path, monkeypatch):
+        seen = {}
+
+        def criterion(cid):
+            def run(cache=None, **kwargs):
+                seen[cid] = kwargs
+                return {}, True
+            return run
+
+        monkeypatch.setattr(validation, "CRITERIA",
+                            [(cid, f"c{cid}", criterion(cid)) for cid in (4, 8, 9, 10)])
+        assert cli.main(["validate", "--out", str(tmp_path / "a"), "--workers", "1"]) == 0
+        assert seen == {4: {}, 8: {"workers": 1}, 9: {"workers": 1}, 10: {"workers": 1}}
+        assert cli.main(["validate", "--out", str(tmp_path / "b")]) == 0
+        assert seen[10] == {"workers": 2}
+        assert cli.main(["validate", "--out", str(tmp_path / "c"), "--workers", "0"]) \
+            == cli.EXIT_CONFIG
 
 
 class TestReportTask:

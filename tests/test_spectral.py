@@ -261,9 +261,51 @@ class TestGapGolden:
         summary = resolvent_gap(op, s_points=s_points)
         assert (summary.r_lambda1, summary.s_argmin) == (r, s)
         evals = summary.meta["sigma_evals"]
-        assert evals["dense_fallbacks"] == s_points // 3
-        assert evals["banded"] + evals["dense_fallbacks"] == len(calls) == s_points
+        # the sweep and the refinement both call the engine
+        assert len(calls) > s_points
+        assert evals["dense_fallbacks"] == len(calls) // 3
+        assert evals["banded"] + evals["dense_fallbacks"] == len(calls)
         assert evals["dense"] > evals["dense_fallbacks"]
+
+    # cos collocation on the torus, recorded with the all-dense sweep and trisection
+    COLLOCATION_CASES = [
+        # k, n, s_points, r_lambda1, s_argmin
+        (1, 32, 64, 0.493059129734063, 5.982393087824699e-08),
+        (1, 48, 96, 0.49305912973987664, 5.88414125442064e-07),
+        (3, 32, 64, 4.029822237066303, 6.987771894569986e-07),
+        (3, 48, 96, 4.029822237070951, 1.7390803593614988e-06),
+    ]
+
+    @pytest.mark.parametrize("k,n,s_points,r,s", COLLOCATION_CASES)
+    def test_golden_collocation(self, k, n, s_points, r, s):
+        op = make_operator(COS, k, boundary="periodic", n=n)
+        assert op.discretization == "spectral"
+        summary = resolvent_gap(op, s_points=s_points)
+        got = (summary.r_lambda1, summary.s_argmin, summary.meta["window_extensions"],
+               summary.meta["refinement_warning"])
+        assert got == (r, s, 0, False)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), cells=st.integers(1, 16),
+           boundary=st.sampled_from(["periodic", "dirichlet"]), k=st.sampled_from([1, 3]),
+           n=st.sampled_from([16, 33, 48]), sine=st.integers(0, 3))
+    def test_banded_matches_all_dense(self, seed, cells, boundary, k, n, sine):
+        # sine > 0: periodic collocation of a sine field of that frequency
+        if sine:
+            field, boundary = SineField(1.0, sine, seed % 7), "periodic"
+        else:
+            field = GridField(np.random.default_rng(seed).uniform(-1.0, 1.0, cells))
+        op = make_operator(field, k, boundary=boundary, n=n)
+        banded = resolvent_gap(op, s_points=64)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ModeOperator, "band_form", lambda self: None)
+            dense = resolvent_gap(op, s_points=64)
+        assert dense.meta["sigma_evals"]["banded"] == 0
+        assert banded.meta["sigma_evals"]["banded"] > 0
+        for summary in (banded, dense):
+            summary.meta.pop("sigma_evals")
+        assert (banded.r_lambda1, banded.s_argmin, banded.meta) == \
+            (dense.r_lambda1, dense.s_argmin, dense.meta)
 
 
 class TestGapMeta:
@@ -279,20 +321,43 @@ class TestGapMeta:
         summary = resolvent_gap(op, s_window=(0.5, 1.0), s_points=64)
         evals = summary.meta["sigma_evals"]
         swept = 64 * (1 + summary.meta["window_extensions"])
-        assert evals["banded"] + evals["dense_fallbacks"] == swept
-        # the dense SVD re-evaluates the candidates and runs the trisection
+        # the banded engine runs the sweep and the trisection
+        assert evals["banded"] + evals["dense_fallbacks"] > swept
+        # the dense SVD re-evaluates the candidates and decides the minimum
         assert evals["dense"] > 0
 
-    def test_sigma_evals_collocation_is_dense(self):
-        op = make_operator(COS, k=1, boundary="periodic", n=32)
-        assert op.discretization == "spectral"
+    def test_sigma_evals_dirichlet_collocation_is_dense(self):
+        op = make_operator(COS, k=1, boundary="dirichlet", n=32, discretization="spectral")
+        assert op.band_form() is None
         evals = resolvent_gap(op, s_points=64).meta["sigma_evals"]
         assert evals["banded"] == 0 and evals["dense_fallbacks"] == 0
         assert evals["dense"] > 64
 
+    def test_sigma_evals_periodic_collocation_is_banded(self):
+        op = make_operator(COS, k=1, boundary="periodic", n=32)
+        assert op.discretization == "spectral"
+        assert op.band_form()[1] == 2
+        evals = resolvent_gap(op, s_points=64).meta["sigma_evals"]
+        assert evals["banded"] > 64
+        assert 0 < evals["dense"] < 64
+
+    def test_refinements(self):
+        op = make_operator(SawtoothField(1.0), 1, boundary="dirichlet", n=32)
+        summary = resolvent_gap(op, s_points=64)
+        refinements = summary.meta["refinements"]
+        assert refinements and all(r["converged"] for r in refinements)
+        assert summary.meta["refinement_warning"] is False
+        lo, hi = summary.meta["window"]
+        # the minimum lies in the bracket of a candidate, one grid step either side
+        assert min(abs(r["s"] - summary.s_argmin) for r in refinements) <= (hi - lo) / 63
+        stalled = resolvent_gap(op, s_points=64, refine_tol=0.0).meta
+        assert [r["s"] for r in stalled["refinements"]] == [r["s"] for r in refinements]
+        assert not any(r["converged"] for r in stalled["refinements"])
+        assert stalled["refinement_warning"] is True
+
 
 def _assert_banded_matches_dense(op, fraction):
-    engine = spectral._BandedSigma(op)
+    engine = spectral._BandedSigma(*op.band_form())
     w = op.skew_values
     spread = float(w.max() - w.min())
     s = w.min() - 3.0 * spread - 1.0 + fraction * (8.0 * spread + 2.0)
@@ -332,11 +397,64 @@ class TestBandedSigma:
         # A - zI is the periodic Laplacian, singular up to roundoff
         zero = PiecewiseConstantField([0.0], [0.0])
         op = make_operator(zero, 1, boundary="periodic", n=16)
-        banded = spectral._BandedSigma(op)(0.0)
+        banded = spectral._BandedSigma(*op.band_form())(0.0)
         norm1 = np.abs(op.matrix()).sum(axis=0).max()
         assert banded is not None and banded <= 16.0 * np.finfo(float).eps * norm1
 
     def test_unconverged_lanczos_returns_none(self, monkeypatch):
         monkeypatch.setattr(spectral._BandedSigma, "MAX_STEPS", 1)
         op = make_operator(two_plateau(0.0, 1.0), 1, boundary="periodic", n=32)
-        assert spectral._BandedSigma(op)(op.lambda1_discrete + 3.0j) is None
+        engine = spectral._BandedSigma(*op.band_form())
+        assert engine(op.lambda1_discrete + 3.0j) is None
+
+
+class TestCollocationBand:
+    """The banded engine on band forms with entries outside the band (the
+    periodic collocation operator in the DFT basis, and a ring cut short on
+    purpose) against the dense SVD."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(frequency=st.integers(1, 3), phase=st.floats(0.0, 2.0 * math.pi),
+           amplitude=st.floats(0.1, 2.0), k=st.sampled_from([1, 3]),
+           n=st.integers(16, 64), fraction=st.floats(0.0, 1.0))
+    def test_sine_fields(self, frequency, phase, amplitude, k, n, fraction):
+        field = SineField(amplitude, frequency, phase)
+        op = make_operator(field, k, boundary="periodic", n=n)
+        assert op.discretization == "spectral"
+        mat, width = op.band_form()
+        assert width == min(2 * frequency, n - 1)
+        engine = spectral._BandedSigma(mat, width)
+        w = op.skew_values
+        spread = float(w.max() - w.min())
+        s = w.min() - 3.0 * spread - 1.0 + fraction * (8.0 * spread + 2.0)
+        z = op.lambda1_discrete + 1j * s
+        banded = engine(z)
+        dense = sla.svdvals(op.matrix() - z * np.eye(op.n))[-1]
+        assert banded is not None
+        assert abs(banded - dense) <= engine.tolerance(abs(z))
+
+    def test_band_form_is_unitarily_similar(self):
+        op = make_operator(SineField(1.0, 2, 0.4), 3, boundary="periodic", n=24)
+        mat, width = op.band_form()
+        np.testing.assert_allclose(sla.svdvals(mat), sla.svdvals(op.matrix()),
+                                   rtol=1e-12, atol=1e-9)
+        offsets = np.abs(np.subtract.outer(np.arange(24), np.arange(24)))
+        engine = spectral._BandedSigma(mat, width)
+        assert engine.dropped == np.linalg.norm(mat[offsets > width])
+        assert engine.dropped < 1e-9
+
+    def test_dropped_part_is_in_the_tolerance(self):
+        # the folded periodic fd2 ring needs width 2; width 1 drops 1/h^2 entries
+        op = make_operator(two_plateau(0.0, 1.0), 1, boundary="periodic", n=32,
+                           discretization="fd2")
+        mat, _ = op.band_form()
+        engine = spectral._BandedSigma(mat, 1)
+        assert engine.dropped > 0.0
+        worst = 0.0
+        for s in np.linspace(-10.0, 16.0, 27):
+            z = op.lambda1_discrete + 1j * s
+            banded = engine(z)
+            dense = sla.svdvals(op.matrix() - z * np.eye(op.n))[-1]
+            assert abs(banded - dense) <= engine.tolerance(abs(z))
+            worst = max(worst, abs(banded - dense) / (engine.tolerance(abs(z)) - engine.dropped))
+        assert worst > 1.0

@@ -448,11 +448,14 @@ class TestConfig:
             {"kind": "piecewise_constant", "breakpoints": [0.0, 0.25], "values": [1.0, 2.0]},
             {"kind": "grid", "samples": [1.0, 2.0, 3.0], "domain": [0.0, 2.0]},
             {"kind": "piecewise_linear", "knots": [0.0, 0.5], "values": [0.0, 1.0]},
+            # 16 cells; dropping tail_tol would rebuild 32
+            {"kind": "binary_cascade", "c": 0.01, "tail_tol": 1e-3},
         ],
     )
     def test_round_trip(self, cfg):
         v = field_from_config(cfg)
         v2 = field_from_config(v.to_config())
+        assert v2.to_config() == v.to_config()
         x = np.linspace(v.a, v.b, 101, endpoint=False)
         np.testing.assert_allclose(v(x), v2(x), rtol=0, atol=0)
 
