@@ -219,7 +219,9 @@ def criterion_5(cache=None):
         gap = op.lambda1_discrete + summary.r_lambda1
         norms = semigroup_norm(op, times)
         ratio = float(np.max(norms * np.exp(gap * times)))
-        details[name] = {"max_ratio": ratio, "cap": math.e ** (math.pi / 2.0)}
+        eig = op.eigendecomposition
+        details[name] = {"max_ratio": ratio, "cap": math.e ** (math.pi / 2.0),
+                         "route": eig.route, "cond_w": eig.cond_w}
         ok &= ratio <= math.e ** (math.pi / 2.0) * (1.0 + 1e-4)
     return details, bool(ok)
 

@@ -470,6 +470,12 @@ class BinaryCascadeField(_StepField):
     cascade at a finite digit depth.  As an idealized object the cascade has
     no plateau, so plateau queries report none even though the truncated
     evaluator is piecewise constant on dyadic cells.
+
+    The depth is also capped at MAX_DEPTH.  `first_dropped` is the first
+    coefficient left out, and `truncated` is true when the cap cut the
+    cascade, i.e. when a_{MAX_DEPTH+1} is still at least `tail_tol` (at
+    c = 1e-9 the last term kept is about 0.0137 and the first dropped about
+    3.5e-8).  Neither is part of the config.
     """
 
     kind = "binary_cascade"
@@ -481,11 +487,13 @@ class BinaryCascadeField(_StepField):
         self.c = float(c)
         self.tail_tol = float(tail_tol)
         coefs = []
-        for k in range(1, self.MAX_DEPTH + 1):
+        for k in range(1, self.MAX_DEPTH + 2):
             ak = math.exp(-self.c * 4.0**k)
-            if ak < self.tail_tol:
+            if ak < self.tail_tol or k > self.MAX_DEPTH:
                 break
             coefs.append(ak)
+        self.first_dropped = ak
+        self.truncated = ak >= self.tail_tol
         self.coefficients = np.asarray(coefs)
         depth = len(coefs)
         if depth == 0:

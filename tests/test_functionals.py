@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shearmix import functionals as fn
 from shearmix.velocity import (
@@ -199,6 +201,19 @@ class TestDoeblinIterate:
                 continue
             check = fn.doeblin_iterate(p, 1, alpha, horizon=40)
             assert check.violation is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8),
+           t_star=st.integers(1, 3), horizon=st.integers(1, 40))
+    def test_random_bistochastic_tv_decay(self, seed, n, t_star, horizon):
+        p = random_bistochastic(np.random.default_rng(seed), n)
+        alpha = 0.999 * n * np.linalg.matrix_power(p, t_star).min()
+        check = fn.doeblin_iterate(p, t_star, alpha, horizon=horizon)
+        assert check.violation is None
+        # a point start is 1 - 1/n from uniform in total variation
+        steps = np.arange(1, horizon + 1)
+        tv0 = 1.0 - 1.0 / n
+        assert np.all(check.tv / tv0 <= check.c * np.exp(-check.rho * steps) + 1e-12)
 
 
 class TestCorrelationLP:

@@ -137,6 +137,52 @@ class TestSemigroupNorm:
             cap = np.exp(-op.lambda1_discrete * times) * (1 + 48 * 2e-16 + 1e-10)
             assert np.all(norms <= cap)
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), cells=st.integers(1, 16),
+           boundary=st.sampled_from(["periodic", "dirichlet"]),
+           disc=st.sampled_from(["fd2", "spectral"]), k=st.integers(0, 16),
+           n=st.integers(16, 64), t_max=st.floats(1e-3, 2.0))
+    def test_eig_route_matches_expm(self, seed, cells, boundary, disc, k, n, t_max):
+        field = GridField(np.random.default_rng(seed).uniform(-1.0, 1.0, cells))
+        op = make_operator(field, k, boundary=boundary, n=n, discretization=disc)
+        times = np.concatenate(([0.0], np.geomspace(1e-6, t_max, 6)))
+        norms = semigroup_norm(op, times)
+        assert op.eigendecomposition.route == "eig"
+        assert norms[0] == 1.0
+        ref = _expm_norms(op, times)
+        assert np.all(np.abs(norms - ref) <= _eig_tolerance(op, times) * ref)
+
+    def test_expm_fallback_is_the_expm_loop(self, monkeypatch):
+        monkeypatch.setattr(spectral, "EIG_COND_MAX", 0.5)
+        op = make_operator(two_plateau(0.0, 1.0), 3, boundary="periodic", n=48)
+        times = np.array([0.0, 1e-3, 0.05, 0.4])
+        norms = semigroup_norm(op, times)
+        eig = op.eigendecomposition
+        assert (eig.route, eig.left, eig.right) == ("expm", None, None) and eig.cond_w >= 1.0
+        assert norms.tolist() == _expm_norms(op, times).tolist()
+
+    @pytest.mark.parametrize("disc", ["fd2", "spectral"])
+    def test_mode_zero_is_a_contraction_of_norm_one(self, disc):
+        op = make_operator(two_plateau(0.0, 1.0), 0, boundary="periodic", n=40,
+                           discretization=disc)
+        times = np.geomspace(1e-3, 3.0, 9)
+        norms = semigroup_norm(op, times)
+        assert op.eigendecomposition.route == "eig"
+        assert np.all(np.abs(norms - 1.0) <= _eig_tolerance(op, times))
+
+
+def _expm_norms(op, times):
+    """The reference: one dense expm per nonzero time."""
+    return np.array([1.0 if t == 0.0 else float(np.linalg.norm(sla.expm(-t * op.matrix()), 2))
+                     for t in times])
+
+
+def _eig_tolerance(op, times):
+    """semigroup_norm's stated relative tolerance on route "eig"."""
+    norm1 = np.abs(op.matrix()).sum(axis=0).max()
+    return (16.0 * op.eigendecomposition.cond_w * np.maximum(1.0, times * norm1)
+            * np.finfo(float).eps)
+
 
 class TestResolventGap:
     def test_constant_field_gap_zero(self):

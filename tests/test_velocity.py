@@ -489,6 +489,20 @@ class TestCascadeValues:
         assert len(BinaryCascadeField(c=1.0).coefficients) == 2
         assert len(BinaryCascadeField(c=0.01).coefficients) == 5
 
+    def test_depth_cap_is_flagged(self):
+        v = BinaryCascadeField(c=1e-9)
+        assert len(v.coefficients) == BinaryCascadeField.MAX_DEPTH
+        assert v.coefficients[-1] == pytest.approx(0.0136, abs=1e-4)
+        assert v.truncated
+        assert v.first_dropped == math.exp(-1e-9 * 4.0**17)
+        assert v.first_dropped >= v.tail_tol
+        assert v.to_config() == {"kind": "binary_cascade", "c": 1e-9, "tail_tol": 1e-15}
+
+    def test_tail_cut_is_not_flagged(self):
+        v = BinaryCascadeField(c=1.0)
+        assert not v.truncated
+        assert v.first_dropped == math.exp(-64.0) < v.tail_tol
+
 
 def _binary_search_eval(field, x):
     """The step lookup by binary search over the cell edges."""
