@@ -39,6 +39,8 @@ Task parameter blocks (all optional, with defaults):
     validate: criteria (non-empty list of known criterion ids 1-11, default all)
     report:   (none; reads artifacts already in the output directory)
 
+Integer parameters take JSON integers or integral numbers such as 64.0.
+
 Exit codes: 0 success, 1 configuration error, 2 validation-suite failure,
 3 numeric failure during a task.
 """
@@ -159,6 +161,20 @@ def _require(ok, message):
         raise ConfigError(message)
 
 
+def _int_param(params, name, default, least=None):
+    """Integer task parameter (default when absent or null), at least `least`."""
+    value = params.get(name)
+    if value is None:
+        return default
+    _require(type(value) is int or (type(value) is float and value.is_integer()),
+             f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if least is not None:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        _require(value >= least, f"{name} must be {bound}, got {value}")
+    return value
+
+
 def _pair(value, name):
     _require(isinstance(value, (list, tuple)) and len(value) == 2
              and all(isinstance(v, (int, float)) for v in value),
@@ -174,12 +190,16 @@ def task_bounds(config, ws, args):
     half = 0.5 * field.length
     _require(all(isinstance(e, (int, float)) and 0.0 < e <= half for e in eps_grid),
              f"eps_grid entries must lie in (0, {half:g}], got {list(eps_grid)}")
+    interval = params.get("flatness_interval")
+    if interval is not None:
+        lo, hi = _pair(interval, "flatness_interval")
+        _require(lo < hi, f"flatness_interval must be increasing, got {interval!r}")
     report = functionals.compute_bounds_report(
         field,
-        grid_n=int(params.get("grid_n", 512)),
+        grid_n=_int_param(params, "grid_n", 512, least=8),
         eps_grid=eps_grid,
-        flatness_interval=params.get("flatness_interval"),
-        j_points=int(params.get("j_points", 65)),
+        flatness_interval=interval,
+        j_points=_int_param(params, "j_points", 65, least=2),
     )
     ws.write_json("bounds.json", report.to_json_dict())
     return EXIT_OK
@@ -190,18 +210,16 @@ def task_spectrum(config, ws, args):
     params = config.get("params", {})
     boundary = params.get("boundary", "periodic")
     discretization = params.get("discretization")
-    n = int(params.get("n", 256))
-    s_points = int(params.get("s_points", 192))
     _require(boundary in ModeOperator.BOUNDARIES,
              f"boundary must be one of {ModeOperator.BOUNDARIES}, got {boundary!r}")
     _require(discretization is None or discretization in ModeOperator.DISCRETIZATIONS,
              f"discretization must be one of {ModeOperator.DISCRETIZATIONS}, "
              f"got {discretization!r}")
-    _require(n >= 16, f"n must be at least 16, got {n}")
-    _require(s_points >= 64, f"s_points must be at least 64, got {s_points}")
-    op = make_operator(field, k=int(params.get("k", 1)), boundary=boundary, n=n,
+    n = _int_param(params, "n", 256, least=16)
+    s_points = _int_param(params, "s_points", 192, least=64)
+    op = make_operator(field, k=_int_param(params, "k", 1), boundary=boundary, n=n,
                        discretization=discretization)
-    summary = resolvent_gap(op, s_points=s_points, return_trace=True)
+    summary = resolvent_gap(op, s_points=s_points)
     ws.write_json("spectral_summary.json", summary.to_json_dict())
     ws.write_text("sweep.csv", summary.sweep_csv())
     return EXIT_OK
@@ -210,17 +228,14 @@ def task_spectrum(config, ws, args):
 def task_evolve(config, ws, args):
     field = field_from_config(config["velocity"])
     params = config.get("params", {})
-    nx = int(params.get("nx", 64))
-    ny = int(params.get("ny", 17))
-    t_end = float(params.get("t_end", 10.0))
-    n_samples = int(params.get("samples", 33))
-    n_snapshots = int(params.get("snapshots", 0))
-    k_max = params.get("k_max")
     _require(field.periodic, "evolve needs a torus velocity field")
-    _require(nx >= 16, f"nx must be at least 16, got {nx}")
+    nx = _int_param(params, "nx", 64, least=16)
+    ny = _int_param(params, "ny", 17, least=1)
+    t_end = float(params.get("t_end", 10.0))
     _require(t_end > 0.0, f"t_end must be positive, got {t_end}")
-    _require(n_samples >= 1, f"samples must be at least 1, got {n_samples}")
-    _require(n_snapshots >= 0, f"snapshots must be nonnegative, got {n_snapshots}")
+    n_samples = _int_param(params, "samples", 33, least=1)
+    n_snapshots = _int_param(params, "snapshots", 0, least=0)
+    k_max = _int_param(params, "k_max", None, least=0)
     try:
         u0 = evolve.initial_samples(params.get("initial", "cos_y"), nx, ny,
                                     _seeded(config, args))
@@ -231,7 +246,7 @@ def task_evolve(config, ws, args):
     trace.to_csv(ws.out / "decay.csv")
     ws.record_file("decay.csv")
     if n_snapshots:
-        evo = evolve.Evolution(field, fld.k_max, nx)
+        evo = evolve.Evolution(field)
         for i, (t, state) in enumerate(evo.trajectory(fld, t_end, n_snapshots)):
             name = f"field-{i:03d}.f64"
             evolve.save_snapshot(ws.out / name, evolve.field_to_samples(state, ny),

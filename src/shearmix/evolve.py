@@ -147,48 +147,30 @@ def initial_samples(kind, nx, ny, seed=0):
 
 
 class Evolution:
-    """Cached per-mode propagators for one velocity field and grid.
+    """Cached per-mode propagators for one velocity field.
 
-    Propagators for negative modes are the conjugates of the positive ones,
-    so only k >= 0 operators are materialized.
+    Each stepped field supplies the grid (nx, boundary, interval); operators
+    are cached per (|k|, grid), and propagators for negative modes are the
+    conjugates of the positive ones.
     """
 
-    def __init__(self, field_v, k_max, nx, boundary="periodic", interval=None):
+    def __init__(self, field_v):
         self.field_v = field_v
-        self.k_max = int(k_max)
-        self.nx = int(nx)
-        self.boundary = boundary
-        self.interval = tuple(interval) if interval is not None else (field_v.a, field_v.b)
         self._ops: dict = {}
-
-    def operator(self, k):
-        k = abs(int(k))
-        if k not in self._ops:
-            self._ops[k] = make_operator(self.field_v, k, boundary=self.boundary,
-                                         interval=self.interval, n=self.nx)
-        return self._ops[k]
 
     def step(self, field, dt):
         """Advance every stored mode by one exact exponential step."""
-        if field.nx != self.nx or field.boundary != self.boundary:
-            raise ValueError("field grid does not match this evolution")
         out = field.copy()
         for k in range(-field.k_max, field.k_max + 1):
-            prop = self.operator(abs(k)).propagator(dt)
+            key = (abs(k), field.nx, field.boundary, tuple(field.interval))
+            if key not in self._ops:
+                self._ops[key] = make_operator(self.field_v, abs(k), boundary=field.boundary,
+                                               interval=field.interval, n=field.nx)
+            prop = self._ops[key].propagator(dt)
             if k < 0:
                 prop = np.conj(prop)
             out.coeffs[k + field.k_max] = prop @ field.coeffs[k + field.k_max]
         return out
-
-    def propagate(self, field, t, steps=1):
-        if t < 0:
-            raise ValueError("time must be nonnegative")
-        if t == 0:
-            return field.copy()
-        dt = t / steps
-        for _ in range(steps):
-            field = self.step(field, dt)
-        return field
 
     def trajectory(self, field, t_end, n_samples):
         """Yield (t, state) at the n_samples times linspace(0, t_end, n_samples).
@@ -235,7 +217,7 @@ def relax_trace(u0, field_v, t_end, n_samples=32, k_max=None, correlation_grid=2
                              interval=(field_v.a, field_v.b))
     corr = functionals.lipschitz_correlation(field_v, grid_n=correlation_grid)
     rate = functionals.mixing_rate(corr, field_v.oscillation())
-    evo = Evolution(field_v, fld.k_max, fld.nx)
+    evo = Evolution(field_v)
     samples = [(t, state.deviation()) for t, state in evo.trajectory(fld, t_end, n_samples)]
     times, dev = (np.array(column) for column in zip(*samples))
     envelope = math.e ** (math.pi / 2.0 - rate * times) * dev[0]
@@ -257,7 +239,7 @@ class StripTrace:
         return self.sup_norms[:, abs(k)]
 
 
-def strip_trace(nu0, field_v, interval, t_end, n_samples=16, k_max=None):
+def strip_trace(nu0, field_v, interval, t_end, n_samples=16):
     """Evolve strip samples under Dirichlet conditions in x.
 
     Tracks the sup norm of every mode, the mode-0 mass (nonincreasing: the
@@ -268,14 +250,13 @@ def strip_trace(nu0, field_v, interval, t_end, n_samples=16, k_max=None):
     nu0 = np.asarray(nu0, dtype=float)
     a, b = float(interval[0]), float(interval[1])
     length = b - a
-    fld = field_from_samples(nu0, k_max=k_max, boundary="dirichlet", interval=(a, b))
-    evo = Evolution(field_v, fld.k_max, fld.nx, boundary="dirichlet", interval=(a, b))
-    nodes = evo.operator(0).nodes
+    fld = field_from_samples(nu0, boundary="dirichlet", interval=(a, b))
+    nodes = _grid("dirichlet", a, b, fld.nx)[1]
     shape = np.sin(math.pi * (nodes - a) / length)
     kappa0 = float(np.min(np.real(fld.mode(0))))
 
     rows = []
-    for t, state in evo.trajectory(fld, t_end, n_samples):
+    for t, state in Evolution(field_v).trajectory(fld, t_end, n_samples):
         mode0 = np.real(state.mode(0))
         floor = kappa0 * math.exp(-math.pi**2 / length**2 * t) * shape
         rows.append((t, np.abs(state.coeffs[state.k_max:]).max(axis=1),

@@ -266,8 +266,8 @@ class SpectralSummary:
     e1: np.ndarray
     r_lambda1: float
     s_argmin: float
+    trace: np.ndarray  # the last sweep's (s, sigma_min) rows
     meta: dict = dc_field(default_factory=dict)
-    trace: np.ndarray | None = None
 
     def sweep_csv(self):
         """The swept (s, sigma_min) pairs as CSV text; every float round-trips."""
@@ -406,7 +406,7 @@ def _trisect(estimate, densify, lo, hi, tol, max_iter=200):
     return points, False
 
 
-def resolvent_gap(op, s_window=None, s_points=192, refine_tol=1e-6, return_trace=False):
+def resolvent_gap(op, s_window=None, s_points=192, refine_tol=1e-6):
     """Resolvent gap of a mode operator along its accretivity edge.
 
     Sweeps s over a window (auto-extended until the imaginary-part distance
@@ -538,8 +538,7 @@ def resolvent_gap(op, s_window=None, s_points=192, refine_tol=1e-6, return_trace
         "certified": bool(certified),
         "sigma_evals": evals,
     }
-    trace = np.column_stack([grid, vals]) if return_trace else None
-    return SpectralSummary(lam1, lam2, e1, best_f, best_s, meta, trace)
+    return SpectralSummary(lam1, lam2, e1, best_f, best_s, np.column_stack([grid, vals]), meta)
 
 
 def semigroup_norm(op, times):

@@ -157,16 +157,15 @@ def criterion_3(cache=None):
 # 4. resolvent gaps dominate both functional lower bounds
 
 
-def _battery_summaries(cache, n=256, s_points=192):
+def _battery_summaries(cache):
     cache = cache if cache is not None else {}
-    key = ("summaries", n, s_points)
-    if key not in cache:
+    if "summaries" not in cache:
         out = {}
         for name, field in _battery().items():
-            op = make_operator(field, 1, boundary="periodic", n=n)
-            out[name] = (op, resolvent_gap(op, s_points=s_points))
-        cache[key] = out
-    return cache[key]
+            op = make_operator(field, 1, boundary="periodic", n=256)
+            out[name] = (op, resolvent_gap(op, s_points=192))
+        cache["summaries"] = out
+    return cache["summaries"]
 
 
 def criterion_4(cache=None):
@@ -256,11 +255,9 @@ def criterion_6(cache=None):
     from .velocity import PiecewiseConstantField
 
     fld = evolve.field_from_samples(tilted)
-    drift = evolve.Evolution(PiecewiseConstantField([0.0], [const]), fld.k_max, nx)
-    free = evolve.Evolution(PiecewiseConstantField([0.0], [0.0]), fld.k_max, nx)
     t = 1.25
-    moved = drift.propagate(fld.copy(), t)
-    base = free.propagate(fld.copy(), t)
+    moved = evolve.Evolution(PiecewiseConstantField([0.0], [const])).step(fld, t)
+    base = evolve.Evolution(PiecewiseConstantField([0.0], [0.0])).step(fld, t)
     err = 0.0
     for k in range(-fld.k_max, fld.k_max + 1):
         phase = np.exp(-2j * np.pi * k * const * t)
@@ -451,7 +448,7 @@ def criterion_11(cache=None, workdir=None):
 
     def sweep_csv(tag):
         op = make_operator(field, 1, boundary="periodic", n=64)
-        summary = resolvent_gap(op, s_points=64, return_trace=True)
+        summary = resolvent_gap(op, s_points=64)
         path = base / f"sweep-{tag}.csv"
         path.write_text(summary.sweep_csv())
         return path.read_bytes()

@@ -16,6 +16,7 @@ of the cell starting there; this is a convention, not a modelling statement
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -185,20 +186,16 @@ class PiecewisePolyPrimitive(Primitive):
     def __init__(self, nodes, coeffs, base, lipschitz, periodic):
         nodes = np.asarray(nodes, dtype=float)
         coeffs = np.asarray(coeffs, dtype=float)  # rows (c0, c1, c2)
-        full = _poly_segment_value(nodes, coeffs, nodes[-1])
+        full = _poly_value(nodes, coeffs, nodes[-1])
         super().__init__(nodes[0], nodes[-1], base, lipschitz, periodic, full)
-        offset = _poly_segment_value(nodes, coeffs, base)
+        offset = _poly_value(nodes, coeffs, base)
         coeffs = coeffs.copy()
         coeffs[:, 0] -= offset
         self.nodes = nodes
         self.coeffs = coeffs
 
     def _eval_inside(self, x):
-        x = np.asarray(x, dtype=float)
-        idx = np.clip(np.searchsorted(self.nodes, x, side="right") - 1, 0, len(self.coeffs) - 1)
-        u = x - self.nodes[idx]
-        c = self.coeffs[idx]
-        return c[..., 0] + u * (c[..., 1] + u * c[..., 2])
+        return _poly_value(self.nodes, self.coeffs, x)
 
     def _quad(self, alpha, beta):
         inner = self.nodes[1:-1]
@@ -206,11 +203,14 @@ class PiecewisePolyPrimitive(Primitive):
         return _panel_quadrature(cuts, self.QUAD_ORDER)
 
 
-def _poly_segment_value(nodes, coeffs, x):
-    idx = min(max(int(np.searchsorted(nodes, x, side="right")) - 1, 0), len(coeffs) - 1)
+def _poly_value(nodes, coeffs, x):
+    """Piecewise quadratic with rows (c0, c1, c2) in local coordinates at x;
+    points outside [nodes[0], nodes[-1]] extend the end segments."""
+    x = np.asarray(x, dtype=float)
+    idx = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, len(coeffs) - 1)
     u = x - nodes[idx]
     c = coeffs[idx]
-    return c[0] + u * (c[1] + u * c[2])
+    return c[..., 0] + u * (c[..., 1] + u * c[..., 2])
 
 
 class SmoothPrimitive(Primitive):
@@ -585,7 +585,7 @@ class SineField(VelocityField):
         self.amplitude = float(amplitude)
         self.frequency = int(frequency)
         self.phase = float(phase)
-        if self.frequency < 1:
+        if self.frequency != float(frequency) or self.frequency < 1:
             raise ValueError("frequency must be a positive integer")
 
     def _eval_inside(self, x):
@@ -643,16 +643,6 @@ def two_plateau(low=0.0, high=1.0, split=0.5):
     return PiecewiseConstantField([0.0, split], [low, high])
 
 
-_CONFIG_KEYS = {
-    "piecewise_constant": {"breakpoints", "values", "domain"},
-    "piecewise_linear": {"knots", "values", "domain"},
-    "grid": {"samples", "domain"},
-    "sine": {"amplitude", "frequency", "phase"},
-    "sawtooth": {"amplitude"},
-    "heaviside": {"high", "low"},
-    "binary_cascade": {"c", "tail_tol"},
-}
-
 _CONSTRUCTORS = {
     "piecewise_constant": PiecewiseConstantField,
     "piecewise_linear": PiecewiseLinearField,
@@ -668,7 +658,8 @@ def field_from_config(config):
     """Build a velocity field from its JSON description.
 
     The schema is {"kind": <name>, ...parameters}; see the CLI documentation
-    for the parameter list of each kind.  Unknown kinds or keys are rejected.
+    for the parameter list of each kind, which is its constructor's.  Unknown
+    kinds, unknown keys and missing required keys are rejected.
     """
     if not isinstance(config, dict):
         raise ValueError("velocity config must be a mapping")
@@ -676,9 +667,13 @@ def field_from_config(config):
     kind = cfg.pop("kind", None)
     if kind not in _CONSTRUCTORS:
         raise ValueError(f"unknown velocity kind: {kind!r}")
-    extra = set(cfg) - _CONFIG_KEYS[kind]
+    params = inspect.signature(_CONSTRUCTORS[kind]).parameters
+    extra = set(cfg) - set(params)
     if extra:
         raise ValueError(f"unknown keys for velocity kind {kind!r}: {sorted(extra)}")
+    missing = [name for name, p in params.items() if p.default is p.empty and name not in cfg]
+    if missing:
+        raise ValueError(f"missing keys for velocity kind {kind!r}: {missing}")
     return _CONSTRUCTORS[kind](**cfg)
 
 

@@ -41,10 +41,19 @@ class TestConfigValidation:
                                       "params": {"grid_m": 9}})
         assert cli.main(["bounds", "--config", cfg]) == cli.EXIT_CONFIG
 
-    def test_bad_velocity(self, tmp_path):
-        cfg = write_config(tmp_path, {"task": "bounds",
-                                      "velocity": {"kind": "mystery"}})
-        assert cli.main(["bounds", "--config", cfg]) == cli.EXIT_CONFIG
+    @pytest.mark.parametrize("velocity,message", [
+        ({"kind": "mystery"}, "unknown velocity kind"),
+        ({"kind": "grid"}, "missing keys for velocity kind 'grid'"),
+        ({"kind": "sine", "amplitude": 1.0, "frequency": 1.5},
+         "frequency must be a positive integer"),
+    ])
+    def test_bad_velocity(self, tmp_path, capsys, velocity, message):
+        cfg = write_config(tmp_path, {"task": "bounds", "velocity": velocity})
+        status = cli.main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert status == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert not (tmp_path / "o" / "manifest.json").exists()
 
     def test_task_mismatch(self, tmp_path):
         cfg = write_config(tmp_path, {"task": "bounds", "velocity": TWO_PLATEAU})
@@ -63,6 +72,8 @@ class TestConfigValidation:
         ({"discretization": "bogus"}, "discretization must be"),
         ({"n": 8}, "n must be at least 16"),
         ({"s_points": 32}, "s_points must be at least 64"),
+        ({"n": "abc"}, "n must be an integer, got 'abc'"),
+        ({"n": 16.9}, "n must be an integer, got 16.9"),
     ])
     def test_bad_spectrum_params(self, tmp_path, capsys, params, message):
         cfg = write_config(tmp_path, {"task": "spectrum", "velocity": TWO_PLATEAU,
@@ -78,6 +89,10 @@ class TestConfigValidation:
         (TWO_PLATEAU, {"eps_grid": [-0.1]}, "eps_grid entries must lie in (0, 0.5]"),
         ({"kind": "grid", "samples": [0.0, 1.0], "domain": [0.0, 0.5]}, {},
          "defined for torus fields"),
+        (TWO_PLATEAU, {"grid_n": 4}, "grid_n must be at least 8"),
+        (TWO_PLATEAU, {"j_points": 1}, "j_points must be at least 2"),
+        (TWO_PLATEAU, {"flatness_interval": [0.5]}, "flatness_interval must be a pair"),
+        (TWO_PLATEAU, {"flatness_interval": [0.6, 0.4]}, "flatness_interval must be increasing"),
     ])
     def test_bad_bounds_params(self, tmp_path, capsys, velocity, params, message):
         cfg = write_config(tmp_path, {"task": "bounds", "velocity": velocity,
@@ -114,6 +129,7 @@ class TestConfigValidation:
         ({"t_end": 0}, "t_end must be positive"),
         ({"samples": 0}, "samples must be at least 1"),
         ({"snapshots": -1}, "snapshots must be nonnegative"),
+        ({"k_max": 1.5}, "k_max must be an integer"),
     ])
     def test_bad_evolve_params(self, tmp_path, capsys, params, message):
         base = {"t_end": 0.5, "samples": 3, "nx": 16, "ny": 5}

@@ -70,14 +70,14 @@ class TestEvolution:
         rng = np.random.default_rng(13)
         u0 = 1.0 + 0.3 * rng.normal(size=(32, 9))
         fld = field_from_samples(u0)
-        evo = Evolution(COS, fld.k_max, fld.nx)
-        out = evo.propagate(fld, 0.7, steps=3)
+        evo = Evolution(COS)
+        *_, (_, out) = evo.trajectory(fld, 0.7, 4)
         assert out.mean() == pytest.approx(fld.mean(), abs=1e-10)
 
     def test_l2_nonincreasing(self):
         rng = np.random.default_rng(17)
         fld = field_from_samples(rng.normal(size=(32, 9)))
-        evo = Evolution(COS, fld.k_max, fld.nx)
+        evo = Evolution(COS)
         norms = [fld.l2_norm()]
         for _ in range(4):
             fld = evo.step(fld, 0.05)
@@ -87,7 +87,7 @@ class TestEvolution:
     def test_two_half_steps_equal_one(self):
         rng = np.random.default_rng(23)
         fld = field_from_samples(rng.normal(size=(24, 9)))
-        evo = Evolution(COS, fld.k_max, fld.nx)
+        evo = Evolution(COS)
         once = evo.step(fld, 0.2)
         twice = evo.step(evo.step(fld, 0.1), 0.1)
         np.testing.assert_allclose(twice.coeffs, once.coeffs, atol=1e-10)
@@ -95,7 +95,7 @@ class TestEvolution:
     def test_mode_decoupling(self):
         rng = np.random.default_rng(29)
         fld = field_from_samples(rng.normal(size=(24, 9)))
-        evo = Evolution(COS, fld.k_max, fld.nx)
+        evo = Evolution(COS)
         joint = evo.step(fld, 0.3)
         for k in range(-fld.k_max, fld.k_max + 1):
             alone = fld.copy()
@@ -105,6 +105,35 @@ class TestEvolution:
             np.testing.assert_allclose(evo.step(alone, 0.3).mode(k), joint.mode(k),
                                        atol=1e-12)
 
+    @pytest.mark.parametrize("t,steps", [(0.7, 3), (2.0, 4), (1.25, 1), (10.0, 32)])
+    def test_trajectory_ends_at_repeated_steps(self, t, steps):
+        fld = field_from_samples(np.random.default_rng(53).normal(size=(24, 7)))
+        evo = Evolution(COS)
+        *_, (_, last) = evo.trajectory(fld, t, steps + 1)
+        stepped = fld
+        for _ in range(steps):
+            stepped = evo.step(stepped, t / steps)
+        np.testing.assert_array_equal(last.coeffs, stepped.coeffs)
+
+    def test_grid_comes_from_the_stepped_field(self):
+        # one evolution steps fields on three grids, each with its own operators
+        field = two_plateau(0.0, 1.0)
+        evo = Evolution(field)
+        rng = np.random.default_rng(47)
+        fields = [field_from_samples(rng.normal(size=(32, 5)), boundary="dirichlet",
+                                     interval=(0.25, 0.75)),
+                  field_from_samples(rng.normal(size=(32, 5))),
+                  field_from_samples(rng.normal(size=(48, 5)))]
+        dt = 0.05
+        for fld in fields:
+            out = evo.step(fld, dt)
+            for k in range(-fld.k_max, fld.k_max + 1):
+                prop = make_operator(field, abs(k), boundary=fld.boundary,
+                                     interval=fld.interval, n=fld.nx).propagator(dt)
+                if k < 0:
+                    prop = np.conj(prop)
+                np.testing.assert_array_equal(out.mode(k), prop @ fld.mode(k))
+
     def test_constant_field_is_shifted_heat(self):
         c = 0.6
         const = PiecewiseConstantField([0.0], [c])
@@ -113,8 +142,8 @@ class TestEvolution:
         u0 = rng.normal(size=(24, 9))
         fld = field_from_samples(u0)
         t = 0.4
-        with_drift = Evolution(const, fld.k_max, fld.nx).propagate(fld.copy(), t)
-        free = Evolution(zero, fld.k_max, fld.nx).propagate(fld.copy(), t)
+        with_drift = Evolution(const).step(fld, t)
+        free = Evolution(zero).step(fld, t)
         for k in range(-fld.k_max, fld.k_max + 1):
             phase = np.exp(-2j * np.pi * k * c * t)
             np.testing.assert_allclose(with_drift.mode(k), phase * free.mode(k),
@@ -125,16 +154,16 @@ class TestEvolution:
         zero = PiecewiseConstantField([0.0], [0.0])
         u0 = torus_samples(lambda x, y: np.cos(2 * np.pi * y) + 0 * x, 16, 9)
         fld = field_from_samples(u0)
-        evo = Evolution(zero, fld.k_max, fld.nx)
-        out = evo.propagate(fld, 2.0, steps=4)
+        evo = Evolution(zero)
+        *_, (_, out) = evo.trajectory(fld, 2.0, 5)
         assert out.deviation() == pytest.approx(fld.deviation(), rel=1e-12)
 
     def test_weak_positivity(self):
         u0 = torus_samples(
             lambda x, y: 1.0 + 0.5 * np.cos(2 * np.pi * y) * np.cos(2 * np.pi * x), 32, 9)
         fld = field_from_samples(u0)
-        evo = Evolution(two_plateau(0.0, 1.0), fld.k_max, fld.nx)
-        out = evo.propagate(fld, 0.5, steps=2)
+        evo = Evolution(two_plateau(0.0, 1.0))
+        *_, (_, out) = evo.trajectory(fld, 0.5, 3)
         samples = field_to_samples(out, 9)
         assert samples.min() >= -1e-8 * np.abs(u0).max()
 
@@ -166,10 +195,10 @@ class TestRelaxTrace:
         u0 = torus_samples(
             lambda x, y: np.cos(2 * np.pi * y) * (1 + 0.3 * np.sin(2 * np.pi * x)), 48, 5)
         fld = field_from_samples(u0)
-        evo = Evolution(field, fld.k_max, fld.nx)
+        evo = Evolution(field)
         gaps = []
         for k in range(1, fld.k_max + 1):
-            op = evo.operator(k)
+            op = make_operator(field, k, n=fld.nx)
             gaps.append(op.lambda1_discrete + resolvent_gap(op, s_points=64).r_lambda1)
         op0 = make_operator(field, 0, n=48)
         lam2_disc = float(np.sort(np.linalg.eigvalsh(op0.laplacian()))[1])

@@ -228,7 +228,7 @@ class TestResolventGap:
 
     def test_trace_and_json(self):
         op = make_operator(COS, k=1, boundary="periodic", n=32)
-        summary = resolvent_gap(op, s_points=64, return_trace=True)
+        summary = resolvent_gap(op, s_points=64)
         assert summary.trace is not None and summary.trace.shape[1] == 2
         blob = summary.to_json_dict()
         assert blob["lambda1"] == 0.0 and len(blob["e1"]) == 32

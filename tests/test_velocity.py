@@ -450,6 +450,7 @@ class TestConfig:
             {"kind": "piecewise_linear", "knots": [0.0, 0.5], "values": [0.0, 1.0]},
             # 16 cells; dropping tail_tol would rebuild 32
             {"kind": "binary_cascade", "c": 0.01, "tail_tol": 1e-3},
+            {"kind": "sine", "amplitude": 1.0, "frequency": 2.0},
         ],
     )
     def test_round_trip(self, cfg):
@@ -466,6 +467,15 @@ class TestConfig:
     def test_unknown_key(self):
         with pytest.raises(ValueError, match="unknown keys"):
             field_from_config({"kind": "sine", "amplitude": 1.0, "omega": 2})
+
+    @pytest.mark.parametrize("cfg,message", [
+        ({"kind": "grid"}, "missing keys for velocity kind 'grid': \\['samples'\\]"),
+        ({"kind": "piecewise_linear", "knots": [0.0]}, "missing keys"),
+        ({"kind": "sine", "frequency": 1.5}, "frequency must be a positive integer"),
+    ])
+    def test_rejected(self, cfg, message):
+        with pytest.raises(ValueError, match=message):
+            field_from_config(cfg)
 
     def test_breakpoints_must_start_at_origin(self):
         with pytest.raises(DomainError):
