@@ -39,7 +39,8 @@ Task parameter blocks (all optional, with defaults):
     validate: criteria (non-empty list of known criterion ids 1-11, default all)
     report:   (none; reads artifacts already in the output directory)
 
-Integer parameters take JSON integers or integral numbers such as 64.0.
+Integer parameters take JSON integers or integral numbers such as 64.0;
+t_end and dt take finite JSON numbers (not strings or booleans).
 
 Exit codes: 0 success, 1 configuration error, 2 validation-suite failure,
 3 numeric failure during a task.
@@ -50,6 +51,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -175,6 +177,19 @@ def _int_param(params, name, default, least=None):
     return value
 
 
+def _float_param(params, name, default):
+    """Finite number task parameter (default when absent or null).
+
+    JSON strings and booleans are refused; the task checks the range.
+    """
+    value = params.get(name)
+    if value is None:
+        return default
+    _require(type(value) in (int, float) and math.isfinite(value),
+             f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _pair(value, name):
     _require(isinstance(value, (list, tuple)) and len(value) == 2
              and all(isinstance(v, (int, float)) for v in value),
@@ -231,7 +246,7 @@ def task_evolve(config, ws, args):
     _require(field.periodic, "evolve needs a torus velocity field")
     nx = _int_param(params, "nx", 64, least=16)
     ny = _int_param(params, "ny", 17, least=1)
-    t_end = float(params.get("t_end", 10.0))
+    t_end = _float_param(params, "t_end", 10.0)
     _require(t_end > 0.0, f"t_end must be positive, got {t_end}")
     n_samples = _int_param(params, "samples", 33, least=1)
     n_snapshots = _int_param(params, "snapshots", 0, least=0)
@@ -242,11 +257,12 @@ def task_evolve(config, ws, args):
         fld = evolve.field_from_samples(u0, k_max=k_max)  # rejects a ny that aliases k_max
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    trace = evolve.relax_trace(u0, field, t_end=t_end, n_samples=n_samples, k_max=k_max)
+    evo = evolve.Evolution(field)  # one operator per mode for the trace and the snapshots
+    trace = evolve.relax_trace(u0, field, t_end=t_end, n_samples=n_samples, k_max=k_max,
+                               evolution=evo)
     trace.to_csv(ws.out / "decay.csv")
     ws.record_file("decay.csv")
     if n_snapshots:
-        evo = evolve.Evolution(field)
         for i, (t, state) in enumerate(evo.trajectory(fld, t_end, n_snapshots)):
             name = f"field-{i:03d}.f64"
             evolve.save_snapshot(ws.out / name, evolve.field_to_samples(state, ny),
@@ -264,14 +280,14 @@ def task_simulate(config, ws, args):
     kill = params.get("kill_interval")
     if kill is not None:
         kill = _pair(kill, "kill_interval")
-    try:
+    try:  # PathConfig checks the ranges
         cfg = mcsim.PathConfig(
-            dt=float(params.get("dt", 1e-3)),
-            n_paths=int(params.get("n_paths", 100_000)),
-            t_end=float(params.get("t_end", 1.0)),
+            dt=_float_param(params, "dt", 1e-3),
+            n_paths=_int_param(params, "n_paths", 100_000),
+            t_end=_float_param(params, "t_end", 1.0),
             seed=_seeded(config, args),
             y_integrator=params.get("y_integrator", "left"),
-            bins=int(params.get("bins", 32)),
+            bins=_int_param(params, "bins", 32),
             workers=args.workers,
         )
     except ValueError as err:

@@ -204,20 +204,24 @@ class DecayTrace:
                 handle.write(f"{t:.17g},{d:.17g},{e:.17g},{f}\n")
 
 
-def relax_trace(u0, field_v, t_end, n_samples=32, k_max=None, correlation_grid=256):
+def relax_trace(u0, field_v, t_end, n_samples=32, k_max=None, correlation_grid=256,
+                evolution=None):
     """Evolve torus samples u0 and compare deviations with the envelope.
 
     The envelope is exp(pi/2 - rate * t) times the initial deviation, with
     the rate computed from the correlation LP of the velocity field.  No
     violation is expected; any sample exceeding the envelope is reported by
-    index.
+    index.  `evolution`, an Evolution(field_v) that keeps its operators and
+    propagators for later calls, defaults to a fresh one.
     """
     u0 = np.asarray(u0, dtype=float)
     fld = field_from_samples(u0, k_max=k_max, boundary="periodic",
                              interval=(field_v.a, field_v.b))
     corr = functionals.lipschitz_correlation(field_v, grid_n=correlation_grid)
     rate = functionals.mixing_rate(corr, field_v.oscillation())
-    evo = Evolution(field_v)
+    evo = Evolution(field_v) if evolution is None else evolution
+    if evo.field_v is not field_v:
+        raise ValueError("the evolution steps another velocity field")
     samples = [(t, state.deviation()) for t, state in evo.trajectory(fld, t_end, n_samples)]
     times, dev = (np.array(column) for column in zip(*samples))
     envelope = math.e ** (math.pi / 2.0 - rate * times) * dev[0]

@@ -148,7 +148,8 @@ def _simulate_block(block_index, lo, hi, start, vfun, cfg, snapshot_steps,
     Each step updates preallocated buffers in place.  The updates keep the
     arithmetic of x + sqrt(2 dt) Z, y + dt V(x) and y + dt/2 (V(x) + V(x'))
     operation for operation, and x - floor(x) rounds exactly as x mod 1, so
-    the bits do not depend on the buffering.
+    the bits do not depend on the buffering.  The trapezoid rule keeps V(x')
+    as the next step's V(x), so it evaluates V once per step.
     """
     m = hi - lo
     n_steps, dt = _steps_for(cfg)
@@ -163,10 +164,12 @@ def _simulate_block(block_index, lo, hi, start, vfun, cfg, snapshot_steps,
     y = np.full(m, y0)
     tmp = np.empty(m)
     v_sum = np.empty(m)
+    trapezoid = cfg.y_integrator == "trapezoid"
+    if trapezoid:
+        v_prev = np.array(vfun(x))  # a copy: vfun may return x itself, as for V(x) = x
     alive = np.ones(m, dtype=bool) if kill_interval is not None else None
     root2dt = math.sqrt(2.0 * dt)
     half_dt = dt * 0.5
-    trapezoid = cfg.y_integrator == "trapezoid"
     snapshots = {}
     step = 0
     last = min(n_steps, max(snapshot_steps))
@@ -177,16 +180,15 @@ def _simulate_block(block_index, lo, hi, start, vfun, cfg, snapshot_steps,
         chunk *= root2dt
         for dx in chunk:
             step += 1
-            v = vfun(x)
-            if trapezoid:
-                np.copyto(v_sum, v)  # v may be x itself, as for V(x) = x
-            else:
-                y += np.multiply(v, dt, out=tmp)
+            if not trapezoid:
+                y += np.multiply(vfun(x), dt, out=tmp)
             x += dx
             if wrap:
                 x -= np.floor(x, out=tmp)
             if trapezoid:
-                v_sum += vfun(x)
+                v_new = vfun(x)
+                np.add(v_prev, v_new, out=v_sum)
+                np.copyto(v_prev, v_new)
                 y += np.multiply(v_sum, half_dt, out=v_sum)
             if alive is not None:
                 alive &= (x >= kill_interval[0]) & (x <= kill_interval[1])

@@ -12,7 +12,9 @@ that a reported gap depends on.  Semigroup norms come from one cached
 eigendecomposition A = W Lambda W^-1 per operator (route "eig"), within
 16 cond_2(W) max(1, ||tA||_1) eps relative of a dense matrix exponential's;
 where cond_2(W) exceeds EIG_COND_MAX they come from one dense expm per time
-(route "expm").  Propagators are always dense matrix exponentials.
+(route "expm").  A propagator exp(-dt A) is a dense expm, or, when a cached
+step d has dt = 2^j d and |tr(d A)| / n >= THETA_13, the cached exp(-d A)
+squared j times, bit for bit the expm result (see ModeOperator.propagator).
 """
 
 from __future__ import annotations
@@ -76,6 +78,10 @@ def laplace_eigs(boundary, interval=(0.0, 1.0), n=256):
 # ||tA|| eps; cond_2(W) measured 1.0-58 on the battery fields up to k = 64 and
 # reached 1.7e3 only at k = 256 (n = 128).
 EIG_COND_MAX = 1e3
+
+# theta_13 of Al-Mohy and Higham (SIAM J. Matrix Anal. Appl. 31, 2009): the
+# largest ||2^-s A|| that scipy.linalg.expm's degree-13 Pade approximant takes
+THETA_13 = 5.371920351148152
 
 
 class Eigendecomposition(NamedTuple):
@@ -230,12 +236,37 @@ class ModeOperator:
         return Eigendecomposition(values, left, right, cond_w, "eig")
 
     def propagator(self, dt):
-        """Dense matrix exponential exp(-dt * A), cached per time step."""
+        """exp(-dt * A), cached per time step; bit for bit scipy.linalg.expm's.
+
+        On a cache miss, the cached step d with dt == d * 2**j (j >= 1) and
+        |tr(d A)| / n >= THETA_13, the largest such d, gives exp(-d A) squared
+        j times; without one, dt is a dense expm.  scipy.linalg.expm scales by
+        2^-s, takes the degree-13 Pade approximant and squares s times
+        whenever every ||(dA)^p||_1^(1/p) it reads exceeds theta_9 and
+        theta_13 / 2, and these are at least the spectral radius, which is at
+        least |tr(d A)| / n.  Then expm(-2^j d A) scales by 2^-(s+j), which
+        reaches the same matrix exactly (powers of two scale without
+        rounding), so its last j squarings are the ones done here.  The guard
+        keeps a factor 2 above what the argument needs (expm estimates the
+        norms for n >= 400) and implies ||d A||_1 >= THETA_13.  Only requested
+        steps are cached.
+        """
         if dt <= 0:
             raise ValueError("time step must be positive")
         key = float(dt)
         if key not in self._propagators:
-            prop = sla.expm(-key * self.matrix())
+            mat = self.matrix()
+            radius_floor = abs(np.trace(mat)) / self.n
+            bases = [(d, round(math.log2(key / d))) for d in self._propagators
+                     if d * radius_floor >= THETA_13]
+            bases = [(d, j) for d, j in bases if j >= 1 and d * 2.0**j == key]
+            if bases:
+                d, j = max(bases)
+                prop = self._propagators[d]
+                for _ in range(j):
+                    prop = prop @ prop
+            else:
+                prop = sla.expm(-key * mat)
             prop.setflags(write=False)
             self._propagators[key] = prop
         return self._propagators[key]

@@ -240,9 +240,10 @@ def criterion_6(cache=None):
     for name, field in (("cos", _cos_field()), ("two_plateau", two_plateau(0.0, 1.0))):
         worst = -math.inf
         violations = 0
+        evo = evolve.Evolution(field)
         for u0 in initials:
             trace = evolve.relax_trace(u0, field, 20.0, n_samples=41,
-                                       correlation_grid=256)
+                                       correlation_grid=256, evolution=evo)
             violations += len(trace.violations)
             with np.errstate(divide="ignore"):
                 margin = np.max(np.log(trace.deviation[1:] / trace.envelope[1:]))

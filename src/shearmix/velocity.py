@@ -659,7 +659,8 @@ def field_from_config(config):
 
     The schema is {"kind": <name>, ...parameters}; see the CLI documentation
     for the parameter list of each kind, which is its constructor's.  Unknown
-    kinds, unknown keys and missing required keys are rejected.
+    kinds, unknown keys, missing required keys and values the constructor
+    cannot take are rejected with a ValueError.
     """
     if not isinstance(config, dict):
         raise ValueError("velocity config must be a mapping")
@@ -674,7 +675,10 @@ def field_from_config(config):
     missing = [name for name, p in params.items() if p.default is p.empty and name not in cfg]
     if missing:
         raise ValueError(f"missing keys for velocity kind {kind!r}: {missing}")
-    return _CONSTRUCTORS[kind](**cfg)
+    try:
+        return _CONSTRUCTORS[kind](**cfg)
+    except TypeError as err:  # a value of the wrong type, such as null
+        raise ValueError(f"bad values for velocity kind {kind!r}: {err}") from err
 
 
 # ---------------------------------------------------------------------------

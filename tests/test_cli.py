@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from shearmix import cli, validation
+from shearmix import cli, evolve, spectral, validation
 from shearmix.evolve import load_snapshot
 
 
@@ -46,6 +46,8 @@ class TestConfigValidation:
         ({"kind": "grid"}, "missing keys for velocity kind 'grid'"),
         ({"kind": "sine", "amplitude": 1.0, "frequency": 1.5},
          "frequency must be a positive integer"),
+        ({"kind": "sine", "amplitude": None, "frequency": 1},
+         "bad velocity description: bad values for velocity kind 'sine'"),
     ])
     def test_bad_velocity(self, tmp_path, capsys, velocity, message):
         cfg = write_config(tmp_path, {"task": "bounds", "velocity": velocity})
@@ -114,6 +116,9 @@ class TestConfigValidation:
         (TWO_PLATEAU, {"start": [0.5]}, "start must be a pair of numbers"),
         (TWO_PLATEAU, {"kill_interval": [0.5]}, "kill_interval must be a pair of numbers"),
         (HALF_DOMAIN, {}, "needs a torus velocity field"),
+        (TWO_PLATEAU, {"n_paths": 1.7}, "n_paths must be an integer, got 1.7"),
+        (TWO_PLATEAU, {"bins": True}, "bins must be an integer, got True"),
+        (TWO_PLATEAU, {"dt": "0.01"}, "dt must be a finite number, got '0.01'"),
     ])
     def test_bad_simulate_params(self, tmp_path, capsys, velocity, params, message):
         cfg = write_config(tmp_path, {"task": "simulate", "velocity": velocity,
@@ -130,6 +135,9 @@ class TestConfigValidation:
         ({"samples": 0}, "samples must be at least 1"),
         ({"snapshots": -1}, "snapshots must be nonnegative"),
         ({"k_max": 1.5}, "k_max must be an integer"),
+        ({"t_end": "abc"}, "t_end must be a finite number, got 'abc'"),
+        ({"t_end": "2.0"}, "t_end must be a finite number, got '2.0'"),
+        ({"t_end": False}, "t_end must be a finite number, got False"),
     ])
     def test_bad_evolve_params(self, tmp_path, capsys, params, message):
         base = {"t_end": 0.5, "samples": 3, "nx": 16, "ny": 5}
@@ -236,6 +244,28 @@ class TestEvolveTask:
             data, _ = load_snapshot(out / name)
             modes = np.abs(np.fft.fft(data, axis=1))  # column j holds mode j mod ny
             assert modes[:, 2:-1].max() < 1e-12 * modes.max()
+
+    @pytest.mark.parametrize("snapshots,expm_calls", [(3, 5), (4, 10)])
+    def test_one_operator_per_mode(self, tmp_path, monkeypatch, snapshots, expm_calls):
+        # trace step t_end/16; snapshot step t_end/2 = 8 trace steps (squared from the
+        # cached propagator), or t_end/3, which is not a power-of-two multiple (expm)
+        calls = {"make_operator": 0, "expm": 0}
+
+        def counted(name, fun):
+            def run(*args, **kwargs):
+                calls[name] += 1
+                return fun(*args, **kwargs)
+            return run
+
+        monkeypatch.setattr(evolve, "make_operator", counted("make_operator",
+                                                             evolve.make_operator))
+        monkeypatch.setattr(spectral.sla, "expm", counted("expm", spectral.sla.expm))
+        cfg = write_config(tmp_path, {
+            "task": "evolve", "velocity": TWO_PLATEAU,
+            "params": {"nx": 32, "ny": 9, "samples": 17, "snapshots": snapshots},
+        })
+        assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert calls == {"make_operator": 5, "expm": expm_calls}  # k_max = 4
 
 
 class TestSimulateTask:

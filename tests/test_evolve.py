@@ -210,6 +210,16 @@ class TestRelaxTrace:
             current = evo.step(current, times[1])
             assert current.deviation() <= math.e**(math.pi / 2 - r_hat * t) * dev0 * (1 + 1e-9)
 
+    def test_shared_evolution(self):
+        u0 = initial_samples("random", 16, 5, seed=2)
+        evo = Evolution(COS)
+        shared = relax_trace(u0, COS, 1.0, n_samples=5, correlation_grid=64, evolution=evo)
+        fresh = relax_trace(u0, COS, 1.0, n_samples=5, correlation_grid=64)
+        assert shared.deviation.tolist() == fresh.deviation.tolist()
+        assert sorted(k for k, *_ in evo._ops) == [0, 1, 2]
+        with pytest.raises(ValueError, match="another velocity field"):
+            relax_trace(u0, two_plateau(0.0, 1.0), 1.0, n_samples=5, evolution=evo)
+
     def test_csv_export(self, tmp_path):
         u0 = torus_samples(lambda x, y: np.cos(2 * np.pi * y) + 0 * x, 16, 5)
         trace = relax_trace(u0, COS, 1.0, n_samples=4, correlation_grid=64)

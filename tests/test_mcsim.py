@@ -112,6 +112,19 @@ class TestSimulate:
         assert hist.n_absorbed > 0
         assert int(hist.counts.sum()) + hist.n_absorbed == cfg.n_paths
 
+    @pytest.mark.parametrize("rule,calls_per_block", [("left", 20), ("trapezoid", 21)])
+    def test_one_velocity_evaluation_per_step(self, rule, calls_per_block):
+        calls = []
+
+        def vfun(x):
+            calls.append(len(x))
+            return TWO(x)
+
+        cfg = small_cfg(t_end=0.2, n_paths=2500, y_integrator=rule)  # 20 steps, 3 blocks
+        mcsim._run((0.3, 0.7), vfun, cfg, {20})
+        assert len(calls) == 3 * calls_per_block
+        assert sum(calls) == cfg.n_paths * calls_per_block
+
     def test_csv_round_trip(self, tmp_path):
         hist = mcsim.simulate((0.2, 0.2), TWO, small_cfg(n_paths=500))
         path = tmp_path / "hist.csv"

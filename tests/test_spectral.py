@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -114,6 +115,35 @@ class TestPropagator:
         dt = 0.07
         norm = np.linalg.norm(op.propagator(dt), 2)
         assert norm <= math.exp(-op.lambda1_discrete * dt) * (1 + 1e-10)
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), sine=st.booleans(),
+           boundary=st.sampled_from(["periodic", "dirichlet"]),
+           disc=st.sampled_from(["fd2", "spectral"]), k=st.integers(0, 16),
+           n=st.integers(16, 64), j=st.integers(1, 3), log2_scale=st.floats(-4.0, 6.0))
+    def test_doubled_step_is_expm_bit_for_bit(self, seed, sine, boundary, disc, k, n, j,
+                                              log2_scale):
+        rng = np.random.default_rng(seed)
+        if sine:
+            field = SineField(rng.uniform(0.1, 2.0), int(rng.integers(1, 4)),
+                              rng.uniform(0.0, 2 * math.pi))
+        else:
+            field = GridField(rng.uniform(-1.0, 1.0, int(rng.integers(1, 17))))
+        op = make_operator(field, k, boundary=boundary, n=n, discretization=disc)
+        # ||d A||_1 log-uniform on both sides of theta_13
+        d = spectral.THETA_13 / np.abs(op.matrix()).sum(axis=0).max() * 2.0**log2_scale
+        op.propagator(d)
+        calls, expm = [], sla.expm
+
+        def counted(mat):
+            calls.append(1)
+            return expm(mat)
+
+        with mock.patch.object(spectral.sla, "expm", counted):
+            got = op.propagator(2**j * d)
+        squared = d * abs(np.trace(op.matrix())) / n >= spectral.THETA_13
+        assert len(calls) == (0 if squared else 1)
+        assert np.array_equal(got, sla.expm(-(2**j * d) * op.matrix()))
 
 
 class TestSemigroupNorm:
