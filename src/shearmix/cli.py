@@ -143,6 +143,7 @@ class Workspace:
         })
 
     def record_file(self, name):
+        """Record a file that its writer put in the directory (the snapshots)."""
         self._record(name, (self.out / name).read_bytes())
 
     def finish(self):
@@ -260,8 +261,7 @@ def task_evolve(config, ws, args):
     evo = evolve.Evolution(field)  # one operator per mode for the trace and the snapshots
     trace = evolve.relax_trace(u0, field, t_end=t_end, n_samples=n_samples, k_max=k_max,
                                evolution=evo)
-    trace.to_csv(ws.out / "decay.csv")
-    ws.record_file("decay.csv")
+    ws.write_text("decay.csv", trace.decay_csv())
     if n_snapshots:
         for i, (t, state) in enumerate(evo.trajectory(fld, t_end, n_snapshots)):
             name = f"field-{i:03d}.f64"
@@ -293,8 +293,7 @@ def task_simulate(config, ws, args):
     except ValueError as err:
         raise ConfigError(str(err)) from err
     hist = mcsim.simulate(start, field, cfg, kill_interval=kill)
-    hist.to_csv(ws.out / "histogram.csv")
-    ws.record_file("histogram.csv")
+    ws.write_text("histogram.csv", hist.histogram_csv())
     ws.write_json("histogram-meta.json", hist.metadata())
     return EXIT_OK
 
@@ -308,8 +307,7 @@ def task_validate(config, ws, args):
              f"criteria must be a non-empty list of ids from {known}, got {ids!r}")
     results = validation.run_all(ids=ids, progress=print, workers=args.workers)
     # artifacts must regenerate bit-identically, so timings stay on stdout
-    lines = [f"[{'PASS' if r.passed else 'FAIL'}] criterion {r.cid:2d}: {r.name}"
-             for r in results]
+    lines = [r.status() for r in results]
     payload = [
         {"criterion": r.cid, "name": r.name, "passed": r.passed,
          "details": _jsonable(r.details)}

@@ -195,13 +195,14 @@ class DecayTrace:
     rate: float
     violations: list = dc_field(default_factory=list)
 
-    def to_csv(self, path):
-        with open(path, "w") as handle:
-            handle.write("t,deviation,envelope,violated_flag\n")
-            flags = np.zeros(len(self.times), dtype=int)
-            flags[self.violations] = 1
-            for t, d, e, f in zip(self.times, self.deviation, self.envelope, flags):
-                handle.write(f"{t:.17g},{d:.17g},{e:.17g},{f}\n")
+    def decay_csv(self):
+        """The trace as CSV text, one row per sample; every float round-trips."""
+        flags = np.zeros(len(self.times), dtype=int)
+        flags[self.violations] = 1
+        lines = ["t,deviation,envelope,violated_flag"] + [
+            f"{t:.17g},{d:.17g},{e:.17g},{f}"
+            for t, d, e, f in zip(self.times, self.deviation, self.envelope, flags)]
+        return "\n".join(lines) + "\n"
 
 
 def relax_trace(u0, field_v, t_end, n_samples=32, k_max=None, correlation_grid=256,

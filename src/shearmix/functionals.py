@@ -416,19 +416,47 @@ class BoundsReport:
                 out[key] = value
         return out
 
-    def validate(self):
-        """Check the structural invariants; raises AssertionError on failure."""
-        assert 0.0 <= self.lip_correlation <= 0.5 * self.oscillation + 1e-9
+    def _doeblin_route(self):
+        """(route, t, log mass) behind the Doeblin constants: the plateau route
+        when it applies (vastly larger mass in practice), else flatness, else None."""
         if self.plateau_time is not None:
-            assert self.plateau_mass_log is not None and self.plateau_mass_log < 0.0
+            return "plateau", self.plateau_time, self.plateau_mass_log
         if self.flatness_time is not None:
-            assert self.flatness_mass_log is not None and self.flatness_mass_log < 0.0
-        if self.doeblin_c_minus_one is not None:
-            assert self.doeblin_rho_log is not None and math.isfinite(self.doeblin_rho_log)
-            # where the plateau mass underflows, C - 1 rounds to 0.0 and its
-            # positivity is certified by the finite, negative log mass
-            assert self.doeblin_c_minus_one > 0.0 or self.plateau_time is None or (
-                math.exp(self.plateau_mass_log) == 0.0 and math.isfinite(self.plateau_mass_log))
+            return "flatness", self.flatness_time, self.flatness_mass_log
+        return None
+
+    def validate(self):
+        """Check the structural invariants; raises AssertionError on failure,
+        explicitly, so python -O keeps the checks.
+
+        The Doeblin certificate is checked on its route: rho_log = log mass -
+        log t, and C - 1 > 0 where the mass is a positive double.  Where it
+        underflows, C - 1, C and rho are exactly 0.0, 1.0 and 0.0, and the
+        finite, negative log mass certifies C > 1.
+        """
+        _check(0.0 <= self.lip_correlation <= 0.5 * self.oscillation + 1e-9, "correlation")
+        for name, t, log_mass in (("plateau", self.plateau_time, self.plateau_mass_log),
+                                  ("flatness", self.flatness_time, self.flatness_mass_log)):
+            _check(t is None or (log_mass is not None and log_mass < 0.0), f"{name} log mass")
+        if self.doeblin_c_minus_one is None:
+            return
+        route = self._doeblin_route()
+        _check(route is not None, "Doeblin constants without a minorization route")
+        name, t_star, log_mass = route
+        rho_log = log_mass - math.log(t_star)
+        _check(self.doeblin_rho_log is not None
+               and abs(self.doeblin_rho_log - rho_log) <= 1e-12 * abs(rho_log),
+               f"rho_log is not the {name} route's log mass - log t = {rho_log}")
+        if math.exp(log_mass) > 0.0:
+            _check(self.doeblin_c_minus_one > 0.0, f"C - 1 = 0 with a representable {name} mass")
+        else:
+            _check((self.doeblin_c_minus_one, self.doeblin_c, self.doeblin_rho) == (0.0, 1.0, 0.0),
+                   f"the {name} mass underflows, but C != 1 or rho != 0")
+
+
+def _check(ok, message):
+    if not ok:  # not an assert, which python -O strips
+        raise AssertionError(message)
 
 
 DEFAULT_EPS_GRID = (0.05, 0.1, 0.2, 0.4)
@@ -505,16 +533,9 @@ def compute_bounds_report(field, *, grid_n=512, eps_grid=DEFAULT_EPS_GRID,
             report.flatness_mass_log = consts.log_mass
             prov["flatness"] = f"scan-{j_points}"
 
-    # Doeblin constants from whichever minorization route applies, preferring
-    # the plateau route (vastly larger mass in practice).
-    t_star = log_mass = None
-    if report.plateau_time is not None:
-        t_star, log_mass = report.plateau_time, report.plateau_mass_log
-        prov["doeblin"] = "plateau"
-    elif report.flatness_time is not None:
-        t_star, log_mass = report.flatness_time, report.flatness_mass_log
-        prov["doeblin"] = "flatness"
-    if t_star is not None:
+    route = report._doeblin_route()
+    if route is not None:
+        prov["doeblin"], t_star, log_mass = route
         alpha = math.exp(log_mass)
         report.doeblin_c_minus_one = alpha / (1.0 - alpha)
         report.doeblin_c = 1.0 + report.doeblin_c_minus_one

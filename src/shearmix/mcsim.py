@@ -65,8 +65,8 @@ class PathConfig:
             raise ValueError(f"unknown y integrator: {self.y_integrator!r}")
         if self.geometry not in ("torus2", "plane"):
             raise ValueError(f"unknown geometry: {self.geometry!r}")
-        if self.bins < 1 or self.block_size < 1:
-            raise ValueError("bins and block_size must be positive")
+        if self.bins < 1 or self.block_size < 1 or self.workers < 1:
+            raise ValueError("bins, block_size and workers must be positive")
 
     replace = dataclasses.replace
 
@@ -103,12 +103,11 @@ class TransitionHistogram:
     def empty_cells(self):
         return [tuple(map(int, idx)) for idx in np.argwhere(self.counts == 0)]
 
-    def to_csv(self, path):
-        with open(path, "w") as handle:
-            handle.write("row,col,count\n")
-            for i in range(self.bins):
-                for j in range(self.bins):
-                    handle.write(f"{i},{j},{int(self.counts[i, j])}\n")
+    def histogram_csv(self):
+        """The cell counts as CSV text, one row,col,count line per cell."""
+        lines = ["row,col,count"] + [f"{i},{j},{int(self.counts[i, j])}"
+                                     for i in range(self.bins) for j in range(self.bins)]
+        return "\n".join(lines) + "\n"
 
     def metadata(self):
         out = {
@@ -216,11 +215,8 @@ def _run(start, vfun, cfg, snapshot_steps, kill_interval=None, collect_positions
         return _simulate_block(b, lo, hi, start, vfun, cfg, snapshot_steps,
                                kill_interval, collect_positions)
 
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(work, blocks))
-    else:
-        results = [work(block) for block in blocks]
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        results = list(pool.map(work, blocks))
 
     merged = {}
     for step in snapshot_steps:

@@ -1,18 +1,17 @@
 """Acceptance battery: every headline claim checked end to end.
 
-Each criterion is a standalone function returning a CriterionResult with the
-measured numbers; `run_all` executes a subset and is what both the test
-suite and the command-line `validate` task call.  All randomness is seeded
-inside the criteria, so the battery is deterministic.
+Each criterion is a standalone function returning its measured numbers and
+a verdict; `run_all` runs a subset into CriterionResults and is what both the
+test suite and the command-line `validate` task call.  All randomness is
+seeded inside the criteria, so the battery is deterministic.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import tempfile
 import time
 from dataclasses import dataclass, field as dc_field
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg as sla
@@ -38,9 +37,12 @@ class CriterionResult:
     details: dict = dc_field(default_factory=dict)
     elapsed: float = 0.0
 
+    def status(self):
+        """The verdict line without the timing, as `validation.txt` keeps it."""
+        return f"[{'PASS' if self.passed else 'FAIL'}] criterion {self.cid:2d}: {self.name}"
+
     def line(self):
-        status = "PASS" if self.passed else "FAIL"
-        return f"[{status}] criterion {self.cid:2d}: {self.name} ({self.elapsed:.1f}s)"
+        return f"{self.status()} ({self.elapsed:.1f}s)"
 
 
 def _cos_field():
@@ -56,14 +58,11 @@ def _battery():
     }
 
 
-T_PLATEAU = 1.4375  # plateau time of the two-level battery field
-
-
 # ---------------------------------------------------------------------------
 # 1. golden constant evaluations
 
 
-def criterion_1(cache=None):
+def criterion_1():
     checks = {}
     t_p = fn.plateau_constants(0.25, 1.0).time
     checks["plateau_time"] = (t_p, 1.390625, abs(t_p - 1.390625) < 1e-12)
@@ -81,7 +80,7 @@ def criterion_1(cache=None):
 # 2. closed-form affine residuals
 
 
-def criterion_2(cache=None):
+def criterion_2():
     lin = fn.min_affine_residual(SawtoothField(1.0), 0.5, j_points=33)
     cos = fn.min_affine_residual(_cos_field(), 0.5, j_points=33)
     cos_target = 1.0 / (8.0 * math.pi**2) - 3.0 / (4.0 * math.pi**4)
@@ -132,7 +131,7 @@ def polytope_vertex_max(objective, weights, slope_cap):
     return best
 
 
-def criterion_3(cache=None):
+def criterion_3():
     from .velocity import GridField
 
     rng = np.random.default_rng(2024)
@@ -157,34 +156,29 @@ def criterion_3(cache=None):
 # 4. resolvent gaps dominate both functional lower bounds
 
 
-def _battery_summaries(cache):
-    cache = cache if cache is not None else {}
-    if "summaries" not in cache:
-        out = {}
-        for name, field in _battery().items():
-            op = make_operator(field, 1, boundary="periodic", n=256)
-            out[name] = (op, resolvent_gap(op, s_points=192))
-        cache["summaries"] = out
-    return cache["summaries"]
+@functools.cache
+def _battery_summaries():
+    """(k = 1 operator at n = 256, its resolvent-gap summary) per battery field."""
+    out = {}
+    for name, field in _battery().items():
+        op = make_operator(field, 1, boundary="periodic", n=256)
+        out[name] = (op, resolvent_gap(op, s_points=192))
+    return out
 
 
-def criterion_4(cache=None):
-    cache = cache if cache is not None else {}
+def criterion_4():
     details = {}
     ok = True
-    eps_grid = (0.05, 0.1, 0.2, 0.4)
     for name, field in _battery().items():
-        op, summary = _battery_summaries(cache)[name]
-        r = summary.r_lambda1
-        corr = 2.0 * math.pi * fn.lipschitz_correlation(field, grid_n=512)
-        osc = 2.0 * math.pi * field.oscillation()
+        r = _battery_summaries()[name][1].r_lambda1
+        report = fn.compute_bounds_report(field, grid_n=512, j_points=65)
+        corr = 2.0 * math.pi * report.lip_correlation
+        osc = 2.0 * math.pi * report.oscillation
         bound_imp = fn.gap_bound_from_correlation(corr, osc, 1.0, periodic_improved=True)
         bound_gen = fn.gap_bound_from_correlation(corr, osc, 1.0)
         bound_res = max(
-            fn.gap_bound_from_residual(
-                (2.0 * math.pi) ** 2 * fn.min_affine_residual(field, eps, j_points=65),
-                eps, lambda1=0.0)
-            for eps in eps_grid
+            fn.gap_bound_from_residual((2.0 * math.pi) ** 2 * res, eps, lambda1=0.0)
+            for eps, res in report.affine_residual_table.items()
         )
         details[name] = {
             "r": r,
@@ -197,7 +191,7 @@ def criterion_4(cache=None):
         ok &= r >= bound_res - 1e-8
     op128 = make_operator(_cos_field(), 1, boundary="periodic", n=128)
     r128 = resolvent_gap(op128, s_points=192).r_lambda1
-    r256 = _battery_summaries(cache)["cos"][1].r_lambda1
+    r256 = _battery_summaries()["cos"][1].r_lambda1
     drift = abs(r256 - r128) / r256
     details["cos_grid_doubling_relative_change"] = drift
     ok &= drift < 0.01
@@ -208,13 +202,12 @@ def criterion_4(cache=None):
 # 5. explicit semigroup bound
 
 
-def criterion_5(cache=None):
-    cache = cache if cache is not None else {}
+def criterion_5():
     details = {}
     ok = True
     lam2 = 4.0 * math.pi**2
     times = np.geomspace(1e-2, 50.0 / lam2, 40)
-    for name, (op, summary) in _battery_summaries(cache).items():
+    for name, (op, summary) in _battery_summaries().items():
         gap = op.lambda1_discrete + summary.r_lambda1
         norms = semigroup_norm(op, times)
         ratio = float(np.max(norms * np.exp(gap * times)))
@@ -229,7 +222,7 @@ def criterion_5(cache=None):
 # 6. relaxation envelope for the 2D evolution
 
 
-def criterion_6(cache=None):
+def criterion_6():
     details = {}
     ok = True
     nx, ny = 64, 9
@@ -272,7 +265,7 @@ def criterion_6(cache=None):
 # 7. heat-kernel constants
 
 
-def criterion_7(cache=None):
+def criterion_7():
     x = np.linspace(0.0, 1.0, 4001)
     torus_min = float(np.min(kernels.heat_torus(x, 0.0, 0.125)))
     torus_floor = math.sqrt(2.0 / (math.e * math.pi))
@@ -296,7 +289,7 @@ def criterion_7(cache=None):
 # 8. arcsine occupation-time law
 
 
-def criterion_8(cache=None, workers=2):
+def criterion_8(workers=2):
     cfg = mcsim.PathConfig(dt=1e-4, n_paths=200_000, t_end=1.0, seed=81520,
                            geometry="plane", block_size=1 << 14, workers=workers)
     res = mcsim.arcsine_experiment(cfg)
@@ -307,7 +300,7 @@ def criterion_8(cache=None, workers=2):
 # 9. explicit plane kernel: control identity, histogram, PDE residual
 
 
-def criterion_9(cache=None, workers=2):
+def criterion_9(workers=2):
     details = {}
     rng = np.random.default_rng(90210)
     worst = 0.0
@@ -366,9 +359,10 @@ def _tv_fit_rate(times, tv, bias):
     return -float(slope)
 
 
-def criterion_10(cache=None, workers=2):
+def criterion_10(workers=2):
     field = two_plateau(0.0, 1.0)
-    t_p = T_PLATEAU
+    plateau = fn.plateau_constants(0.5, 1.0)
+    t_p = plateau.time
     starts = [((2 * i + 1) / 16.0, ((6 * i + 3) % 16) / 16.0) for i in range(8)]
     details = {}
 
@@ -376,7 +370,7 @@ def criterion_10(cache=None, workers=2):
     cfg_full = mcsim.PathConfig(dt=4e-3, n_paths=1_000_000, t_end=t_p, seed=1001,
                                 bins=8, block_size=1 << 15, workers=workers)
     est = mcsim.doeblin_estimate(field, t_p, starts, cfg_full)
-    alpha_p = fn.plateau_constants(0.5, 1.0).mass
+    alpha_p = plateau.mass
     details["alpha_hat"] = est.alpha_hat
     details["alpha_lcb"] = est.alpha_lower_confidence
     details["empty_cells"] = len(est.empty_cells)
@@ -417,44 +411,34 @@ def criterion_10(cache=None, workers=2):
 # 11. determinism of artifacts across reruns and worker counts
 
 
-def criterion_11(cache=None, workdir=None):
-    if workdir is None:
-        with tempfile.TemporaryDirectory(prefix="shearmix-det-") as tmp:
-            return criterion_11(cache, tmp)
+def criterion_11():
+    """The histogram, decay and sweep CSV texts are equal across reruns, and
+    the histogram across worker counts; nothing is written to disk."""
     details = {}
-    base = Path(workdir)
     field = two_plateau(0.0, 1.0)
 
-    def hist_csv(tag, workers):
+    def hist_csv(workers):
         cfg = mcsim.PathConfig(dt=0.01, n_paths=20_000, t_end=0.5, seed=7,
                                bins=8, block_size=1 << 13, workers=workers)
-        hist = mcsim.simulate((0.25, 0.25), field, cfg)
-        path = base / f"hist-{tag}.csv"
-        hist.to_csv(path)
-        return path.read_bytes()
+        return mcsim.simulate((0.25, 0.25), field, cfg).histogram_csv()
 
-    ok = hist_csv("a", 1) == hist_csv("b", 2) == hist_csv("c", 1)
+    ok = hist_csv(1) == hist_csv(2) == hist_csv(1)
     details["histogram_bit_identical"] = ok
 
-    def decay_csv(tag):
+    def decay_csv():
         u0 = evolve.initial_samples("random", 32, 5, seed=99)
-        trace = evolve.relax_trace(u0, field, 2.0, n_samples=9, correlation_grid=64)
-        path = base / f"decay-{tag}.csv"
-        trace.to_csv(path)
-        return path.read_bytes()
+        return evolve.relax_trace(u0, field, 2.0, n_samples=9,
+                                  correlation_grid=64).decay_csv()
 
-    same_decay = decay_csv("a") == decay_csv("b")
+    same_decay = decay_csv() == decay_csv()
     details["decay_bit_identical"] = same_decay
     ok &= same_decay
 
-    def sweep_csv(tag):
+    def sweep_csv():
         op = make_operator(field, 1, boundary="periodic", n=64)
-        summary = resolvent_gap(op, s_points=64)
-        path = base / f"sweep-{tag}.csv"
-        path.write_text(summary.sweep_csv())
-        return path.read_bytes()
+        return resolvent_gap(op, s_points=64).sweep_csv()
 
-    same_sweep = sweep_csv("a") == sweep_csv("b")
+    same_sweep = sweep_csv() == sweep_csv()
     details["sweep_bit_identical"] = same_sweep
     ok &= same_sweep
     return details, bool(ok)
@@ -480,18 +464,20 @@ _MONTE_CARLO = (8, 9, 10)
 
 
 def run_all(ids=None, progress=None, workers=2):
-    """Run the requested criteria (all by default) and return their results.
+    """Run the requested criteria (all by default), in id order, and return
+    their timed CriterionResults; `progress` gets each result's line.
 
     `workers` is the Monte Carlo worker count of criteria 8, 9 and 10; their
     results do not depend on it (criterion 11 checks that for a histogram).
+    The spectral summaries that criteria 4 and 5 share are computed once per
+    process.
     """
     todo = [c for c in CRITERIA if ids is None or c[0] in ids]
-    cache: dict = {}
     results = []
     for cid, name, func in todo:
         start = time.time()
         extra = {"workers": workers} if cid in _MONTE_CARLO else {}
-        details, passed = func(cache=cache, **extra)
+        details, passed = func(**extra)
         result = CriterionResult(cid, name, passed, details, time.time() - start)
         results.append(result)
         if progress is not None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -302,21 +303,11 @@ class VelocityField:
         The pair maximizes the shorter length, ties broken by larger height
         difference, then by the leftmost left endpoint.
         """
-        plats = self._all_plateaus()
-        best = None
-        best_key = None
-        for i in range(len(plats)):
-            for j in range(i + 1, len(plats)):
-                p, r = plats[i], plats[j]
-                if p.value == r.value:
-                    continue
-                if p.left > r.left:
-                    p, r = r, p
-                key = (min(p.length, r.length), abs(p.value - r.value), -p.left)
-                if best_key is None or key > best_key:
-                    best_key = key
-                    best = PlateauPair(p, r)
-        return best
+        # plateaus come left to right, so each combination is an ordered pair,
+        # and max keeps the first of equally good pairs
+        pairs = (PlateauPair(p, r) for p, r in itertools.combinations(self._all_plateaus(), 2)
+                 if p.value != r.value)
+        return max(pairs, key=lambda pair: (pair.ell, pair.dv, -pair.first.left), default=None)
 
     def to_config(self):
         raise NotImplementedError

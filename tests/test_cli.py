@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from shearmix import cli, evolve, spectral, validation
+from shearmix import cli, evolve, functionals, spectral, validation
 from shearmix.evolve import load_snapshot
 
 
@@ -200,6 +200,17 @@ class TestBoundsTask:
             digests.append(manifest["artifacts"][0]["sha256"])
         assert digests[0] == digests[1]
 
+    def test_numeric_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        def failed(*args, **kwargs):
+            raise ArithmeticError("correlation LP failed: infeasible")
+
+        monkeypatch.setattr(functionals, "lipschitz_correlation", failed)
+        cfg = write_config(tmp_path, {"task": "bounds", "velocity": TWO_PLATEAU})
+        out = tmp_path / "out"
+        assert cli.main(["bounds", "--config", cfg, "--out", str(out)]) == cli.EXIT_NUMERIC
+        assert capsys.readouterr().err == "numeric failure: correlation LP failed: infeasible\n"
+        assert not (out / "manifest.json").exists()
+
 
 class TestSpectrumTask:
     def test_sweep_artifacts(self, tmp_path):
@@ -311,11 +322,22 @@ class TestValidateTask:
         assert all(entry["passed"] for entry in payload)
         assert "[PASS]" in capsys.readouterr().out
 
+    def test_failing_criterion_exits_2(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(validation, "CRITERIA", [
+            (1, "passes", lambda: ({}, True)), (2, "fails", lambda: ({"x": 1.0}, False))])
+        out = tmp_path / "out"
+        assert cli.main(["validate", "--out", str(out)]) == cli.EXIT_VALIDATION
+        assert (out / "validation.txt").read_text() == (
+            "[PASS] criterion  1: passes\n[FAIL] criterion  2: fails\n")
+        payload = json.loads((out / "validation.json").read_text())
+        assert [entry["passed"] for entry in payload] == [True, False]
+        assert (out / "manifest.json").exists()
+
     def test_workers_reach_monte_carlo_criteria(self, tmp_path, monkeypatch):
         seen = {}
 
         def criterion(cid):
-            def run(cache=None, **kwargs):
+            def run(**kwargs):
                 seen[cid] = kwargs
                 return {}, True
             return run
@@ -347,3 +369,15 @@ class TestReportTask:
         assert cli.main(["report", "--out", str(out)]) == 0
         text = (out / "report.txt").read_text()
         assert "gap >= correlation bound: PASS" in text
+
+    def test_summarizes_decay_trace(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {
+            "task": "evolve", "velocity": TWO_PLATEAU,
+            "params": {"t_end": 1.0, "samples": 5, "nx": 16, "ny": 5},
+        })
+        assert cli.main(["evolve", "--config", cfg, "--out", str(out)]) == 0
+        assert cli.main(["report", "--out", str(out)]) == 0
+        lines = (out / "report.txt").read_text().splitlines()
+        assert lines == ["decay trace", "  samples: 5, envelope violations: 0",
+                         "missing inputs: bounds.json, spectral_summary.json"]

@@ -224,7 +224,7 @@ class TestRelaxTrace:
         u0 = torus_samples(lambda x, y: np.cos(2 * np.pi * y) + 0 * x, 16, 5)
         trace = relax_trace(u0, COS, 1.0, n_samples=4, correlation_grid=64)
         path = tmp_path / "decay.csv"
-        trace.to_csv(path)
+        path.write_text(trace.decay_csv())
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,deviation,envelope,violated_flag"
         assert len(lines) == 5
@@ -294,7 +294,8 @@ class TestEvolveGolden:
     ])
     def test_decay_csv(self, tmp_path, name, field, u0, t_end, n_samples, digest):
         path = tmp_path / f"{name}.csv"
-        relax_trace(u0, field, t_end, n_samples=n_samples, correlation_grid=64).to_csv(path)
+        path.write_text(relax_trace(u0, field, t_end, n_samples=n_samples,
+                                    correlation_grid=64).decay_csv())
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_strip_trace(self):

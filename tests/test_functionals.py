@@ -429,6 +429,30 @@ class TestBoundsReport:
         with pytest.raises(AssertionError):
             report.validate()
 
+    def test_flatness_route_needs_positive_c_minus_one(self):
+        # the flatness mass exp(-10) is a positive double, so C - 1 = 0.0 is wrong
+        report = fn.compute_bounds_report(COS, grid_n=64, j_points=9)
+        assert report.provenance["doeblin"] == "flatness"
+        report.validate()
+        report.flatness_mass_log = -10.0
+        report.doeblin_rho_log = -10.0 - math.log(report.flatness_time)
+        report.doeblin_c_minus_one = 0.0
+        with pytest.raises(AssertionError, match="representable flatness mass"):
+            report.validate()
+
+    def test_rho_log_must_match_the_route(self):
+        report = fn.compute_bounds_report(two_plateau(0.0, 1.0), grid_n=64, j_points=9)
+        report.doeblin_rho_log *= 1.0 + 1e-9
+        with pytest.raises(AssertionError, match="log mass - log t"):
+            report.validate()
+
+    def test_underflow_needs_unit_c(self):
+        report = fn.compute_bounds_report(UNDERFLOW_GRID, grid_n=64, j_points=9)
+        report.validate()
+        report.doeblin_c = 1.0 + 2.0**-52
+        with pytest.raises(AssertionError, match="mass underflows"):
+            report.validate()
+
     def test_json_round_trip(self):
         import json
 

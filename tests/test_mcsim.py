@@ -34,6 +34,8 @@ class TestPathConfig:
             mcsim.PathConfig(dt=0.1, n_paths=10, t_end=1.0, y_integrator="simpson")
         with pytest.raises(ValueError):
             mcsim.PathConfig(dt=0.1, n_paths=10, t_end=1.0, geometry="sphere")
+        with pytest.raises(ValueError, match="workers must be positive"):
+            mcsim.PathConfig(dt=0.1, n_paths=10, t_end=1.0, workers=0)
 
 
 class TestSimulate:
@@ -128,7 +130,7 @@ class TestSimulate:
     def test_csv_round_trip(self, tmp_path):
         hist = mcsim.simulate((0.2, 0.2), TWO, small_cfg(n_paths=500))
         path = tmp_path / "hist.csv"
-        hist.to_csv(path)
+        path.write_text(hist.histogram_csv())
         rows = path.read_text().strip().splitlines()
         assert rows[0] == "row,col,count"
         total = sum(int(r.split(",")[2]) for r in rows[1:])

@@ -151,6 +151,15 @@ class TestPrimitive:
         pv = v.primitive(base=0.0)
         assert pv(2.25) == pytest.approx(2 * 0.5 + 0.25, abs=1e-13)
 
+    def test_interval_ends_and_domain_error(self):
+        # V = 2 on [1, 2) and -1 on [2, 3]: PV(1) = 0, PV(3) = 2 - 1
+        pv = PiecewiseConstantField([1.0, 2.0], [2.0, -1.0], domain=[1.0, 3.0]).primitive()
+        assert pv(1.0) == 0.0
+        assert pv(3.0) == pytest.approx(1.0, abs=1e-14)
+        for x in (1.0 - 1e-9, 3.0 + 1e-9):
+            with pytest.raises(DomainError):
+                pv(x)
+
 
 class TestPlateaus:
     def test_two_runs(self):
@@ -451,6 +460,10 @@ class TestConfig:
             # 16 cells; dropping tail_tol would rebuild 32
             {"kind": "binary_cascade", "c": 0.01, "tail_tol": 1e-3},
             {"kind": "sine", "amplitude": 1.0, "frequency": 2.0},
+            {"kind": "piecewise_constant", "breakpoints": [-1.0, 0.5], "values": [1.0, 2.0],
+             "domain": [-1.0, 2.0]},
+            {"kind": "piecewise_linear", "knots": [0.5, 1.0, 2.0], "values": [0.0, 3.0, -1.0],
+             "domain": [0.5, 2.0]},
         ],
     )
     def test_round_trip(self, cfg):
