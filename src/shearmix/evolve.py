@@ -151,12 +151,22 @@ class Evolution:
 
     Each stepped field supplies the grid (nx, boundary, interval); operators
     are cached per (|k|, grid), and propagators for negative modes are the
-    conjugates of the positive ones.
+    conjugates of the positive ones.  The envelope rate of `relax_trace` is
+    cached per correlation grid, so its LP is solved once per field.
     """
 
     def __init__(self, field_v):
         self.field_v = field_v
         self._ops: dict = {}
+        self._rates: dict = {}
+
+    def _envelope_rate(self, correlation_grid):
+        """Mixing rate from the field's correlation LP on `correlation_grid` points."""
+        if correlation_grid not in self._rates:
+            corr = functionals.lipschitz_correlation(self.field_v, grid_n=correlation_grid)
+            self._rates[correlation_grid] = functionals.mixing_rate(corr,
+                                                                    self.field_v.oscillation())
+        return self._rates[correlation_grid]
 
     def step(self, field, dt):
         """Advance every stored mode by one exact exponential step."""
@@ -212,17 +222,16 @@ def relax_trace(u0, field_v, t_end, n_samples=32, k_max=None, correlation_grid=2
     The envelope is exp(pi/2 - rate * t) times the initial deviation, with
     the rate computed from the correlation LP of the velocity field.  No
     violation is expected; any sample exceeding the envelope is reported by
-    index.  `evolution`, an Evolution(field_v) that keeps its operators and
-    propagators for later calls, defaults to a fresh one.
+    index.  `evolution`, an Evolution(field_v) that keeps its operators,
+    propagators and rate for later calls, defaults to a fresh one.
     """
     u0 = np.asarray(u0, dtype=float)
     fld = field_from_samples(u0, k_max=k_max, boundary="periodic",
                              interval=(field_v.a, field_v.b))
-    corr = functionals.lipschitz_correlation(field_v, grid_n=correlation_grid)
-    rate = functionals.mixing_rate(corr, field_v.oscillation())
     evo = Evolution(field_v) if evolution is None else evolution
     if evo.field_v is not field_v:
         raise ValueError("the evolution steps another velocity field")
+    rate = evo._envelope_rate(correlation_grid)
     samples = [(t, state.deviation()) for t, state in evo.trajectory(fld, t_end, n_samples)]
     times, dev = (np.array(column) for column in zip(*samples))
     envelope = math.e ** (math.pi / 2.0 - rate * times) * dev[0]

@@ -432,8 +432,8 @@ def kolmogorov_experiment(cfg, bins=24, span_sigmas=4.0):
     # cell averages of the kernel by one tensor-product 4x4 Gauss-Legendre
     # rule: nodes and weights are indexed (cell, node), the kernel values
     # (x cell, y cell, x node, y node), and each cell reduces as w_x @ K @ w_y
-    xs, wx = (q.reshape(bins, 4) for q in _panel_quadrature(x_edges, 4))
-    ys, wy = (q.reshape(bins, 4) for q in _panel_quadrature(y_edges, 4))
+    xs, wx = (q.reshape(bins, 4) for q in _panel_quadrature(x_edges[:-1], x_edges[1:], 4))
+    ys, wy = (q.reshape(bins, 4) for q in _panel_quadrature(y_edges[:-1], y_edges[1:], 4))
     vals = kernels.kolmogorov_kernel(t, xs[:, None, :, None], ys[None, :, None, :])
     expected = (wx[:, None, None, :] @ vals @ wy[None, :, :, None])[..., 0, 0]
 

@@ -107,22 +107,35 @@ def _gauss_rule(order):
     return np.polynomial.legendre.leggauss(order)
 
 
-def _panel_quadrature(cuts, order):
-    """Gauss-Legendre nodes/weights over the panels between increasing `cuts`."""
+def _panel_quadrature(lefts, rights, order):
+    """Gauss-Legendre nodes/weights over the panels [lefts[k], rights[k]], panel by panel."""
     base, wts = _gauss_rule(order)
-    half = 0.5 * (cuts[1:] - cuts[:-1])
-    mid = 0.5 * (cuts[:-1] + cuts[1:])
+    half = 0.5 * (rights - lefts)
+    mid = 0.5 * (lefts + rights)
     return (mid[:, None] + half[:, None] * base).ravel(), (half[:, None] * wts).ravel()
+
+
+_BATCH_NODES = 1 << 15  # quadrature nodes per PV evaluation of a window scan
 
 
 class Primitive:
     """Antiderivative PV of a velocity field with PV(base) = 0.
 
-    PV is Lipschitz with constant sup|V|.  Subclasses provide exact (or
-    machine-accurate) evaluation and integration; the affine least-squares
+    PV is Lipschitz with constant sup|V|.  A subclass evaluates PV
+    (`_eval_inside`) and gives its cut rule: `_cuts(alpha, beta)` returns
+    increasing cuts from alpha to beta such that the QUAD_ORDER-point
+    Gauss-Legendre rule on each panel between them integrates PV and its
+    square exactly (or to machine accuracy).  The affine least-squares
     residual over a subinterval is computed in two passes, first fitting the
     optimal affine function from moments and then integrating the squared
     deviation directly so the result is nonnegative by construction.
+
+    `windows` scans a lattice one row (left end) at a time: the panels of the
+    row's windows get their nodes in one array expression and PV one
+    evaluation (per batch of at most about _BATCH_NODES nodes), and each
+    window then fits on its own contiguous slice of nodes, weights and values
+    with the arithmetic of a single `affine_residual` call, so the scan keeps
+    that call's bits.
     """
 
     def __init__(self, a, b, base, lipschitz, periodic, full_integral):
@@ -136,8 +149,8 @@ class Primitive:
     def _eval_inside(self, x):
         raise NotImplementedError
 
-    def _quad(self, alpha, beta):
-        """Quadrature rule on [alpha, beta], exact for this primitive's class."""
+    def _cuts(self, alpha, beta):
+        """Increasing panel cuts from alpha to beta, exact for this primitive's class."""
         raise NotImplementedError
 
     def __call__(self, x):
@@ -153,17 +166,48 @@ class Primitive:
             out = self._eval_inside(np.clip(x, self.a, self.b))
         return out if out.shape else float(out)
 
+    def _fits(self, alpha, betas):
+        """Yield (p, q, residual) of the least-squares affine fit p*x + q of PV
+        on [alpha, beta] for each beta in the list `betas`, in order.
+
+        The windows are fitted in batches of about _BATCH_NODES quadrature
+        nodes, so that a row over a fine field (the 2**16-cell cascade has
+        about 6.4 million nodes in a 65-point row) never holds all of its
+        nodes at once.
+        """
+        batch, nodes = [], 0
+        for n, beta in enumerate(betas, 1):
+            cuts = self._cuts(alpha, beta)
+            batch.append((beta, cuts))
+            nodes += self.QUAD_ORDER * (len(cuts) - 1)
+            if nodes >= _BATCH_NODES or n == len(betas):
+                yield from self._batch_fits(alpha, batch)
+                batch, nodes = [], 0
+
+    def _batch_fits(self, alpha, batch):
+        """[(p, q, residual)] for the windows [alpha, beta] of the (beta, cuts)
+        pairs in `batch`, from one quadrature and one evaluation of PV."""
+        xs, ws = _panel_quadrature(np.concatenate([c[:-1] for _, c in batch]),
+                                   np.concatenate([c[1:] for _, c in batch]), self.QUAD_ORDER)
+        vals = self._eval_inside(xs)
+        fits = []
+        stop = 0
+        for beta, cuts in batch:
+            window = slice(stop, stop + self.QUAD_ORDER * (len(cuts) - 1))
+            stop = window.stop
+            x, w, v = xs[window], ws[window], vals[window]
+            length = beta - alpha
+            mid = 0.5 * (alpha + beta)
+            d0 = float(np.dot(w, v)) / length
+            p = float(np.dot(w, (x - mid) * v)) * 12.0 / length**3
+            q = d0 - p * mid
+            dev = v - (p * x + q)
+            fits.append((p, q, float(np.dot(w, dev * dev))))
+        return fits
+
     def _fit_and_residual(self, alpha, beta):
         """(p, q, residual) of the least-squares affine fit p*x + q of PV on [alpha, beta]."""
-        length = beta - alpha
-        mid = 0.5 * (alpha + beta)
-        xs, ws = self._quad(alpha, beta)
-        vals = self._eval_inside(xs)
-        d0 = float(np.dot(ws, vals)) / length
-        p = float(np.dot(ws, (xs - mid) * vals)) * 12.0 / length**3
-        q = d0 - p * mid
-        dev = vals - (p * xs + q)
-        return p, q, float(np.dot(ws, dev * dev))
+        return self._batch_fits(alpha, [(beta, self._cuts(alpha, beta))])[0]
 
     def affine_residual(self, alpha, beta):
         """inf over (p, q) of the integral of |PV - p x - q|^2 over [alpha, beta]."""
@@ -174,9 +218,9 @@ class Primitive:
         on the uniform `points`-point lattice of [lo, hi], in lattice order."""
         grid = np.linspace(lo, hi, points)
         for i in range(points - 1):
-            for j in range(i + 1, points):
-                if grid[j] - grid[i] >= min_len - 1e-12:
-                    yield (grid[i], grid[j], *self._fit_and_residual(grid[i], grid[j]))
+            rights = [right for right in grid[i + 1:] if right - grid[i] >= min_len - 1e-12]
+            for right, fit in zip(rights, self._fits(grid[i], rights)):
+                yield (grid[i], right, *fit)
 
 
 class PiecewisePolyPrimitive(Primitive):
@@ -198,10 +242,13 @@ class PiecewisePolyPrimitive(Primitive):
     def _eval_inside(self, x):
         return _poly_value(self.nodes, self.coeffs, x)
 
-    def _quad(self, alpha, beta):
+    def _cuts(self, alpha, beta):
+        # alpha, the breakpoints strictly inside the window (nodes increase strictly), beta
         inner = self.nodes[1:-1]
-        cuts = np.concatenate([[alpha], inner[(inner > alpha) & (inner < beta)], [beta]])
-        return _panel_quadrature(cuts, self.QUAD_ORDER)
+        lo, hi = inner.searchsorted(alpha, side="right"), inner.searchsorted(beta, side="left")
+        cuts = np.empty(hi - lo + 2)
+        cuts[0], cuts[1:-1], cuts[-1] = alpha, inner[lo:hi], beta
+        return cuts
 
 
 def _poly_value(nodes, coeffs, x):
@@ -227,9 +274,9 @@ class SmoothPrimitive(Primitive):
     def _eval_inside(self, x):
         return self._fn(np.asarray(x, dtype=float))
 
-    def _quad(self, alpha, beta):
+    def _cuts(self, alpha, beta):
         n = max(8, int(math.ceil((beta - alpha) * self._per_unit)))
-        return _panel_quadrature(np.linspace(alpha, beta, n + 1), self.QUAD_ORDER)
+        return np.linspace(alpha, beta, n + 1)
 
 
 # ---------------------------------------------------------------------------

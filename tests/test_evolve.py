@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from shearmix import cli
+from shearmix import cli, functionals
 from shearmix.evolve import (
     Evolution,
     ModeField,
@@ -210,12 +210,21 @@ class TestRelaxTrace:
             current = evo.step(current, times[1])
             assert current.deviation() <= math.e**(math.pi / 2 - r_hat * t) * dev0 * (1 + 1e-9)
 
-    def test_shared_evolution(self):
+    def test_shared_evolution(self, monkeypatch):
         u0 = initial_samples("random", 16, 5, seed=2)
         evo = Evolution(COS)
-        shared = relax_trace(u0, COS, 1.0, n_samples=5, correlation_grid=64, evolution=evo)
         fresh = relax_trace(u0, COS, 1.0, n_samples=5, correlation_grid=64)
+        solves = []
+        lp = functionals.lipschitz_correlation
+        monkeypatch.setattr(functionals, "lipschitz_correlation",
+                            lambda *args, **kw: solves.append(kw["grid_n"]) or lp(*args, **kw))
+        shared = relax_trace(u0, COS, 1.0, n_samples=5, correlation_grid=64, evolution=evo)
+        relax_trace(initial_samples("random", 16, 5, seed=3), COS, 1.0, n_samples=5,
+                    correlation_grid=64, evolution=evo)
+        relax_trace(u0, COS, 1.0, n_samples=5, correlation_grid=32, evolution=evo)
+        assert solves == [64, 32]  # the LP once per field and correlation grid
         assert shared.deviation.tolist() == fresh.deviation.tolist()
+        assert shared.envelope.tolist() == fresh.envelope.tolist()
         assert sorted(k for k, *_ in evo._ops) == [0, 1, 2]
         with pytest.raises(ValueError, match="another velocity field"):
             relax_trace(u0, two_plateau(0.0, 1.0), 1.0, n_samples=5, evolution=evo)

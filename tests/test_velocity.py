@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from shearmix import velocity
 from shearmix.velocity import (
     BinaryCascadeField,
     DomainError,
@@ -121,13 +122,18 @@ class TestPrimitive:
             pv = v.primitive(base=0.37)
             assert abs(pv(0.37)) < 1e-14
 
-    def test_lipschitz(self):
-        for v in [SineField(1.5, 2), SawtoothField(2.0), BinaryCascadeField(0.5),
-                  PiecewiseLinearField([0.0, 0.4], [1.0, -1.0])]:
-            pv = v.primitive()
-            x = np.linspace(0, 1, 513)
-            diffs = np.abs(np.diff(pv(x))) / np.diff(x)
-            assert np.all(diffs <= pv.lipschitz + 1e-10)
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["grid", "linear", "sine"]), seed=st.integers(0, 2**32 - 1),
+           x=st.floats(-1.0, 2.0), y=st.floats(-1.0, 2.0))
+    def test_lipschitz(self, kind, seed, x, y):
+        # |PV(x) - PV(y)| <= sup|V| |x - y| for every pair, across the torus seam too
+        rng = np.random.default_rng(seed)
+        pv = _random_field(kind, rng).primitive(base=rng.uniform(0.0, 1.0))
+        pts = np.concatenate([[x, y], rng.uniform(-1.0, 2.0, 30)])
+        vals = pv(pts)
+        gap = np.abs(vals[:, None] - vals[None, :])
+        bound = pv.lipschitz * np.abs(pts[:, None] - pts[None, :])
+        assert np.all(gap <= bound + 1e-12 * (1.0 + np.abs(vals).max()))
 
     @pytest.mark.parametrize(
         "field,a,b,tol",
@@ -380,16 +386,24 @@ def _random_field(kind, rng):
     if kind == "linear":
         inner = np.unique(rng.uniform(0.01, 0.99, int(rng.integers(0, 8))))
         return PiecewiseLinearField([0.0, *inner], rng.uniform(-2.0, 2.0, len(inner) + 1))
+    if kind == "two_plateau":
+        return two_plateau(*rng.uniform(-2.0, 2.0, 2))
     return SineField(rng.uniform(-2.0, 2.0), int(rng.integers(1, 4)), rng.uniform(0.0, 6.0))
 
 
 class TestWindowScan:
-    """Primitive.windows: every lattice window once, with affine_residual's bits."""
+    """Primitive.windows: every lattice window once, with _fit_and_residual's bits."""
 
     @settings(max_examples=60, deadline=None)
-    @given(kind=st.sampled_from(["grid", "linear", "sine"]), seed=st.integers(0, 2**32 - 1),
-           lo=st.floats(0.0, 0.5), span=st.floats(0.05, 0.5), points=st.integers(2, 10),
-           min_frac=st.floats(0.0, 1.0))
+    @given(kind=st.sampled_from(["grid", "linear", "sine", "two_plateau"]),
+           seed=st.integers(0, 2**32 - 1), lo=st.floats(0.0, 0.5), span=st.floats(0.05, 0.5),
+           points=st.integers(2, 65), min_frac=st.floats(0.0, 1.0))
+    # lattice points on the breakpoint 0.5 (odd points): the breakpoints
+    # inside a window are the ones strictly between its ends
+    @example(kind="two_plateau", seed=1, lo=0.0, span=1.0, points=65, min_frac=0.0)
+    @example(kind="two_plateau", seed=2, lo=0.0, span=1.0, points=3, min_frac=0.0)
+    @example(kind="two_plateau", seed=3, lo=0.25, span=0.5, points=33, min_frac=0.1)
+    @example(kind="two_plateau", seed=4, lo=0.5, span=0.5, points=5, min_frac=0.0)
     def test_table(self, kind, seed, lo, span, points, min_frac):
         hi = lo + span
         pv = _random_field(kind, np.random.default_rng(seed)).primitive(base=lo)
@@ -398,13 +412,27 @@ class TestWindowScan:
         expected = [(grid[i], grid[j]) for i in range(points) for j in range(i + 1, points)
                     if grid[j] - grid[i] >= min_frac * span - 1e-12]
         assert [(left, right) for left, right, *_ in table] == expected
-        for left, right, _, _, res in table:
-            assert res == pv.affine_residual(left, right)
+        for left, right, *fit in table:
+            assert tuple(fit) == pv._fit_and_residual(left, right)
+            assert np.all(np.diff(pv._cuts(left, right)) > 0)  # no empty panel
         # a window's residual is at most that of any window containing it
-        for left, right, _, _, res in table:
-            for outer_left, outer_right, _, _, outer in table:
-                if outer_left <= left and right <= outer_right:
-                    assert res <= outer * (1.0 + 1e-9) + 1e-15
+        lefts, rights, res = (np.array(column) for column in
+                              zip(*((left, right, r) for left, right, _, _, r in table)))
+        for left, right, r in zip(lefts, rights, res):
+            outer = (lefts <= left) & (right <= rights)
+            assert np.all(r <= res[outer] * (1.0 + 1e-9) + 1e-15)
+
+    def test_batch_size_keeps_bits(self, monkeypatch):
+        # rows split into batches of one window, of a few, or not at all
+        rng = np.random.default_rng(7)
+        for field in (SineField(1.3, 3, 0.4), GridField(rng.uniform(-2.0, 2.0, 300)),
+                      _random_field("linear", rng)):
+            pv = field.primitive(base=0.0)
+            tables = []
+            for nodes in (1 << 15, 1000, 1):
+                monkeypatch.setattr(velocity, "_BATCH_NODES", nodes)
+                tables.append(list(pv.windows(0.0, 1.0, 33, 0.0)))
+            assert tables[0] == tables[1] == tables[2]
 
 
 class TestFlatnessEstimate:
