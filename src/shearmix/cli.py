@@ -30,7 +30,8 @@ Velocity kinds and their parameters:
 
 Task parameter blocks (all optional, with defaults):
 
-    bounds:   grid_n, eps_grid, flatness_interval, j_points
+    bounds:   grid_n, eps_grid, flatness_interval ([lo, hi] with
+              a <= lo < hi <= b of the field's domain), j_points
     spectrum: k, boundary, n, s_points, discretization
     evolve:   t_end, samples, k_max, nx, ny, initial ("cos_y" | "cos_xy" |
               "random"), snapshots (count of field dumps)
@@ -210,6 +211,8 @@ def task_bounds(config, ws, args):
     if interval is not None:
         lo, hi = _pair(interval, "flatness_interval")
         _require(lo < hi, f"flatness_interval must be increasing, got {interval!r}")
+        _require(field.a <= lo and hi <= field.b,
+                 f"flatness_interval must lie in [{field.a:g}, {field.b:g}], got {interval!r}")
     report = functionals.compute_bounds_report(
         field,
         grid_n=_int_param(params, "grid_n", 512, least=8),

@@ -6,9 +6,11 @@ carries no time-discretization error at any step size; the Y integral uses a
 disclosed quadrature (left endpoint by default, optional trapezoid).
 
 Randomness comes from counter-based Philox streams keyed by (seed xor
-start-tag, block index) over fixed-size path blocks, which makes every
-result bit-identical regardless of worker count and reproducible from the
-run metadata alone.
+start-tag, block index) over fixed-size path blocks.  The blocks of every
+start of one call run on one pool of `workers` threads; since a block's bits
+depend only on (seed, start, block index), every result is bit-identical
+regardless of worker count or scheduling and reproducible from the run
+metadata alone.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ __all__ = [
     "KolmogorovResult",
     "simulate",
     "simulate_snapshots",
+    "simulate_starts",
     "doeblin_estimate",
     "tv_decay",
     "arcsine_experiment",
@@ -207,26 +210,38 @@ def _collect(x, y, alive, cfg, collect_positions):
     return np.bincount(ix * m + iy, minlength=m * m).reshape(m, m)
 
 
-def _run(start, vfun, cfg, snapshot_steps, kill_interval=None, collect_positions=False):
+def _run(starts, vfun, cfg, snapshot_steps, kill_interval=None, collect_positions=False):
+    """Simulate the path blocks of every start on one pool of cfg.workers threads.
+
+    Returns one {step: result} dict per start, in the order of `starts`: the
+    merged histogram, or with `collect_positions` the concatenated (x, y)
+    arrays.  A block's stream is keyed by (seed xor start tag, block index)
+    alone and each start's blocks merge in block order, so the bits depend
+    on neither the worker count nor the order in which blocks finish.
+    """
     blocks = _blocks(cfg.n_paths, cfg.block_size)
 
-    def work(block):
-        b, lo, hi = block
+    def work(task):
+        start, (b, lo, hi) = task
         return _simulate_block(b, lo, hi, start, vfun, cfg, snapshot_steps,
                                kill_interval, collect_positions)
 
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        results = list(pool.map(work, blocks))
+        results = list(pool.map(work, [(start, block) for start in starts
+                                       for block in blocks]))
 
-    merged = {}
-    for step in snapshot_steps:
-        parts = [res[step] for res in results]
-        if collect_positions:
-            merged[step] = (np.concatenate([p[0] for p in parts]),
-                            np.concatenate([p[1] for p in parts]))
-        else:
-            merged[step] = sum(parts)
-    return merged
+    out = []
+    for i in range(0, len(results), len(blocks)):
+        merged = {}
+        for step in snapshot_steps:
+            parts = [res[step] for res in results[i:i + len(blocks)]]
+            if collect_positions:
+                merged[step] = (np.concatenate([p[0] for p in parts]),
+                                np.concatenate([p[1] for p in parts]))
+            else:
+                merged[step] = sum(parts)
+        out.append(merged)
+    return out
 
 
 def _torus_vfun(field):
@@ -249,6 +264,15 @@ def simulate(start, field, cfg, kill_interval=None):
 
 def simulate_snapshots(start, field, cfg, times, kill_interval=None):
     """Histograms at several times along the same trajectories."""
+    return simulate_starts([start], field, cfg, times, kill_interval=kill_interval)[0]
+
+
+def simulate_starts(starts, field, cfg, times, kill_interval=None):
+    """`simulate_snapshots` of each start, with all their blocks on one pool.
+
+    Returns one list of histograms (one per time) per start; each equals the
+    start's own `simulate_snapshots` bit for bit.
+    """
     if cfg.geometry != "torus2":
         raise ValueError("histogram simulation lives on the torus")
     n_steps, dt = _steps_for(cfg)
@@ -258,9 +282,8 @@ def simulate_snapshots(start, field, cfg, times, kill_interval=None):
         if not 1 <= s <= n_steps:
             raise ValueError(f"snapshot time {t} outside the simulated horizon")
         step_of[t] = s
-    merged = _run(start, _torus_vfun(field), cfg, set(step_of.values()),
-                  kill_interval=kill_interval)
-    out = []
+    runs = _run(starts, _torus_vfun(field), cfg, set(step_of.values()),
+                kill_interval=kill_interval)
     meta = {
         "seed": cfg.seed,
         "dt": dt,
@@ -268,13 +291,20 @@ def simulate_snapshots(start, field, cfg, times, kill_interval=None):
         "block_size": cfg.block_size,
         "velocity": field.to_config(),
     }
+    if getattr(field, "truncated", False):  # the field that ran is a cut of the config's
+        meta["truncated"] = True
+        meta["first_dropped"] = field.first_dropped
     if kill_interval is not None:
         meta["kill_interval"] = list(kill_interval)
-    for t in times:
-        counts = merged[step_of[t]]
-        absorbed = cfg.n_paths - int(counts.sum())
-        out.append(TransitionHistogram(cfg.bins, counts, cfg.n_paths, tuple(start),
-                                       step_of[t] * dt, dict(meta), absorbed))
+    out = []
+    for start, merged in zip(starts, runs):
+        hists = []
+        for t in times:
+            counts = merged[step_of[t]]
+            absorbed = cfg.n_paths - int(counts.sum())
+            hists.append(TransitionHistogram(cfg.bins, counts, cfg.n_paths, tuple(start),
+                                             step_of[t] * dt, dict(meta), absorbed))
+        out.append(hists)
     return out
 
 
@@ -308,13 +338,12 @@ def doeblin_estimate(field, t_star, starts, cfg):
     empty = []
     alpha = math.inf
     lcb = math.inf
-    for start in starts:
-        hist = simulate(start, field, run_cfg)
+    for (hist,) in simulate_starts(starts, field, run_cfg, [t_star]):
         per_start.append(hist)
         alpha = min(alpha, hist.alpha_hat())
         lcb = min(lcb, hist.alpha_lower_confidence())
         for cell in hist.empty_cells():
-            empty.append((tuple(start), cell))
+            empty.append((hist.start, cell))
     return DoeblinEstimate(float(alpha), float(lcb), t_star, per_start, empty)
 
 
@@ -339,8 +368,7 @@ def tv_decay(field, start1, start2, times, cfg):
     """
     times = sorted(float(t) for t in times)
     run_cfg = cfg.replace(t_end=max(times))
-    h1 = simulate_snapshots(start1, field, run_cfg, times)
-    h2 = simulate_snapshots(start2, field, run_cfg, times)
+    h1, h2 = simulate_starts([start1, start2], field, run_cfg, times)
     tv = np.empty(len(times))
     bias = np.empty(len(times))
     for i, (a, b) in enumerate(zip(h1, h2)):
@@ -383,7 +411,7 @@ def arcsine_experiment(cfg):
     def indicator(x):
         return (x > 0.0).astype(float)
 
-    positions = _run((0.0, 0.0), indicator, cfg, {n_steps}, collect_positions=True)
+    positions = _run([(0.0, 0.0)], indicator, cfg, {n_steps}, collect_positions=True)[0]
     z = positions[n_steps][1] / cfg.t_end
     z.sort()
     n = len(z)
@@ -419,7 +447,7 @@ def kolmogorov_experiment(cfg, bins=24, span_sigmas=4.0):
     if cfg.geometry != "plane":
         raise ValueError("the free-space comparison runs on the plane")
     n_steps, dt = _steps_for(cfg)
-    positions = _run((0.0, 0.0), lambda x: x, cfg, {n_steps}, collect_positions=True)
+    positions = _run([(0.0, 0.0)], lambda x: x, cfg, {n_steps}, collect_positions=True)[0]
     x, y = positions[n_steps]
     t = cfg.t_end
 

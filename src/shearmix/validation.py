@@ -380,8 +380,7 @@ def criterion_10(workers=2):
     # monotonicity of the empirical floor along dyadic times; t_P takes the
     # full-strength estimate, since 125k paths leave cells empty there
     cfg_snap = cfg_full.replace(n_paths=125_000, t_end=4 * t_p, seed=1002)
-    by_time = zip(*(mcsim.simulate_snapshots(start, field, cfg_snap, [2 * t_p, 4 * t_p])
-                    for start in starts))
+    by_time = zip(*mcsim.simulate_starts(starts, field, cfg_snap, [2 * t_p, 4 * t_p]))
     alphas = [est.alpha_hat]
     widths = [est.alpha_hat - est.alpha_lower_confidence]
     for hists in by_time:

@@ -733,11 +733,17 @@ def estimate_flatness_constant(field, interval, eps_grid, j_points=65):
     the field on J.  A zero residual means the field is flat on J and the
     estimate is infeasible; the witness interval is reported.
 
+    `interval` must lie in the field's domain [a, b]: past b the scan would
+    fit the primitive's end segment extended, not the field's primitive (on
+    the torus, not its wrap).
+
     The result is a finite-grid estimate of the true constant, not a proof.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not hi > lo:
         raise ValueError("empty interval")
+    if lo < field.a or hi > field.b:
+        raise ValueError(f"interval [{lo:g}, {hi:g}] leaves the domain [{field.a:g}, {field.b:g}]")
     eps_grid = sorted(float(e) for e in eps_grid)
     if not eps_grid or eps_grid[0] <= 0 or eps_grid[-1] >= hi - lo:
         raise ValueError("eps values must lie strictly between 0 and the interval length")

@@ -5,6 +5,7 @@ import pytest
 
 from shearmix import cli, evolve, functionals, spectral, validation
 from shearmix.evolve import load_snapshot
+from shearmix.velocity import BinaryCascadeField
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -95,6 +96,8 @@ class TestConfigValidation:
         (TWO_PLATEAU, {"j_points": 1}, "j_points must be at least 2"),
         (TWO_PLATEAU, {"flatness_interval": [0.5]}, "flatness_interval must be a pair"),
         (TWO_PLATEAU, {"flatness_interval": [0.6, 0.4]}, "flatness_interval must be increasing"),
+        ({"kind": "piecewise_linear", "knots": [0.0, 0.5], "values": [1.0, -1.0]},
+         {"flatness_interval": [0.5, 1.5]}, "flatness_interval must lie in [0, 1]"),
     ])
     def test_bad_bounds_params(self, tmp_path, capsys, velocity, params, message):
         cfg = write_config(tmp_path, {"task": "bounds", "velocity": velocity,
@@ -293,6 +296,23 @@ class TestSimulateTask:
         assert meta["velocity"]["kind"] == "piecewise_constant"
         rows = (out / "histogram.csv").read_text().strip().splitlines()[1:]
         assert sum(int(r.split(",")[2]) for r in rows) == 2000
+
+    @pytest.mark.parametrize("c, truncated", [(1e-9, True), (1.0, False)])
+    def test_truncated_cascade_is_recorded(self, tmp_path, c, truncated):
+        # the keys appear only for a cut cascade, so other metadata keeps its bytes
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {
+            "task": "simulate", "velocity": {"kind": "binary_cascade", "c": c},
+            "params": {"start": [0.25, 0.25], "t_end": 0.05, "dt": 0.01,
+                       "n_paths": 200, "bins": 4},
+        })
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        meta = json.loads((out / "histogram-meta.json").read_text())
+        if truncated:
+            assert meta["truncated"] is True
+            assert meta["first_dropped"] == BinaryCascadeField(c).first_dropped > 1e-8
+        else:
+            assert "truncated" not in meta and "first_dropped" not in meta
 
     def test_seed_override_changes_output(self, tmp_path):
         outs = []

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -123,7 +123,7 @@ class TestSimulate:
             return TWO(x)
 
         cfg = small_cfg(t_end=0.2, n_paths=2500, y_integrator=rule)  # 20 steps, 3 blocks
-        mcsim._run((0.3, 0.7), vfun, cfg, {20})
+        mcsim._run([(0.3, 0.7)], vfun, cfg, {20})
         assert len(calls) == 3 * calls_per_block
         assert sum(calls) == cfg.n_paths * calls_per_block
 
@@ -192,8 +192,73 @@ class TestGoldenHistograms:
                                               ("trapezoid", "22c9989b8a16f0c3")])
     def test_plane_shear(self, rule, digest):
         cfg = self.cfg(dt=1e-2, t_end=1.0, geometry="plane", y_integrator=rule)
-        positions = mcsim._run((0.0, 0.0), lambda x: x, cfg, {100}, collect_positions=True)
+        positions = mcsim._run([(0.0, 0.0)], lambda x: x, cfg, {100},
+                               collect_positions=True)[0]
         assert _digest(*positions[100]) == digest
+
+
+_STARTS = st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                             st.floats(0.0, 1.0, exclude_max=True)), min_size=1, max_size=4)
+
+
+def _doeblin_per_start(field, t_star, starts, cfg):
+    """(alpha_hat, alpha_lower_confidence, empty cells) from one run per start."""
+    hists = [mcsim.simulate(start, field, cfg.replace(t_end=t_star)) for start in starts]
+    return (min(h.alpha_hat() for h in hists), min(h.alpha_lower_confidence() for h in hists),
+            [(h.start, cell) for h in hists for cell in h.empty_cells()])
+
+
+def _tv_per_start(field, start1, start2, times, cfg):
+    """(tv, bias) from one `simulate_snapshots` per start."""
+    run_cfg = cfg.replace(t_end=max(times))
+    h1 = mcsim.simulate_snapshots(start1, field, run_cfg, times)
+    h2 = mcsim.simulate_snapshots(start2, field, run_cfg, times)
+    tv, bias = [], []
+    for a, b in zip(h1, h2):
+        p, q = a.probabilities(), b.probabilities()
+        tv.append(0.5 * float(np.abs(p - q).sum()))
+        pooled = 0.5 * (p + q)
+        var = pooled * (1.0 - pooled) * (1.0 / a.n_paths + 1.0 / b.n_paths)
+        bias.append(0.5 * float(np.sum(np.sqrt(2.0 * var / math.pi))))
+    return tv, bias
+
+
+class TestSharedPool:
+    """All starts of one call share one pool; each start keeps its own bits."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(starts=_STARTS, n_paths=st.integers(1, 600), block_size=st.integers(16, 128),
+           workers=st.sampled_from([1, 2]),
+           steps=st.lists(st.integers(1, 10), min_size=1, max_size=3, unique=True),
+           kill=st.sampled_from([None, (0.2, 0.8)]))
+    def test_multi_start_equals_one_call_per_start(self, starts, n_paths, block_size,
+                                                   workers, steps, kill):
+        assume(n_paths % block_size)
+        cfg = small_cfg(t_end=0.1, n_paths=n_paths, block_size=block_size, workers=workers)
+        times = [0.01 * s for s in steps]
+        runs = mcsim.simulate_starts(starts, TWO, cfg, times, kill_interval=kill)
+        assert len(runs) == len(starts)
+        for start, hists in zip(starts, runs):
+            alone = mcsim.simulate_snapshots(start, TWO, cfg, times, kill_interval=kill)
+            assert [h.t for h in hists] == [h.t for h in alone]
+            for h, a in zip(hists, alone):
+                np.testing.assert_array_equal(h.counts, a.counts)
+                assert h.n_absorbed == a.n_absorbed
+                assert h.start == a.start
+
+    @settings(max_examples=10, deadline=None)
+    @given(starts=_STARTS, seed=st.integers(0, 2**32 - 1), workers=st.sampled_from([1, 2]))
+    def test_doeblin_and_tv_equal_the_per_start_composition(self, starts, seed, workers):
+        cfg = small_cfg(t_end=0.5, n_paths=300, block_size=128, bins=2, seed=seed,
+                        workers=workers)
+        est = mcsim.doeblin_estimate(TWO, 0.3, starts, cfg)
+        assert (est.alpha_hat, est.alpha_lower_confidence, est.empty_cells) == \
+            _doeblin_per_start(TWO, 0.3, starts, cfg)
+        times = [0.1, 0.25, 0.5]
+        decay = mcsim.tv_decay(TWO, starts[0], starts[-1], times, cfg)
+        tv, bias = _tv_per_start(TWO, starts[0], starts[-1], times, cfg)
+        assert decay.tv.tolist() == tv
+        assert decay.bias.tolist() == bias
 
 
 class TestDoeblin:

@@ -467,6 +467,18 @@ class TestFlatnessEstimate:
         assert est.feasible
         assert est.constant >= 1.0
 
+    @pytest.mark.parametrize("field, interval", [
+        # a window past the seam would fit the primitive extended past b, not
+        # its wrap: GridField([1, 0, 0, -1]).primitive(base=0.5) reads 0.0 on
+        # [0.75, 1.25] where the wrapped primitive is not affine
+        (GridField([1.0, 0.0, 0.0, -1.0]), (0.75, 1.25)),
+        (PiecewiseLinearField([0.0, 0.5], [1.0, -1.0]), (0.5, 1.5)),
+        (PiecewiseLinearField([0.0, 0.5], [1.0, -1.0]), (-0.25, 0.5)),
+    ])
+    def test_interval_must_lie_in_the_domain(self, field, interval):
+        with pytest.raises(ValueError, match="leaves the domain"):
+            estimate_flatness_constant(field, interval, [0.1, 0.2], j_points=9)
+
     def test_cascade_infeasible_at_fine_scales(self):
         # the truncated cascade is flat below its digit resolution
         v = BinaryCascadeField(c=1.0)
