@@ -15,7 +15,6 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
 
 from .velocity import VelocityField, _flatness_from_windows, estimate_flatness_constant
 
@@ -149,6 +148,8 @@ def lipschitz_correlation(field, boundary="periodic", interval=None, grid_n=256)
     functions on the grid and converges to the continuum value as grid_n
     grows.
     """
+    from scipy.optimize import linprog
+
     if grid_n < 8:
         raise ValueError("grid_n must be at least 8")
     if interval is None:

@@ -21,7 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from . import kernels
 from .velocity import _panel_quadrature
@@ -97,10 +97,12 @@ class TransitionHistogram:
         """Exact binomial (Clopper-Pearson) lower bound aggregated by min.
 
         The per-cell bound is monotone in the cell count, so the minimum over
-        cells is the bound at the smallest count.
+        cells is the bound at the smallest count.  The bound is the
+        (1 - level) quantile of Beta(k, n - k + 1) from
+        `scipy.special.betaincinv`, bit for bit `scipy.stats.beta.ppf`.
         """
         k = int(self.counts.min())
-        lo = 0.0 if k == 0 else float(stats.beta.ppf(1.0 - level, k, self.n_paths - k + 1))
+        lo = 0.0 if k == 0 else float(special.betaincinv(k, self.n_paths - k + 1, 1.0 - level))
         return self.bins**2 * lo
 
     def empty_cells(self):
@@ -471,12 +473,12 @@ def kolmogorov_experiment(cfg, bins=24, span_sigmas=4.0):
     # X marginal is exactly Gaussian with variance 2t; include the tails so
     # the cells partition the line and Pearson's k-1 degrees apply
     full_edges = np.concatenate([[-np.inf], x_edges, [np.inf]])
-    x_probs = np.diff(stats.norm.cdf(full_edges, scale=sx))
+    x_probs = np.diff(special.ndtr(full_edges / sx))
     x_counts, _ = np.histogram(x, bins=full_edges)
     keep = x_probs * cfg.n_paths >= 5
     stat = float(np.sum((x_counts[keep] - cfg.n_paths * x_probs[keep]) ** 2
                         / (cfg.n_paths * x_probs[keep])))
-    pvalue = float(stats.chi2.sf(stat, int(keep.sum()) - 1))
+    pvalue = float(special.chdtrc(int(keep.sum()) - 1, stat))
 
     return KolmogorovResult(
         max_rel_error=float(rel.max()) if rel.size else math.nan,

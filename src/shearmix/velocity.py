@@ -209,13 +209,23 @@ class Primitive:
         """(p, q, residual) of the least-squares affine fit p*x + q of PV on [alpha, beta]."""
         return self._batch_fits(alpha, [(beta, self._cuts(alpha, beta))])[0]
 
+    def _check_window(self, alpha, beta):
+        # a window past [a, b] would fit the end segments extended, not the torus wrap
+        if alpha < self.a - 1e-12 or beta > self.b + 1e-12:
+            raise DomainError(f"window [{alpha}, {beta}] outside the primitive's domain "
+                              f"[{self.a}, {self.b}]")
+
     def affine_residual(self, alpha, beta):
-        """inf over (p, q) of the integral of |PV - p x - q|^2 over [alpha, beta]."""
+        """inf over (p, q) of the integral of |PV - p x - q|^2 over [alpha, beta],
+        a window inside [a, b]."""
+        self._check_window(alpha, beta)
         return self._fit_and_residual(alpha, beta)[2]
 
     def windows(self, lo, hi, points, min_len):
         """Yield (left, right, p, q, residual) for the windows of length >= min_len
-        on the uniform `points`-point lattice of [lo, hi], in lattice order."""
+        on the uniform `points`-point lattice of [lo, hi], in lattice order;
+        [lo, hi] must lie in [a, b]."""
+        self._check_window(lo, hi)
         grid = np.linspace(lo, hi, points)
         for i in range(points - 1):
             rights = [right for right in grid[i + 1:] if right - grid[i] >= min_len - 1e-12]
@@ -275,8 +285,19 @@ class SmoothPrimitive(Primitive):
         return self._fn(np.asarray(x, dtype=float))
 
     def _cuts(self, alpha, beta):
+        # np.linspace(alpha, beta, n + 1) by linspace's own arithmetic, without its overhead
         n = max(8, int(math.ceil((beta - alpha) * self._per_unit)))
-        return np.linspace(alpha, beta, n + 1)
+        cuts = _unit_steps(n) * ((beta - alpha) / n) + alpha
+        cuts[-1] = beta
+        return cuts
+
+
+@functools.cache
+def _unit_steps(n):
+    """The read-only float array 0, 1, ..., n."""
+    steps = np.arange(n + 1, dtype=float)
+    steps.flags.writeable = False
+    return steps
 
 
 # ---------------------------------------------------------------------------
@@ -733,9 +754,8 @@ def estimate_flatness_constant(field, interval, eps_grid, j_points=65):
     the field on J.  A zero residual means the field is flat on J and the
     estimate is infeasible; the witness interval is reported.
 
-    `interval` must lie in the field's domain [a, b]: past b the scan would
-    fit the primitive's end segment extended, not the field's primitive (on
-    the torus, not its wrap).
+    `interval` must lie in the field's domain [a, b], as every window of
+    `Primitive.windows` must: the primitive is not wrapped past b.
 
     The result is a finite-grid estimate of the true constant, not a proof.
     """

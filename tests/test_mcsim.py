@@ -285,6 +285,16 @@ class TestDoeblin:
                     for k in counts.tolist()]
         assert hist.alpha_lower_confidence() == min(bins**2 * lo for lo in per_cell)
 
+    @pytest.mark.parametrize("level", [0.95, 0.99])
+    @pytest.mark.parametrize("n_paths", [1, 2, 1000, 4096, 10**6])
+    @pytest.mark.parametrize("which", ["zero", "one", "mid", "n-1"])
+    def test_lower_confidence_is_beta_ppf(self, level, n_paths, which):
+        k = {"zero": 0, "one": 1, "mid": n_paths // 2, "n-1": n_paths - 1}[which]
+        # one cell holding k of the paths
+        hist = mcsim.TransitionHistogram(1, np.array([[k]]), n_paths, (0.0, 0.0), 1.0)
+        expected = 0.0 if k == 0 else float(stats.beta.ppf(1.0 - level, k, n_paths - k + 1))
+        assert hist.alpha_lower_confidence(level) == expected
+
     def test_dirac_start_zero_alpha(self):
         cfg = small_cfg(dt=0.001, t_end=0.001, n_paths=2000, bins=8)
         est = mcsim.doeblin_estimate(TWO, 0.001, [(0.1, 0.1)], cfg)
@@ -352,3 +362,24 @@ class TestKolmogorovExperiment:
         assert res.chi2_pvalue > 0.001
         assert res.var_x == pytest.approx(res.var_x_expected, rel=0.02)
         assert res.var_y == pytest.approx(res.var_y_expected, rel=0.02)
+
+    def test_chi2_pvalue_is_the_scipy_stats_value(self):
+        # the X-marginal test recomputed with scipy.stats from the same paths
+        cfg = mcsim.PathConfig(dt=1e-2, n_paths=20_000, t_end=1.0, seed=17,
+                               geometry="plane", block_size=1 << 12)
+        bins, span_sigmas = 12, 4.0
+        res = mcsim.kolmogorov_experiment(cfg, bins=bins, span_sigmas=span_sigmas)
+        n_steps, _ = mcsim._steps_for(cfg)
+        x, _ = mcsim._run([(0.0, 0.0)], lambda x: x, cfg, {n_steps},
+                          collect_positions=True)[0][n_steps]
+        assert float(np.var(x)) == res.var_x
+        sx = math.sqrt(2.0 * cfg.t_end)
+        edges = np.linspace(-span_sigmas * sx, span_sigmas * sx, bins + 1)
+        full_edges = np.concatenate([[-np.inf], edges, [np.inf]])
+        probs = np.diff(stats.norm.cdf(full_edges, scale=sx))
+        counts, _ = np.histogram(x, bins=full_edges)
+        keep = probs * cfg.n_paths >= 5
+        stat = float(np.sum((counts[keep] - cfg.n_paths * probs[keep]) ** 2
+                            / (cfg.n_paths * probs[keep])))
+        assert keep.sum() > 2
+        assert res.chi2_pvalue == float(stats.chi2.sf(stat, int(keep.sum()) - 1))

@@ -378,6 +378,26 @@ class TestAffineResidual:
         pv = PiecewiseConstantField([0.0], [4.0]).primitive()
         assert pv.affine_residual(0.0, 1.0) < 1e-25
 
+    @pytest.mark.parametrize("field, base, window", [
+        # past the seam the end segment extended is affine, the wrap is not:
+        # this window used to read 0.0
+        (GridField([1.0, 0.0, 0.0, -1.0]), 0.5, (0.75, 1.25)),
+        (PiecewiseLinearField([0.0, 0.5], [1.0, -1.0]), 0.0, (-0.25, 0.5)),
+        (SineField(1.0, 2), 0.0, (0.5, 1.0 + 1e-9)),
+    ])
+    def test_window_must_lie_in_the_domain(self, field, base, window):
+        pv = field.primitive(base=base)
+        with pytest.raises(DomainError, match="outside the primitive's domain"):
+            pv.affine_residual(*window)
+        with pytest.raises(DomainError, match="outside the primitive's domain"):
+            next(pv.windows(*window, 9, 0.1))
+
+    def test_window_edge_slack(self):
+        # the same 1e-12 slack as evaluating the primitive at a point
+        pv = GridField([1.0, 0.0, 0.0, -1.0]).primitive(base=0.5)
+        assert pv.affine_residual(0.5, 1.0 + 5e-13) > 0.0
+        assert pv.affine_residual(-5e-13, 0.5) > 0.0
+
 
 
 def _random_field(kind, rng):
@@ -421,6 +441,17 @@ class TestWindowScan:
         for left, right, r in zip(lefts, rights, res):
             outer = (lefts <= left) & (right <= rights)
             assert np.all(r <= res[outer] * (1.0 + 1e-9) + 1e-15)
+
+    def test_smooth_cuts_are_linspace(self):
+        # SmoothPrimitive._cuts does linspace's arithmetic without the call
+        pv = SineField(1.3, 3, 0.4).primitive(base=0.0)
+        rng = np.random.default_rng(11)
+        windows = [tuple(sorted(rng.uniform(0.0, 1.0, 2))) for _ in range(2000)]
+        grid = np.linspace(0.0, 1.0, 65)
+        windows += [(grid[i], grid[j]) for i in range(65) for j in range(i + 1, 65)]
+        for alpha, beta in windows:
+            n = max(8, math.ceil((beta - alpha) * pv._per_unit))
+            assert pv._cuts(alpha, beta).tobytes() == np.linspace(alpha, beta, n + 1).tobytes()
 
     def test_batch_size_keeps_bits(self, monkeypatch):
         # rows split into batches of one window, of a few, or not at all
