@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy import sparse
 
-from .velocity import VelocityField, _flatness_from_windows, estimate_flatness_constant
+from .velocity import VelocityField, _flatness_from_table, estimate_flatness_constant
 
 __all__ = [
     "lipschitz_correlation",
@@ -203,17 +203,17 @@ def min_affine_residual(field, eps, interval=None, j_points=129):
     fixed lattice.
     """
     a, b = (field.a, field.b) if interval is None else (float(interval[0]), float(interval[1]))
-    windows = field.primitive(base=a).windows(a, b, j_points, 2.0 * eps)
-    return _min_residual(windows, eps, b - a)
+    table = field.primitive(base=a).window_table(a, b, j_points, 2.0 * eps)
+    return _min_residual(table, eps, b - a)
 
 
-def _min_residual(windows, eps, length):
-    """Smallest residual in a window table over windows of length >= 2 eps."""
+def _min_residual(table, eps, length):
+    """Smallest residual in a `Primitive.window_table` over windows of length >= 2 eps."""
     # eps = |I|/2 is admitted: exactly one window (J = I) qualifies there
     if not 0.0 < eps <= 0.5 * length:
         raise ValueError("eps must lie in (0, |I|/2]")
-    return min((res for left, right, _, _, res in windows if right - left >= 2.0 * eps - 1e-12),
-               default=math.inf)
+    admitted = table[table[:, 1] - table[:, 0] >= 2.0 * eps - 1e-12, 4]
+    return float(admitted.min()) if len(admitted) else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -485,9 +485,9 @@ def compute_bounds_report(field, *, grid_n=512, eps_grid=DEFAULT_EPS_GRID,
     shortest = [2.0 * eps for eps in eps_grid]
     if interval == domain:
         shortest.append(scan_eps[0])
-    windows = list(field.primitive(base=field.a).windows(*domain, j_points,
-                                                         min(shortest, default=math.inf)))
-    res_table = {eps: _min_residual(windows, eps, field.length) for eps in eps_grid}
+    table = field.primitive(base=field.a).window_table(*domain, j_points,
+                                                       min(shortest, default=math.inf))
+    res_table = {eps: _min_residual(table, eps, field.length) for eps in eps_grid}
     gap_table = {eps: gap_bound_from_residual(res, eps, lambda1=0.0)
                  for eps, res in res_table.items()}
     report = BoundsReport(
@@ -516,7 +516,7 @@ def compute_bounds_report(field, *, grid_n=512, eps_grid=DEFAULT_EPS_GRID,
         prov["plateau"] = "plateau-pair-scan"
 
     if interval == domain:
-        flat = _flatness_from_windows(windows, scan_eps)
+        flat = _flatness_from_table(table, scan_eps)
     else:
         flat = estimate_flatness_constant(field, interval, scan_eps, j_points=j_points)
     report.flatness_interval = interval

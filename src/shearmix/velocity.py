@@ -122,20 +122,24 @@ class Primitive:
     """Antiderivative PV of a velocity field with PV(base) = 0.
 
     PV is Lipschitz with constant sup|V|.  A subclass evaluates PV
-    (`_eval_inside`) and gives its cut rule: `_cuts(alpha, beta)` returns
-    increasing cuts from alpha to beta such that the QUAD_ORDER-point
-    Gauss-Legendre rule on each panel between them integrates PV and its
-    square exactly (or to machine accuracy).  The affine least-squares
-    residual over a subinterval is computed in two passes, first fitting the
+    (`_eval_inside`) and gives its panel rule for windows [alpha, beta] as
+    array expressions over many windows at once: `_counts(alphas, betas)`,
+    each window's panel count, and `_lefts(alphas, betas, counts, k)`, the
+    left ends of all their panels laid window after window (k is a panel's
+    index within its window; the next panel's left end, or beta, closes it).
+    The QUAD_ORDER-point Gauss-Legendre rule on each panel integrates PV and
+    its square exactly (or to machine accuracy).  The affine least-squares
+    residual over a window is computed in two passes, first fitting the
     optimal affine function from moments and then integrating the squared
     deviation directly so the result is nonnegative by construction.
 
-    `windows` scans a lattice one row (left end) at a time: the panels of the
-    row's windows get their nodes in one array expression and PV one
-    evaluation (per batch of at most about _BATCH_NODES nodes), and each
-    window then fits on its own contiguous slice of nodes, weights and values
-    with the arithmetic of a single `affine_residual` call, so the scan keeps
-    that call's bits.
+    `window_table` orders a lattice's windows by panel count and fits them in
+    batches of about _BATCH_NODES quadrature nodes: a batch's panels get
+    their nodes in one array expression and PV one evaluation, and the
+    windows of one node count share each step of the fit, their three inner
+    products each one stacked `np.matmul`.  numpy computes those with the dot
+    routine `np.dot` uses on one window, and every other step is elementwise,
+    so each window keeps the bits of fitting it alone (`affine_residual`).
     """
 
     def __init__(self, a, b, base, lipschitz, periodic, full_integral):
@@ -149,8 +153,13 @@ class Primitive:
     def _eval_inside(self, x):
         raise NotImplementedError
 
-    def _cuts(self, alpha, beta):
-        """Increasing panel cuts from alpha to beta, exact for this primitive's class."""
+    def _counts(self, alphas, betas):
+        """Panel count of each window [alphas[j], betas[j]]."""
+        raise NotImplementedError
+
+    def _lefts(self, alphas, betas, counts, k):
+        """Left ends of the windows' panels, window after window, exact for this
+        primitive's class; k is each panel's index within its window."""
         raise NotImplementedError
 
     def __call__(self, x):
@@ -166,48 +175,52 @@ class Primitive:
             out = self._eval_inside(np.clip(x, self.a, self.b))
         return out if out.shape else float(out)
 
-    def _fits(self, alpha, betas):
-        """Yield (p, q, residual) of the least-squares affine fit p*x + q of PV
-        on [alpha, beta] for each beta in the list `betas`, in order.
+    def _panels(self, alphas, betas):
+        """(lefts, rights, counts): the panels of the windows [alphas[j], betas[j]]
+        laid window after window, and each window's panel count."""
+        counts = self._counts(alphas, betas)
+        ends = np.cumsum(counts)
+        k = np.arange(ends[-1]) - np.repeat(ends - counts, counts)  # index within the window
+        lefts = self._lefts(alphas, betas, counts, k)
+        rights = np.empty_like(lefts)
+        rights[:-1] = lefts[1:]
+        rights[ends - 1] = betas
+        return lefts, rights, counts
 
-        The windows are fitted in batches of about _BATCH_NODES quadrature
-        nodes, so that a row over a fine field (the 2**16-cell cascade has
-        about 6.4 million nodes in a 65-point row) never holds all of its
-        nodes at once.
-        """
-        batch, nodes = [], 0
-        for n, beta in enumerate(betas, 1):
-            cuts = self._cuts(alpha, beta)
-            batch.append((beta, cuts))
-            nodes += self.QUAD_ORDER * (len(cuts) - 1)
-            if nodes >= _BATCH_NODES or n == len(betas):
-                yield from self._batch_fits(alpha, batch)
-                batch, nodes = [], 0
-
-    def _batch_fits(self, alpha, batch):
-        """[(p, q, residual)] for the windows [alpha, beta] of the (beta, cuts)
-        pairs in `batch`, from one quadrature and one evaluation of PV."""
-        xs, ws = _panel_quadrature(np.concatenate([c[:-1] for _, c in batch]),
-                                   np.concatenate([c[1:] for _, c in batch]), self.QUAD_ORDER)
+    def _fit(self, alphas, betas):
+        """Table of (alpha, beta, p, q, residual) lines for the least-squares affine
+        fits p*x + q of PV on the windows [alphas[j], betas[j]], windows of equal
+        panel count side by side, from one evaluation of PV."""
+        lefts, rights, counts = self._panels(alphas, betas)
+        xs, ws = _panel_quadrature(lefts, rights, self.QUAD_ORDER)
         vals = self._eval_inside(xs)
-        fits = []
-        stop = 0
-        for beta, cuts in batch:
-            window = slice(stop, stop + self.QUAD_ORDER * (len(cuts) - 1))
-            stop = window.stop
-            x, w, v = xs[window], ws[window], vals[window]
-            length = beta - alpha
-            mid = 0.5 * (alpha + beta)
-            d0 = float(np.dot(w, v)) / length
-            p = float(np.dot(w, (x - mid) * v)) * 12.0 / length**3
-            q = d0 - p * mid
-            dev = v - (p * x + q)
-            fits.append((p, q, float(np.dot(w, dev * dev))))
-        return fits
-
-    def _fit_and_residual(self, alpha, beta):
-        """(p, q, residual) of the least-squares affine fit p*x + q of PV on [alpha, beta]."""
-        return self._batch_fits(alpha, [(beta, self._cuts(alpha, beta))])[0]
+        length = betas - alphas
+        mid = 0.5 * (alphas + betas)
+        # a scalar ** 3, as a fit of one window takes it: numpy's array ** 3
+        # differs from it on about 5 % of lattice lengths
+        cubes = np.array([span**3 for span in length.tolist()])
+        table = np.empty((len(alphas), 5))
+        table[:, 0], table[:, 1] = alphas, betas
+        firsts = [0, *(np.flatnonzero(counts[1:] != counts[:-1]) + 1).tolist(), len(counts)]
+        starts = self.QUAD_ORDER * np.concatenate([[0], np.cumsum(counts)])
+        for first, stop in zip(firsts, firsts[1:]):
+            # the windows first..stop-1 have the same node count, side by side
+            rows = slice(first, stop)
+            x, w, v = (a[starts[first]:starts[stop]].reshape(stop - first, -1) for a in (xs, ws, vals))
+            w = w[:, None, :]
+            d0 = np.matmul(w, v[:, :, None])[:, 0, 0] / length[rows]
+            # one scratch array, updated in place, holds (x - mid) * v and then dev * dev
+            y = x - mid[rows, None]
+            y *= v
+            p = np.matmul(w, y[:, :, None])[:, 0, 0] * 12.0 / cubes[rows]
+            q = d0 - p * mid[rows]
+            np.multiply(p[:, None], x, out=y)
+            y += q[:, None]
+            np.subtract(v, y, out=y)  # dev = v - (p * x + q)
+            y *= y
+            table[rows, 2], table[rows, 3] = p, q
+            table[rows, 4] = np.matmul(w, y[:, :, None])[:, 0, 0]
+        return table
 
     def _check_window(self, alpha, beta):
         # a window past [a, b] would fit the end segments extended, not the torus wrap
@@ -219,18 +232,26 @@ class Primitive:
         """inf over (p, q) of the integral of |PV - p x - q|^2 over [alpha, beta],
         a window inside [a, b]."""
         self._check_window(alpha, beta)
-        return self._fit_and_residual(alpha, beta)[2]
+        return float(self._fit(np.array([float(alpha)]), np.array([float(beta)]))[0, 4])
 
-    def windows(self, lo, hi, points, min_len):
-        """Yield (left, right, p, q, residual) for the windows of length >= min_len
-        on the uniform `points`-point lattice of [lo, hi], in lattice order;
-        [lo, hi] must lie in [a, b]."""
+    def window_table(self, lo, hi, points, min_len):
+        """(count, 5) array of (left, right, p, q, residual) lines for the windows
+        of length >= min_len on the uniform `points`-point lattice of [lo, hi],
+        in lattice order; [lo, hi] must lie in [a, b]."""
         self._check_window(lo, hi)
         grid = np.linspace(lo, hi, points)
-        for i in range(points - 1):
-            rights = [right for right in grid[i + 1:] if right - grid[i] >= min_len - 1e-12]
-            for right, fit in zip(rights, self._fits(grid[i], rights)):
-                yield (grid[i], right, *fit)
+        left, right = np.triu_indices(points, 1)
+        keep = grid[right] - grid[left] >= min_len - 1e-12
+        alphas, betas = grid[left[keep]], grid[right[keep]]
+        counts = self._counts(alphas, betas)
+        order = np.argsort(counts, kind="stable")
+        # a batch is the windows whose first node falls in one _BATCH_NODES span
+        starts = self.QUAD_ORDER * (np.cumsum(counts[order]) - counts[order])
+        table = np.empty((len(order), 5))
+        for batch in np.split(order, np.flatnonzero(np.diff(starts // _BATCH_NODES)) + 1):
+            if len(batch):
+                table[batch] = self._fit(alphas[batch], betas[batch])
+        return table
 
 
 class PiecewisePolyPrimitive(Primitive):
@@ -252,13 +273,19 @@ class PiecewisePolyPrimitive(Primitive):
     def _eval_inside(self, x):
         return _poly_value(self.nodes, self.coeffs, x)
 
-    def _cuts(self, alpha, beta):
-        # alpha, the breakpoints strictly inside the window (nodes increase strictly), beta
+    # a window's panels are cut at alpha, at the breakpoints strictly inside
+    # it (nodes increase strictly) and at beta
+
+    def _counts(self, alphas, betas):
         inner = self.nodes[1:-1]
-        lo, hi = inner.searchsorted(alpha, side="right"), inner.searchsorted(beta, side="left")
-        cuts = np.empty(hi - lo + 2)
-        cuts[0], cuts[1:-1], cuts[-1] = alpha, inner[lo:hi], beta
-        return cuts
+        return inner.searchsorted(betas, side="left") - inner.searchsorted(alphas, side="right") + 1
+
+    def _lefts(self, alphas, betas, counts, k):
+        # panel k >= 1 starts at the k-th breakpoint after alpha, nodes[first + k]
+        first = self.nodes[1:-1].searchsorted(alphas, side="right")
+        lefts = self.nodes[np.repeat(first, counts) + k]
+        lefts[k == 0] = alphas
+        return lefts
 
 
 def _poly_value(nodes, coeffs, x):
@@ -267,12 +294,16 @@ def _poly_value(nodes, coeffs, x):
     x = np.asarray(x, dtype=float)
     idx = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, len(coeffs) - 1)
     u = x - nodes[idx]
-    c = coeffs[idx]
+    c = np.take(coeffs, idx, axis=0)  # 2.5x faster than coeffs[idx] on 32k points
     return c[..., 0] + u * (c[..., 1] + u * c[..., 2])
 
 
 class SmoothPrimitive(Primitive):
-    """Primitive given in closed form, integrated by dense Gauss panels."""
+    """Primitive given in closed form, integrated by dense Gauss panels.
+
+    A window [alpha, beta] has max(8, ceil((beta - alpha) * panels_per_unit))
+    equal panels, cut where np.linspace(alpha, beta, n + 1) cuts it.
+    """
 
     QUAD_ORDER = 10
 
@@ -284,20 +315,12 @@ class SmoothPrimitive(Primitive):
     def _eval_inside(self, x):
         return self._fn(np.asarray(x, dtype=float))
 
-    def _cuts(self, alpha, beta):
-        # np.linspace(alpha, beta, n + 1) by linspace's own arithmetic, without its overhead
-        n = max(8, int(math.ceil((beta - alpha) * self._per_unit)))
-        cuts = _unit_steps(n) * ((beta - alpha) / n) + alpha
-        cuts[-1] = beta
-        return cuts
+    def _counts(self, alphas, betas):
+        return np.maximum(8, np.ceil((betas - alphas) * self._per_unit).astype(np.intp))
 
-
-@functools.cache
-def _unit_steps(n):
-    """The read-only float array 0, 1, ..., n."""
-    steps = np.arange(n + 1, dtype=float)
-    steps.flags.writeable = False
-    return steps
+    def _lefts(self, alphas, betas, counts, k):
+        # linspace's own arithmetic, k * ((beta - alpha) / n) + alpha
+        return k * np.repeat((betas - alphas) / counts, counts) + np.repeat(alphas, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -755,7 +778,7 @@ def estimate_flatness_constant(field, interval, eps_grid, j_points=65):
     estimate is infeasible; the witness interval is reported.
 
     `interval` must lie in the field's domain [a, b], as every window of
-    `Primitive.windows` must: the primitive is not wrapped past b.
+    `Primitive.window_table` must: the primitive is not wrapped past b.
 
     The result is a finite-grid estimate of the true constant, not a proof.
     """
@@ -767,27 +790,28 @@ def estimate_flatness_constant(field, interval, eps_grid, j_points=65):
     eps_grid = sorted(float(e) for e in eps_grid)
     if not eps_grid or eps_grid[0] <= 0 or eps_grid[-1] >= hi - lo:
         raise ValueError("eps values must lie strictly between 0 and the interval length")
-    windows = field.primitive(base=lo).windows(lo, hi, j_points, eps_grid[0])
-    return _flatness_from_windows(windows, eps_grid)
+    table = field.primitive(base=lo).window_table(lo, hi, j_points, eps_grid[0])
+    return _flatness_from_table(table, eps_grid)
 
 
-def _flatness_from_windows(windows, eps_grid):
-    """`estimate_flatness_constant` over windows as `Primitive.windows` yields them;
-    windows shorter than eps_grid[0] are skipped, and eps_grid must be sorted."""
-    residuals = []
-    for left, right, p, q, res in windows:
-        if right - left < eps_grid[0] - 1e-12:
-            continue
-        if res <= 1e-13 * (right - left) * (1.0 + p * p + q * q):
-            return FlatnessEstimate(math.inf, False, (left, right), {})
-        residuals.append((right - left, res))
+def _flatness_from_table(windows, eps_grid):
+    """`estimate_flatness_constant` over a `Primitive.window_table`; windows
+    shorter than eps_grid[0] are skipped, and eps_grid must be sorted."""
+    left, right, p, q, res = windows.T
+    length = right - left
+    scanned = length >= eps_grid[0] - 1e-12
+    flat = scanned & (res <= 1e-13 * length * (1.0 + p * p + q * q))
+    if flat.any():
+        first = np.argmax(flat)  # the first flat window in lattice order
+        return FlatnessEstimate(math.inf, False, (left[first], right[first]), {})
+    length, res = length[scanned], res[scanned]
     table = {}
     best = -math.inf
     for eps in eps_grid:
-        admissible = [r for (length, r) in residuals if length >= eps - 1e-12]
-        if not admissible:
+        admissible = res[length >= eps - 1e-12]
+        if not len(admissible):
             continue
-        k_eps = eps**2 * math.log(1.0 / (eps * min(admissible)))
+        k_eps = eps**2 * math.log(1.0 / (eps * float(admissible.min())))
         table[eps] = k_eps
         best = max(best, k_eps)
     if not table:

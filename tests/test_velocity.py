@@ -390,7 +390,7 @@ class TestAffineResidual:
         with pytest.raises(DomainError, match="outside the primitive's domain"):
             pv.affine_residual(*window)
         with pytest.raises(DomainError, match="outside the primitive's domain"):
-            next(pv.windows(*window, 9, 0.1))
+            pv.window_table(*window, 9, 0.1)
 
     def test_window_edge_slack(self):
         # the same 1e-12 slack as evaluating the primitive at a point
@@ -411,8 +411,35 @@ def _random_field(kind, rng):
     return SineField(rng.uniform(-2.0, 2.0), int(rng.integers(1, 4)), rng.uniform(0.0, 6.0))
 
 
+def _reference_fit(pv, alpha, beta):
+    """(p, q, residual) of one window by the per-window arithmetic the scan
+    must keep bit for bit: the window's own cuts and quadrature, three np.dot
+    calls and the numpy scalar length ** 3."""
+    alpha, beta = np.float64(alpha), np.float64(beta)
+    if isinstance(pv, velocity.SmoothPrimitive):
+        cuts = np.linspace(alpha, beta, max(8, math.ceil((beta - alpha) * pv._per_unit)) + 1)
+    else:
+        inner = pv.nodes[1:-1]
+        cuts = np.concatenate([[alpha], inner[(inner > alpha) & (inner < beta)], [beta]])
+    x, w = velocity._panel_quadrature(cuts[:-1], cuts[1:], pv.QUAD_ORDER)
+    v = pv._eval_inside(x)
+    length = beta - alpha
+    mid = 0.5 * (alpha + beta)
+    d0 = float(np.dot(w, v)) / length
+    p = float(np.dot(w, (x - mid) * v)) * 12.0 / length**3
+    q = d0 - p * mid
+    dev = v - (p * x + q)
+    return p, q, float(np.dot(w, dev * dev))
+
+
+def _blas_versions():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}"
+
+
 class TestWindowScan:
-    """Primitive.windows: every lattice window once, with _fit_and_residual's bits."""
+    """Primitive.window_table: every lattice window once, with the bits of
+    fitting each window alone."""
 
     @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from(["grid", "linear", "sine", "two_plateau"]),
@@ -424,17 +451,21 @@ class TestWindowScan:
     @example(kind="two_plateau", seed=2, lo=0.0, span=1.0, points=3, min_frac=0.0)
     @example(kind="two_plateau", seed=3, lo=0.25, span=0.5, points=33, min_frac=0.1)
     @example(kind="two_plateau", seed=4, lo=0.5, span=0.5, points=5, min_frac=0.0)
+    # lengths whose array ** 3 differs from the scalar one
+    @example(kind="sine", seed=5, lo=0.1, span=0.45, points=65, min_frac=0.0)
     def test_table(self, kind, seed, lo, span, points, min_frac):
         hi = lo + span
         pv = _random_field(kind, np.random.default_rng(seed)).primitive(base=lo)
-        table = list(pv.windows(lo, hi, points, min_frac * span))
+        table = pv.window_table(lo, hi, points, min_frac * span).tolist()
         grid = np.linspace(lo, hi, points)
         expected = [(grid[i], grid[j]) for i in range(points) for j in range(i + 1, points)
                     if grid[j] - grid[i] >= min_frac * span - 1e-12]
         assert [(left, right) for left, right, *_ in table] == expected
         for left, right, *fit in table:
-            assert tuple(fit) == pv._fit_and_residual(left, right)
-            assert np.all(np.diff(pv._cuts(left, right)) > 0)  # no empty panel
+            assert tuple(fit) == _reference_fit(pv, left, right)
+        if table:
+            lefts, rights, _ = pv._panels(*(np.array(column) for column in zip(*expected)))
+            assert np.all(rights > lefts)  # no empty panel
         # a window's residual is at most that of any window containing it
         lefts, rights, res = (np.array(column) for column in
                               zip(*((left, right, r) for left, right, _, _, r in table)))
@@ -443,27 +474,56 @@ class TestWindowScan:
             assert np.all(r <= res[outer] * (1.0 + 1e-9) + 1e-15)
 
     def test_smooth_cuts_are_linspace(self):
-        # SmoothPrimitive._cuts does linspace's arithmetic without the call
+        # SmoothPrimitive._panels cuts every window of a row where np.linspace does
         pv = SineField(1.3, 3, 0.4).primitive(base=0.0)
         rng = np.random.default_rng(11)
-        windows = [tuple(sorted(rng.uniform(0.0, 1.0, 2))) for _ in range(2000)]
+        rows = [(alpha, np.sort(rng.uniform(alpha, 1.0, 40))) for alpha in rng.uniform(0.0, 1.0, 50)]
         grid = np.linspace(0.0, 1.0, 65)
-        windows += [(grid[i], grid[j]) for i in range(65) for j in range(i + 1, 65)]
-        for alpha, beta in windows:
-            n = max(8, math.ceil((beta - alpha) * pv._per_unit))
-            assert pv._cuts(alpha, beta).tobytes() == np.linspace(alpha, beta, n + 1).tobytes()
+        rows += [(grid[i], grid[i + 1:]) for i in range(64)]
+        for alpha, betas in rows:
+            lefts, rights, counts = pv._panels(np.full(len(betas), alpha), betas)
+            ends = np.cumsum(counts)
+            for beta, first, stop in zip(betas, ends - counts, ends):
+                n = max(8, math.ceil((beta - alpha) * pv._per_unit))
+                cuts = np.append(lefts[first:stop], rights[stop - 1])
+                assert stop - first == n
+                assert cuts.tobytes() == np.linspace(alpha, beta, n + 1).tobytes()
+                assert rights[first:stop - 1].tobytes() == lefts[first + 1:stop].tobytes()
 
     def test_batch_size_keeps_bits(self, monkeypatch):
-        # rows split into batches of one window, of a few, or not at all
+        # batches of one window, of a few, or of many
         rng = np.random.default_rng(7)
-        for field in (SineField(1.3, 3, 0.4), GridField(rng.uniform(-2.0, 2.0, 300)),
-                      _random_field("linear", rng)):
+        for field, points in ((SineField(1.3, 3, 0.4), 33),
+                              (GridField(rng.uniform(-2.0, 2.0, 300)), 33),
+                              (_random_field("linear", rng), 33),
+                              (GridField(rng.uniform(-1.0, 1.0, 1000)), 33),
+                              (SineField(1.0, 40, 0.2), 33),
+                              (BinaryCascadeField(1e-9), 17)):  # 2**16 cells
             pv = field.primitive(base=0.0)
             tables = []
             for nodes in (1 << 15, 1000, 1):
                 monkeypatch.setattr(velocity, "_BATCH_NODES", nodes)
-                tables.append(list(pv.windows(0.0, 1.0, 33, 0.0)))
+                tables.append(pv.window_table(0.0, 1.0, points, 0.0).tolist())
             assert tables[0] == tables[1] == tables[2]
+            for left, right, *fit in tables[0]:
+                assert tuple(fit) == _reference_fit(pv, left, right), field
+
+    def test_stacked_matmul_is_np_dot(self):
+        # the scan's stacked products must give np.dot's bits on every row
+        rng = np.random.default_rng(3)
+        for n in [*range(1, 201), 1000, 12_800]:
+            w, v = rng.standard_normal((2, 4, n))
+            stacked = np.matmul(w[:, None, :], v[:, :, None])[:, 0, 0]
+            rows = np.array([np.dot(a, b) for a, b in zip(w, v)])
+            assert stacked.tobytes() == rows.tobytes(), f"n={n}: {_blas_versions()}"
+        # rows copied out of arbitrary slices of one array
+        w, v = rng.standard_normal((2, 50_000))
+        for n in (3, 30, 77, 200, 3000):
+            starts = rng.integers(0, len(w) - n, 20)
+            rows = starts[:, None] + np.arange(n)
+            stacked = np.matmul(w[rows][:, None, :], v[rows][:, :, None])[:, 0, 0]
+            single = np.array([np.dot(w[s:s + n], v[s:s + n]) for s in starts])
+            assert stacked.tobytes() == single.tobytes(), f"n={n}: {_blas_versions()}"
 
 
 class TestFlatnessEstimate:
