@@ -36,12 +36,13 @@ Task parameter blocks (all optional, with defaults):
     evolve:   t_end, samples, k_max, nx, ny, initial ("cos_y" | "cos_xy" |
               "random"), snapshots (count of field dumps)
     simulate: start [x, y], t_end, dt, n_paths, bins, y_integrator,
-              kill_interval?
+              kill_interval? ([lo, hi] with lo < hi)
     validate: criteria (non-empty list of known criterion ids 1-11, default all)
     report:   (none; reads artifacts already in the output directory)
 
 Integer parameters take JSON integers or integral numbers such as 64.0;
-t_end and dt take finite JSON numbers (not strings or booleans).
+t_end, dt and the entries of start, kill_interval and flatness_interval take
+finite JSON numbers (not strings or booleans).
 
 Exit codes: 0 success, 1 configuration error, 2 validation-suite failure,
 3 numeric failure during a task.
@@ -193,8 +194,9 @@ def _float_param(params, name, default):
 
 
 def _pair(value, name):
+    """Pair of finite numbers; JSON strings, booleans and NaN are refused."""
     _require(isinstance(value, (list, tuple)) and len(value) == 2
-             and all(isinstance(v, (int, float)) for v in value),
+             and all(type(v) in (int, float) and math.isfinite(v) for v in value),
              f"{name} must be a pair of numbers, got {value!r}")
     return tuple(value)
 
@@ -283,6 +285,7 @@ def task_simulate(config, ws, args):
     kill = params.get("kill_interval")
     if kill is not None:
         kill = _pair(kill, "kill_interval")
+        _require(kill[0] < kill[1], f"kill_interval must be increasing, got {list(kill)!r}")
     try:  # PathConfig checks the ranges
         cfg = mcsim.PathConfig(
             dt=_float_param(params, "dt", 1e-3),

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy import sparse
 
 from .velocity import VelocityField, _flatness_from_table, estimate_flatness_constant
 
@@ -148,6 +147,7 @@ def lipschitz_correlation(field, boundary="periodic", interval=None, grid_n=256)
     functions on the grid and converges to the continuum value as grid_n
     grows.
     """
+    from scipy import sparse
     from scipy.optimize import linprog
 
     if grid_n < 8:

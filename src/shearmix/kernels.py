@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, erfc
 
 __all__ = [
     "heat_line",
@@ -55,6 +54,8 @@ def _term_count(tail, truncation, limit):
 
 
 def _torus_images(t, truncation):
+    from scipy.special import erfc
+
     # tail of the image sum is below erfc((M - 1/2) / (2 sqrt(t)))
     return _term_count(lambda m: float(erfc((m - 0.5) / (2.0 * math.sqrt(t)))), truncation, 400)
 
@@ -79,6 +80,8 @@ def heat_torus(x, xp=0.0, t=0.125, truncation=None):
 
 def heat_torus_cell_mass(x0, lo, hi, t, truncation=None):
     """Exact mass the torus kernel started at x0 assigns to the cell [lo, hi]."""
+    from scipy.special import erf
+
     if t <= 0:
         raise ValueError("time must be positive")
     m = _torus_images(t, truncation)
@@ -91,6 +94,8 @@ def heat_torus_cell_mass(x0, lo, hi, t, truncation=None):
 
 def heat_dirichlet(x, xp, interval=(0.0, 1.0), t=0.125, truncation=None):
     """Heat kernel on an interval with absorbing endpoints (sine series)."""
+    from scipy.special import erfc
+
     if t <= 0:
         raise ValueError("time must be positive")
     a, b = float(interval[0]), float(interval[1])

@@ -25,8 +25,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg import lapack
 
 __all__ = [
     "ModeOperator",
@@ -212,6 +210,8 @@ class ModeOperator:
         This is the accretivity edge of the matrix: the numerical range of
         matrix() - lambda1_discrete lies in the closed right half-plane.
         """
+        import scipy.linalg as sla
+
         return float(sla.eigvalsh(self.laplacian())[0])
 
     @functools.cached_property
@@ -220,6 +220,8 @@ class ModeOperator:
 
         On the "eig" route it adds one inv and two QR factorizations.
         """
+        import scipy.linalg as sla
+
         values, vectors = sla.eig(self.matrix())
         order = np.argsort(values.real, kind="stable")
         values, vectors = values[order], vectors[:, order]
@@ -251,6 +253,8 @@ class ModeOperator:
         norms for n >= 400) and implies ||d A||_1 >= THETA_13.  Only requested
         steps are cached.
         """
+        import scipy.linalg as sla
+
         if dt <= 0:
             raise ValueError("time step must be positive")
         key = float(dt)
@@ -319,6 +323,8 @@ class SpectralSummary:
 
 
 def _sigma_min(matrix, z):
+    import scipy.linalg as sla
+
     return float(sla.svdvals(matrix - z * np.eye(matrix.shape[0]))[-1])
 
 
@@ -375,6 +381,8 @@ class _BandedSigma:
         return self.TOLERANCE * np.finfo(float).eps * (self.norm1 + z_max) + self.dropped
 
     def __call__(self, z):
+        from scipy.linalg import lapack
+
         w = self.width
         band = self.band.copy()
         band[2 * w] -= z
@@ -590,6 +598,8 @@ def semigroup_norm(op, times):
     (cond_2(W) > EIG_COND_MAX) each norm is ||expm(-tA)||_2, one dense
     matrix exponential per time.
     """
+    import scipy.linalg as sla
+
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(times < 0):
         raise ValueError("times must be nonnegative")

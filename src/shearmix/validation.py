@@ -14,7 +14,6 @@ import time
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import evolve, functionals as fn, kernels, mcsim
 from .spectral import make_operator, resolvent_gap, semigroup_norm
@@ -103,6 +102,7 @@ def polytope_vertex_max(objective, weights, slope_cap):
     feasible origin) and the objective is evaluated at every vertex.
     Independent of the LP solver path by construction.
     """
+    import scipy.linalg as sla
     from scipy.spatial import HalfspaceIntersection
 
     n = len(objective)

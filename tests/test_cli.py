@@ -2,8 +2,9 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from shearmix import cli, evolve, functionals, spectral, validation
+from shearmix import cli, evolve, functionals, validation
 from shearmix.evolve import load_snapshot
 from shearmix.velocity import BinaryCascadeField
 
@@ -122,6 +123,13 @@ class TestConfigValidation:
         (TWO_PLATEAU, {"n_paths": 1.7}, "n_paths must be an integer, got 1.7"),
         (TWO_PLATEAU, {"bins": True}, "bins must be an integer, got True"),
         (TWO_PLATEAU, {"dt": "0.01"}, "dt must be a finite number, got '0.01'"),
+        (TWO_PLATEAU, {"start": [float("nan"), 0.1]}, "start must be a pair of numbers"),
+        (TWO_PLATEAU, {"start": [True, False]}, "start must be a pair of numbers"),
+        (TWO_PLATEAU, {"start": ["0.1", 0.2]}, "start must be a pair of numbers"),
+        (TWO_PLATEAU, {"kill_interval": [0.75, 0.25]}, "kill_interval must be increasing"),
+        (TWO_PLATEAU, {"kill_interval": [0.5, 0.5]}, "kill_interval must be increasing"),
+        (TWO_PLATEAU, {"kill_interval": [0.2, float("inf")]},
+         "kill_interval must be a pair of numbers"),
     ])
     def test_bad_simulate_params(self, tmp_path, capsys, velocity, params, message):
         cfg = write_config(tmp_path, {"task": "simulate", "velocity": velocity,
@@ -273,7 +281,7 @@ class TestEvolveTask:
 
         monkeypatch.setattr(evolve, "make_operator", counted("make_operator",
                                                              evolve.make_operator))
-        monkeypatch.setattr(spectral.sla, "expm", counted("expm", spectral.sla.expm))
+        monkeypatch.setattr(scipy.linalg, "expm", counted("expm", scipy.linalg.expm))
         cfg = write_config(tmp_path, {
             "task": "evolve", "velocity": TWO_PLATEAU,
             "params": {"nx": 32, "ny": 9, "samples": 17, "snapshots": snapshots},

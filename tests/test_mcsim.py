@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,6 +115,23 @@ class TestSimulate:
         assert hist.n_absorbed > 0
         assert int(hist.counts.sum()) + hist.n_absorbed == cfg.n_paths
 
+    @pytest.mark.parametrize("start,kill,message", [
+        ((math.nan, 0.1), None, "starts must be finite"),
+        ((0.5, math.inf), None, "starts must be finite"),
+        ((0.5, 0.5), (0.75, 0.25), "kill interval must be increasing"),
+        ((0.5, 0.5), (0.5, 0.5), "kill interval must be increasing"),
+        ((0.5, 0.5), (math.nan, 0.8), "kill interval must be increasing"),
+    ])
+    def test_refuses_bad_start_or_kill_interval(self, start, kill, message):
+        with pytest.raises(ValueError, match=message):
+            mcsim.simulate(start, TWO, small_cfg(n_paths=10), kill_interval=kill)
+
+    def test_start_outside_kill_interval_is_absorbed(self):
+        # 14 standard deviations of one step from the interval
+        hist = mcsim.simulate((0.95, 0.5), TWO, small_cfg(n_paths=10, dt=1e-4, t_end=1e-3),
+                              kill_interval=(0.25, 0.75))
+        assert hist.n_absorbed == 10
+
     @pytest.mark.parametrize("rule,calls_per_block", [("left", 20), ("trapezoid", 21)])
     def test_one_velocity_evaluation_per_step(self, rule, calls_per_block):
         calls = []
@@ -195,6 +213,40 @@ class TestGoldenHistograms:
         positions = mcsim._run([(0.0, 0.0)], lambda x: x, cfg, {100},
                                collect_positions=True)[0]
         assert _digest(*positions[100]) == digest
+
+
+class TestDrawBuffer:
+    """A block draws _STEP_CHUNK steps of normals at a time into one reused buffer."""
+
+    @pytest.mark.parametrize("rule, kill", [("left", None), ("trapezoid", None),
+                                            ("left", (0.2, 0.8))],
+                             ids=["left", "trapezoid", "killed"])
+    def test_chunk_size_keeps_bits(self, monkeypatch, rule, kill):
+        # 23 steps: whole and partial chunks of every size, over three blocks
+        cfg = small_cfg(dt=1e-3, t_end=0.023, n_paths=2500, y_integrator=rule)
+        runs = []
+        for chunk in (1, 4, 16):
+            monkeypatch.setattr(mcsim, "_STEP_CHUNK", chunk)
+            hists = mcsim.simulate_snapshots((0.5, 0.125), TWO, cfg, [0.003, 0.016, 0.023],
+                                             kill_interval=kill)
+            runs.append([(h.counts.tobytes(), h.n_absorbed) for h in hists])
+        assert runs[0] == runs[1] == runs[2]
+        if kill is not None:
+            assert runs[0][-1][1] > 0
+
+    @pytest.mark.parametrize("rule", ["left", "trapezoid"])
+    def test_block_peak_memory(self, rule):
+        # one 2^15-path block: 4 rows of draws are 1 MiB, 16 rows 4 MiB, and the
+        # path state and V temporaries about 2 MiB more
+        cfg = mcsim.PathConfig(dt=1e-3, n_paths=1 << 15, t_end=0.02, bins=8,
+                               y_integrator=rule)
+        tracemalloc.start()
+        try:
+            mcsim.simulate((0.3, 0.7), TWO, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 _STARTS = st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),

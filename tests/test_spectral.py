@@ -139,7 +139,7 @@ class TestPropagator:
             calls.append(1)
             return expm(mat)
 
-        with mock.patch.object(spectral.sla, "expm", counted):
+        with mock.patch.object(sla, "expm", counted):
             got = op.propagator(2**j * d)
         squared = d * abs(np.trace(op.matrix())) / n >= spectral.THETA_13
         assert len(calls) == (0 if squared else 1)
