@@ -10,7 +10,8 @@ Config schema (unknown keys anywhere are rejected)::
     {
       "task": "bounds" | "spectrum" | "evolve" | "simulate" | "validate" | "report",
       "velocity": { "kind": ..., ... },     # required except for validate/report
-      "seed": 0,                            # optional, overridden by --seed
+      "seed": 0,                            # optional integer >= 0 (null: 0),
+                                            # overridden by --seed
       "out_dir": "out",                     # optional, overridden by --out
       "params": { ... task-specific ... }
     }
@@ -30,8 +31,9 @@ Velocity kinds and their parameters:
 
 Task parameter blocks (all optional, with defaults):
 
-    bounds:   grid_n, eps_grid, flatness_interval ([lo, hi] with
-              a <= lo < hi <= b of the field's domain), j_points
+    bounds:   grid_n, eps_grid (non-empty list of numbers in (0, (b - a)/2]),
+              flatness_interval ([lo, hi] with a <= lo < hi <= b of the
+              field's domain), j_points
     spectrum: k, boundary, n, s_points, discretization
     evolve:   t_end, samples, k_max, nx, ny, initial ("cos_y" | "cos_xy" |
               "random"), snapshots (count of field dumps)
@@ -156,9 +158,9 @@ class Workspace:
 
 
 def _seeded(config, args):
-    if args.seed is not None:
-        return int(args.seed)
-    return int(config.get("seed", 0))
+    """The run seed: --seed, else the config's; an integer, least 0, null meaning 0."""
+    return _int_param({"seed": args.seed} if args.seed is not None else config,
+                      "seed", 0, least=0)
 
 
 def _require(ok, message):
@@ -205,10 +207,14 @@ def task_bounds(config, ws, args):
     field = field_from_config(config["velocity"])
     params = config.get("params", {})
     _require(field.periodic, "bounds reports are defined for torus fields")
-    eps_grid = tuple(params.get("eps_grid", functionals.DEFAULT_EPS_GRID))
+    eps_grid = params.get("eps_grid")
+    if eps_grid is None:
+        eps_grid = list(functionals.DEFAULT_EPS_GRID)
+    _require(isinstance(eps_grid, list) and eps_grid,
+             f"eps_grid must be a non-empty list of numbers, got {eps_grid!r}")
     half = 0.5 * field.length
-    _require(all(isinstance(e, (int, float)) and 0.0 < e <= half for e in eps_grid),
-             f"eps_grid entries must lie in (0, {half:g}], got {list(eps_grid)}")
+    _require(all(type(e) in (int, float) and 0.0 < e <= half for e in eps_grid),
+             f"eps_grid entries must lie in (0, {half:g}], got {eps_grid!r}")
     interval = params.get("flatness_interval")
     if interval is not None:
         lo, hi = _pair(interval, "flatness_interval")
@@ -218,7 +224,7 @@ def task_bounds(config, ws, args):
     report = functionals.compute_bounds_report(
         field,
         grid_n=_int_param(params, "grid_n", 512, least=8),
-        eps_grid=eps_grid,
+        eps_grid=tuple(eps_grid),
         flatness_interval=interval,
         j_points=_int_param(params, "j_points", 65, least=2),
     )

@@ -188,21 +188,20 @@ def lipschitz_correlation(field, boundary="periodic", interval=None, grid_n=256)
 # affine residuals of the primitive
 
 
-def full_affine_residual(field, interval=None):
-    """Affine least-squares residual of the primitive over the whole interval."""
-    a, b = (field.a, field.b) if interval is None else (float(interval[0]), float(interval[1]))
-    return field.primitive(base=a).affine_residual(a, b)
+def full_affine_residual(field):
+    """Affine least-squares residual of the primitive over the field's whole domain."""
+    return field.primitive(base=field.a).affine_residual(field.a, field.b)
 
 
-def min_affine_residual(field, eps, interval=None, j_points=129):
+def min_affine_residual(field, eps, j_points=129):
     """Worst-case affine residual of the primitive at scale eps.
 
-    Minimum over subintervals J of length >= 2 eps, endpoints scanned on a
-    uniform lattice of `j_points` points, of the exact affine least-squares
-    residual of the primitive of the field on J.  Nondecreasing in eps for a
-    fixed lattice.
+    Minimum over subintervals J of the field's domain of length >= 2 eps,
+    endpoints scanned on a uniform lattice of `j_points` points, of the exact
+    affine least-squares residual of the primitive of the field on J.
+    Nondecreasing in eps for a fixed lattice.
     """
-    a, b = (field.a, field.b) if interval is None else (float(interval[0]), float(interval[1]))
+    a, b = field.a, field.b
     table = field.primitive(base=a).window_table(a, b, j_points, 2.0 * eps)
     return _min_residual(table, eps, b - a)
 

@@ -1,8 +1,8 @@
 """Closed-form heat kernels and the explicit Kolmogorov fundamental solution.
 
 Line, torus and Dirichlet-interval heat kernels are evaluated with certified
-series tails (below 1e-14 unless the caller forces a shorter truncation, in
-which case the call is rejected).  The plane kernel of the equation
+series tails (below 1e-14, unless the term count reaches its cap: 400 torus
+images, 100 000 sine terms).  The plane kernel of the equation
 du/dt = dxx u - x dy u is built from the quadratic cost of its minimum-energy
 control problem and normalized to unit mass.
 """
@@ -39,28 +39,22 @@ def heat_line(x, t):
     return out if out.shape else float(out)
 
 
-def _term_count(tail, truncation, limit):
-    """The first m >= 1 with tail(m) <= TAIL_TOL, capped at `limit`, or the
-    given truncation once its tail is checked."""
-    if truncation is None:
-        m = 1
-        while tail(m) > TAIL_TOL and m < limit:
-            m += 1
-        return m
-    m = int(truncation)
-    if m < 1 or tail(m) > TAIL_TOL:
-        raise ValueError("truncation too small for a certified tail below 1e-14")
+def _term_count(tail, limit):
+    """The first m >= 1 with tail(m) <= TAIL_TOL, capped at `limit`."""
+    m = 1
+    while tail(m) > TAIL_TOL and m < limit:
+        m += 1
     return m
 
 
-def _torus_images(t, truncation):
+def _torus_images(t):
     from scipy.special import erfc
 
     # tail of the image sum is below erfc((M - 1/2) / (2 sqrt(t)))
-    return _term_count(lambda m: float(erfc((m - 0.5) / (2.0 * math.sqrt(t)))), truncation, 400)
+    return _term_count(lambda m: float(erfc((m - 0.5) / (2.0 * math.sqrt(t)))), 400)
 
 
-def heat_torus(x, xp=0.0, t=0.125, truncation=None):
+def heat_torus(x, xp=0.0, t=0.125):
     """Heat kernel on the unit torus via the image sum.
 
     Dominates the line kernel at the wrapped offset and converges to the
@@ -68,7 +62,7 @@ def heat_torus(x, xp=0.0, t=0.125, truncation=None):
     """
     if t <= 0:
         raise ValueError("time must be positive")
-    m = _torus_images(t, truncation)
+    m = _torus_images(t)
     d = np.asarray(x, dtype=float) - np.asarray(xp, dtype=float)
     d = d - np.round(d)  # wrap to [-1/2, 1/2]
     out = np.zeros_like(d, dtype=float)
@@ -78,13 +72,13 @@ def heat_torus(x, xp=0.0, t=0.125, truncation=None):
     return out if out.shape else float(out)
 
 
-def heat_torus_cell_mass(x0, lo, hi, t, truncation=None):
+def heat_torus_cell_mass(x0, lo, hi, t):
     """Exact mass the torus kernel started at x0 assigns to the cell [lo, hi]."""
     from scipy.special import erf
 
     if t <= 0:
         raise ValueError("time must be positive")
-    m = _torus_images(t, truncation)
+    m = _torus_images(t)
     s = 2.0 * math.sqrt(t)
     total = 0.0
     for j in range(-m, m + 1):
@@ -92,7 +86,7 @@ def heat_torus_cell_mass(x0, lo, hi, t, truncation=None):
     return float(total)
 
 
-def heat_dirichlet(x, xp, interval=(0.0, 1.0), t=0.125, truncation=None):
+def heat_dirichlet(x, xp, interval=(0.0, 1.0), t=0.125):
     """Heat kernel on an interval with absorbing endpoints (sine series)."""
     from scipy.special import erfc
 
@@ -106,7 +100,7 @@ def heat_dirichlet(x, xp, interval=(0.0, 1.0), t=0.125, truncation=None):
         # sum_{k>m} e^{-k^2 q} <= integral, evaluated through erfc
         return (2.0 / length) * 0.5 * math.sqrt(math.pi / q) * float(erfc(m * math.sqrt(q)))
 
-    m = _term_count(tail, truncation, 100_000)
+    m = _term_count(tail, 100_000)
     x = np.asarray(x, dtype=float)
     xp = np.asarray(xp, dtype=float)
     if np.any((x < a - 1e-12) | (x > b + 1e-12) | (xp < a - 1e-12) | (xp > b + 1e-12)):

@@ -149,9 +149,12 @@ def _steps_for(cfg):
     return n_steps, cfg.t_end / n_steps
 
 
-def _simulate_block(block_index, lo, hi, start, vfun, cfg, snapshot_steps,
-                    kill_interval, collect_positions):
-    """Advance one block of paths; returns per-snapshot results.
+def _simulate_block(block_index, lo, hi, start, vfun, cfg, snapshot_steps, observe,
+                    kill_interval):
+    """Advance one block of paths; returns {step: observe(x, y)} per snapshot step.
+
+    `observe` gets the positions of the surviving paths, in buffers that the
+    next step overwrites, so it copies what it keeps.
 
     Each step updates preallocated buffers in place.  The updates keep the
     arithmetic of x + sqrt(2 dt) Z, y + dt V(x) and y + dt/2 (V(x) + V(x'))
@@ -201,53 +204,37 @@ def _simulate_block(block_index, lo, hi, start, vfun, cfg, snapshot_steps,
             if alive is not None:
                 alive &= (x >= kill_interval[0]) & (x <= kill_interval[1])
             if step in snapshot_steps:
-                snapshots[step] = _collect(x, y, alive, cfg, collect_positions)
+                snapshots[step] = (observe(x[alive], y[alive]) if alive is not None
+                                   else observe(x, y))
     return snapshots
 
 
-def _collect(x, y, alive, cfg, collect_positions):
-    if alive is not None:
-        x, y = x[alive], y[alive]
-    if collect_positions:
-        return x.copy(), y.copy()
-    m = cfg.bins
-    ix = np.minimum((np.mod(x, 1.0) * m).astype(np.int64), m - 1)
-    iy = np.minimum((np.mod(y, 1.0) * m).astype(np.int64), m - 1)
-    return np.bincount(ix * m + iy, minlength=m * m).reshape(m, m)
+def _positions(x, y):
+    """The snapshot observer that keeps every surviving (x, y)."""
+    return x.copy(), y.copy()
 
 
-def _run(starts, vfun, cfg, snapshot_steps, kill_interval=None, collect_positions=False):
+def _run(starts, vfun, cfg, snapshot_steps, observe, kill_interval=None):
     """Simulate the path blocks of every start on one pool of cfg.workers threads.
 
-    Returns one {step: result} dict per start, in the order of `starts`: the
-    merged histogram, or with `collect_positions` the concatenated (x, y)
-    arrays.  A block's stream is keyed by (seed xor start tag, block index)
-    alone and each start's blocks merge in block order, so the bits depend
-    on neither the worker count nor the order in which blocks finish.
+    Returns one {step: [observation of each block, in block order]} dict per
+    start, in the order of `starts`.  A block's stream is keyed by (seed xor
+    start tag, block index) alone, so the bits depend on neither the worker
+    count nor the order in which blocks finish.
     """
     blocks = _blocks(cfg.n_paths, cfg.block_size)
 
     def work(task):
         start, (b, lo, hi) = task
-        return _simulate_block(b, lo, hi, start, vfun, cfg, snapshot_steps,
-                               kill_interval, collect_positions)
+        return _simulate_block(b, lo, hi, start, vfun, cfg, snapshot_steps, observe,
+                               kill_interval)
 
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
         results = list(pool.map(work, [(start, block) for start in starts
                                        for block in blocks]))
-
-    out = []
-    for i in range(0, len(results), len(blocks)):
-        merged = {}
-        for step in snapshot_steps:
-            parts = [res[step] for res in results[i:i + len(blocks)]]
-            if collect_positions:
-                merged[step] = (np.concatenate([p[0] for p in parts]),
-                                np.concatenate([p[1] for p in parts]))
-            else:
-                merged[step] = sum(parts)
-        out.append(merged)
-    return out
+    return [{step: [res[step] for res in results[i:i + len(blocks)]]
+             for step in snapshot_steps}
+            for i in range(0, len(results), len(blocks))]
 
 
 def _torus_vfun(field):
@@ -293,7 +280,14 @@ def simulate_starts(starts, field, cfg, times, kill_interval=None):
         if not 1 <= s <= n_steps:
             raise ValueError(f"snapshot time {t} outside the simulated horizon")
         step_of[t] = s
-    runs = _run(starts, _torus_vfun(field), cfg, set(step_of.values()),
+    m = cfg.bins
+
+    def cell_counts(x, y):
+        ix = np.minimum((np.mod(x, 1.0) * m).astype(np.int64), m - 1)
+        iy = np.minimum((np.mod(y, 1.0) * m).astype(np.int64), m - 1)
+        return np.bincount(ix * m + iy, minlength=m * m).reshape(m, m)
+
+    runs = _run(starts, _torus_vfun(field), cfg, set(step_of.values()), cell_counts,
                 kill_interval=kill_interval)
     meta = {
         "seed": cfg.seed,
@@ -311,7 +305,7 @@ def simulate_starts(starts, field, cfg, times, kill_interval=None):
     for start, merged in zip(starts, runs):
         hists = []
         for t in times:
-            counts = merged[step_of[t]]
+            counts = sum(merged[step_of[t]])
             absorbed = cfg.n_paths - int(counts.sum())
             hists.append(TransitionHistogram(cfg.bins, counts, cfg.n_paths, tuple(start),
                                              step_of[t] * dt, dict(meta), absorbed))
@@ -422,8 +416,8 @@ def arcsine_experiment(cfg):
     def indicator(x):
         return (x > 0.0).astype(float)
 
-    positions = _run([(0.0, 0.0)], indicator, cfg, {n_steps}, collect_positions=True)[0]
-    z = positions[n_steps][1] / cfg.t_end
+    blocks = _run([(0.0, 0.0)], indicator, cfg, {n_steps}, _positions)[0][n_steps]
+    z = np.concatenate([by for _, by in blocks]) / cfg.t_end
     z.sort()
     n = len(z)
     grid_hi = np.arange(1, n + 1) / n
@@ -446,10 +440,13 @@ class KolmogorovResult:
     n_paths: int
 
 
-def kolmogorov_experiment(cfg, bins=24, span_sigmas=4.0):
+_SPAN_SIGMAS = 4.0  # half-width of the kolmogorov_experiment grid, in standard deviations
+
+
+def kolmogorov_experiment(cfg, bins=24):
     """Free-space shear V(x) = x against the explicit plane kernel.
 
-    Bins the endpoint cloud on a grid spanning +-span_sigmas standard
+    Bins the endpoint cloud on a grid spanning +-_SPAN_SIGMAS standard
     deviations per axis, compares cell frequencies with the cell-averaged
     kernel on every cell holding at least 1% of the mass, chi-square tests
     the exactly-Gaussian X marginal, and checks the Y moments against the
@@ -460,14 +457,14 @@ def kolmogorov_experiment(cfg, bins=24, span_sigmas=4.0):
     if cfg.geometry != "plane":
         raise ValueError("the free-space comparison runs on the plane")
     n_steps, dt = _steps_for(cfg)
-    positions = _run([(0.0, 0.0)], lambda x: x, cfg, {n_steps}, collect_positions=True)[0]
-    x, y = positions[n_steps]
+    blocks = _run([(0.0, 0.0)], lambda x: x, cfg, {n_steps}, _positions)[0][n_steps]
+    x, y = map(np.concatenate, zip(*blocks))
     t = cfg.t_end
 
     sx = math.sqrt(2.0 * t)
     sy = math.sqrt(2.0 * t**3 / 3.0)
-    x_edges = np.linspace(-span_sigmas * sx, span_sigmas * sx, bins + 1)
-    y_edges = np.linspace(-span_sigmas * sy, span_sigmas * sy, bins + 1)
+    x_edges = np.linspace(-_SPAN_SIGMAS * sx, _SPAN_SIGMAS * sx, bins + 1)
+    y_edges = np.linspace(-_SPAN_SIGMAS * sy, _SPAN_SIGMAS * sy, bins + 1)
     counts, _, _ = np.histogram2d(x, y, bins=[x_edges, y_edges])
 
     # cell averages of the kernel by one tensor-product 4x4 Gauss-Legendre

@@ -99,6 +99,10 @@ class TestConfigValidation:
         (TWO_PLATEAU, {"flatness_interval": [0.6, 0.4]}, "flatness_interval must be increasing"),
         ({"kind": "piecewise_linear", "knots": [0.0, 0.5], "values": [1.0, -1.0]},
          {"flatness_interval": [0.5, 1.5]}, "flatness_interval must lie in [0, 1]"),
+        (TWO_PLATEAU, {"eps_grid": ["0.1"]}, "eps_grid entries must lie in (0, 0.5]"),
+        (TWO_PLATEAU, {"eps_grid": [True]}, "eps_grid entries must lie in (0, 0.5]"),
+        (TWO_PLATEAU, {"eps_grid": 0.1}, "eps_grid must be a non-empty list of numbers, got 0.1"),
+        (TWO_PLATEAU, {"eps_grid": []}, "eps_grid must be a non-empty list of numbers, got []"),
     ])
     def test_bad_bounds_params(self, tmp_path, capsys, velocity, params, message):
         cfg = write_config(tmp_path, {"task": "bounds", "velocity": velocity,
@@ -108,8 +112,34 @@ class TestConfigValidation:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o" / "manifest.json").exists()
 
+    def test_null_eps_grid_is_the_default(self, tmp_path):
+        reports = []
+        for name, params in (("absent", {}), ("null", {"eps_grid": None})):
+            cfg = write_config(tmp_path, {"task": "bounds", "velocity": TWO_PLATEAU,
+                                          "params": dict(params, grid_n=64)}, name=f"{name}.json")
+            out = tmp_path / f"out-{name}"
+            assert cli.main(["bounds", "--config", cfg, "--out", str(out)]) == 0
+            reports.append((out / "bounds.json").read_text())
+        assert reports[0] == reports[1]
+
     SIMULATE = {"start": [0.25, 0.25], "t_end": 0.05, "dt": 0.01, "n_paths": 100,
                 "bins": 4}
+
+    @pytest.mark.parametrize("seed,flag,message", [
+        (1.5, None, "seed must be an integer, got 1.5"),
+        (True, None, "seed must be an integer, got True"),
+        ("abc", None, "seed must be an integer, got 'abc'"),
+        (-1, None, "seed must be nonnegative, got -1"),
+        (0, "-1", "seed must be nonnegative, got -1"),
+    ])
+    def test_bad_seed(self, tmp_path, capsys, seed, flag, message):
+        cfg = write_config(tmp_path, {"task": "simulate", "velocity": TWO_PLATEAU,
+                                      "seed": seed, "params": self.SIMULATE})
+        argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "o")]
+        status = cli.main(argv + ([] if flag is None else ["--seed", flag]))
+        assert status == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o" / "manifest.json").exists()
     HALF_DOMAIN = {"kind": "grid", "samples": [0.0, 1.0], "domain": [0.0, 0.5]}
 
     @pytest.mark.parametrize("velocity,params,message", [
@@ -321,6 +351,18 @@ class TestSimulateTask:
             assert meta["first_dropped"] == BinaryCascadeField(c).first_dropped > 1e-8
         else:
             assert "truncated" not in meta and "first_dropped" not in meta
+
+    def test_null_seed_is_zero(self, tmp_path):
+        outs = []
+        for name, seed in (("zero", {"seed": 0}), ("null", {"seed": None})):
+            cfg = write_config(tmp_path, dict(seed, task="simulate", velocity=TWO_PLATEAU,
+                                              params=TestConfigValidation.SIMULATE),
+                               name=f"{name}.json")
+            out = tmp_path / name
+            assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+            assert json.loads((out / "histogram-meta.json").read_text())["seed"] == 0
+            outs.append((out / "histogram.csv").read_text())
+        assert outs[0] == outs[1]
 
     def test_seed_override_changes_output(self, tmp_path):
         outs = []

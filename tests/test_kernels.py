@@ -51,10 +51,6 @@ class TestHeatTorus:
         comp = np.mean(kr.heat_torus(x, z, t) * kr.heat_torus(z, y, s))
         assert comp == pytest.approx(kr.heat_torus(x, y, t + s), abs=1e-6)
 
-    def test_insufficient_truncation_rejected(self):
-        with pytest.raises(ValueError):
-            kr.heat_torus(0.3, 0.0, 4.0, truncation=1)
-
     def test_cell_mass_matches_quadrature(self):
         lo, hi, t = 0.2, 0.45, 0.09
         z = np.linspace(lo, hi, 20001)

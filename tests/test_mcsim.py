@@ -141,7 +141,7 @@ class TestSimulate:
             return TWO(x)
 
         cfg = small_cfg(t_end=0.2, n_paths=2500, y_integrator=rule)  # 20 steps, 3 blocks
-        mcsim._run([(0.3, 0.7)], vfun, cfg, {20})
+        mcsim._run([(0.3, 0.7)], vfun, cfg, {20}, mcsim._positions)
         assert len(calls) == 3 * calls_per_block
         assert sum(calls) == cfg.n_paths * calls_per_block
 
@@ -210,9 +210,8 @@ class TestGoldenHistograms:
                                               ("trapezoid", "22c9989b8a16f0c3")])
     def test_plane_shear(self, rule, digest):
         cfg = self.cfg(dt=1e-2, t_end=1.0, geometry="plane", y_integrator=rule)
-        positions = mcsim._run([(0.0, 0.0)], lambda x: x, cfg, {100},
-                               collect_positions=True)[0]
-        assert _digest(*positions[100]) == digest
+        blocks = mcsim._run([(0.0, 0.0)], lambda x: x, cfg, {100}, mcsim._positions)[0][100]
+        assert _digest(*map(np.concatenate, zip(*blocks))) == digest
 
 
 class TestDrawBuffer:
@@ -419,11 +418,12 @@ class TestKolmogorovExperiment:
         # the X-marginal test recomputed with scipy.stats from the same paths
         cfg = mcsim.PathConfig(dt=1e-2, n_paths=20_000, t_end=1.0, seed=17,
                                geometry="plane", block_size=1 << 12)
-        bins, span_sigmas = 12, 4.0
-        res = mcsim.kolmogorov_experiment(cfg, bins=bins, span_sigmas=span_sigmas)
+        bins, span_sigmas = 12, mcsim._SPAN_SIGMAS
+        res = mcsim.kolmogorov_experiment(cfg, bins=bins)
         n_steps, _ = mcsim._steps_for(cfg)
-        x, _ = mcsim._run([(0.0, 0.0)], lambda x: x, cfg, {n_steps},
-                          collect_positions=True)[0][n_steps]
+        blocks = mcsim._run([(0.0, 0.0)], lambda x: x, cfg, {n_steps},
+                            mcsim._positions)[0][n_steps]
+        x, _ = map(np.concatenate, zip(*blocks))
         assert float(np.var(x)) == res.var_x
         sx = math.sqrt(2.0 * cfg.t_end)
         edges = np.linspace(-span_sigmas * sx, span_sigmas * sx, bins + 1)

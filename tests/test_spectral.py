@@ -366,15 +366,18 @@ class TestGapGolden:
            boundary=st.sampled_from(["periodic", "dirichlet"]), k=st.sampled_from([1, 3]),
            n=st.sampled_from([16, 33, 48]), sine=st.integers(0, 3))
     def test_banded_matches_all_dense(self, seed, cells, boundary, k, n, sine):
-        # sine > 0: periodic collocation of a sine field of that frequency
+        # sine > 0: collocation of a sine field of that frequency, in the sine
+        # basis on the Dirichlet boundary
         if sine:
-            field, boundary = SineField(1.0, sine, seed % 7), "periodic"
+            field = SineField(1.0, sine, seed % 7)
+            op = make_operator(field, k, boundary=boundary, n=n, discretization="spectral")
         else:
             field = GridField(np.random.default_rng(seed).uniform(-1.0, 1.0, cells))
-        op = make_operator(field, k, boundary=boundary, n=n)
+            op = make_operator(field, k, boundary=boundary, n=n)
         banded = resolvent_gap(op, s_points=64)
+        # a failed banded evaluation falls back to the dense SVD, so this is all-dense
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ModeOperator, "band_form", lambda self: None)
+            patch.setattr(spectral._BandedSigma, "__call__", lambda engine, z: None)
             dense = resolvent_gap(op, s_points=64)
         assert dense.meta["sigma_evals"]["banded"] == 0
         assert banded.meta["sigma_evals"]["banded"] > 0
@@ -392,6 +395,15 @@ class TestGapMeta:
         assert far.meta["window_extensions"] == 6
         assert far.meta["certified"] is False
 
+    @pytest.mark.parametrize("window", [(1.0, 0.5), (0.7, 0.7), (math.nan, 1.0),
+                                        (0.0, math.inf), (0.0, 0.5, 1.0)])
+    def test_bad_s_window_rejected(self, window):
+        # a decreasing window would sweep a reversed grid to a wrong gap, and an
+        # empty one would never widen
+        op = make_operator(two_plateau(0.0, 1.0), 1, boundary="periodic", n=32)
+        with pytest.raises(ValueError):
+            resolvent_gap(op, s_window=window, s_points=64)
+
     def test_sigma_evals_fd2(self):
         op = make_operator(two_plateau(0.0, 1.0), 1, boundary="periodic", n=32)
         summary = resolvent_gap(op, s_window=(0.5, 1.0), s_points=64)
@@ -402,12 +414,12 @@ class TestGapMeta:
         # the dense SVD re-evaluates the candidates and decides the minimum
         assert evals["dense"] > 0
 
-    def test_sigma_evals_dirichlet_collocation_is_dense(self):
+    def test_sigma_evals_dirichlet_collocation_is_banded(self):
         op = make_operator(COS, k=1, boundary="dirichlet", n=32, discretization="spectral")
-        assert op.band_form() is None
+        assert op.band_form()[1] == 31
         evals = resolvent_gap(op, s_points=64).meta["sigma_evals"]
-        assert evals["banded"] == 0 and evals["dense_fallbacks"] == 0
-        assert evals["dense"] > 64
+        assert evals["banded"] > 64
+        assert 0 < evals["dense"] < 64
 
     def test_sigma_evals_periodic_collocation_is_banded(self):
         op = make_operator(COS, k=1, boundary="periodic", n=32)
