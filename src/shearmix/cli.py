@@ -46,8 +46,9 @@ Integer parameters take JSON integers or integral numbers such as 64.0;
 t_end, dt and the entries of start, kill_interval and flatness_interval take
 finite JSON numbers (not strings or booleans).
 
-Exit codes: 0 success, 1 configuration error, 2 validation-suite failure,
-3 numeric failure during a task.
+Exit codes: 0 success, 1 configuration error (a malformed command line
+included), 2 validation-suite failure (`validate` only), 3 numeric failure
+during a task.
 """
 
 from __future__ import annotations
@@ -73,6 +74,13 @@ EXIT_NUMERIC = 3
 
 class ConfigError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as config errors: argparse's 2 is a validation failure."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 _TASKS = ("bounds", "spectrum", "evolve", "simulate", "validate", "report")
@@ -416,7 +424,7 @@ _RUNNERS = {
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="shearmix",
         description="mixing bounds and validation for diffusion with shear transport",
     )
@@ -430,9 +438,8 @@ def main(argv=None):
         p.add_argument("--workers", type=int, default=2 if task == "validate" else 1,
                        help="Monte Carlo worker count of simulate (default 1) and "
                             "validate (default 2)")
-    args = parser.parse_args(argv)
-
     try:
+        args = parser.parse_args(argv)
         _require(args.workers >= 1, f"--workers must be at least 1, got {args.workers}")
         if args.config is not None:
             config = load_config(args.config)

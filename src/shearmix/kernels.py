@@ -1,10 +1,10 @@
 """Closed-form heat kernels and the explicit Kolmogorov fundamental solution.
 
 Line, torus and Dirichlet-interval heat kernels are evaluated with certified
-series tails (below 1e-14, unless the term count reaches its cap: 400 torus
-images, 100 000 sine terms).  The plane kernel of the equation
-du/dt = dxx u - x dy u is built from the quadratic cost of its minimum-energy
-control problem and normalized to unit mass.
+series tails (below 1e-14; the torus image count grows like sqrt(t) without a
+cap, and only the sine series stops at a cap of 100 000 terms).  The plane
+kernel of the equation du/dt = dxx u - x dy u is built from the quadratic cost
+of its minimum-energy control problem and normalized to unit mass.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ def heat_line(x, t):
     return out if out.shape else float(out)
 
 
-def _term_count(tail, limit):
+def _term_count(tail, limit=math.inf):
     """The first m >= 1 with tail(m) <= TAIL_TOL, capped at `limit`."""
     m = 1
     while tail(m) > TAIL_TOL and m < limit:
@@ -50,8 +50,8 @@ def _term_count(tail, limit):
 def _torus_images(t):
     from scipy.special import erfc
 
-    # tail of the image sum is below erfc((M - 1/2) / (2 sqrt(t)))
-    return _term_count(lambda m: float(erfc((m - 0.5) / (2.0 * math.sqrt(t)))), 400)
+    # tail of the image sum is below erfc((M - 1/2) / (2 sqrt(t))): M ~ 11 sqrt(t)
+    return _term_count(lambda m: float(erfc((m - 0.5) / (2.0 * math.sqrt(t)))))
 
 
 def heat_torus(x, xp=0.0, t=0.125):

@@ -304,7 +304,7 @@ class SpectralSummary:
     e1: np.ndarray
     r_lambda1: float
     s_argmin: float
-    trace: np.ndarray  # the last sweep's (s, sigma_min) rows
+    trace: np.ndarray  # the sweep's (s, sigma_min) rows
     meta: dict = dc_field(default_factory=dict)
 
     def sweep_csv(self):
@@ -313,22 +313,14 @@ class SpectralSummary:
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self):
-        out = {
+        return {
             "lambda1": self.lambda1,
             "lambda2": self.lambda2,
             "r_lambda1": self.r_lambda1,
             "s_argmin": self.s_argmin,
-            "meta": {k: (v if not isinstance(v, np.ndarray) else v.tolist())
-                     for k, v in self.meta.items()},
+            "meta": dict(self.meta),
             "e1": self.e1.tolist(),
         }
-        return out
-
-
-def _sigma_min(matrix, z):
-    import scipy.linalg as sla
-
-    return float(sla.svdvals(matrix - z * np.eye(matrix.shape[0]))[-1])
 
 
 def _candidates(vals, slack):
@@ -419,7 +411,11 @@ class _BandedSigma:
         return None
 
 
-def _trisect(estimate, densify, lo, hi, tol, max_iter=200):
+# bracket width at which the trisection of a sweep minimum stops
+REFINE_TOL = 1e-6
+
+
+def _trisect(estimate, densify, lo, hi, max_iter=200):
     """Trisection for a local minimum inside [lo, hi], on estimated values.
 
     `estimate(s)` returns a point [s, value, error] whose value is within
@@ -428,12 +424,13 @@ def _trisect(estimate, densify, lo, hi, tol, max_iter=200):
     the outer third next to the higher of the two inner points (the left
     third on a tie); a step that the errors cannot decide compares dense
     values.  So the points visited, the final bracket and `converged` are
-    those of a trisection on dense values.  Returns the visited points, in
-    visit order, and `converged`.
+    those of a trisection on dense values.  It stops when the bracket is at
+    most REFINE_TOL wide.  Returns the visited points, in visit order, and
+    `converged`.
     """
     points = []
     for _ in range(max_iter):
-        if hi - lo <= tol:
+        if hi - lo <= REFINE_TOL:
             return points, True
         p1 = estimate(lo + (hi - lo) / 3.0)
         p2 = estimate(hi - (hi - lo) / 3.0)
@@ -448,17 +445,29 @@ def _trisect(estimate, densify, lo, hi, tol, max_iter=200):
     return points, False
 
 
-def resolvent_gap(op, s_window=None, s_points=192, refine_tol=1e-6):
+def resolvent_gap(op, s_points=192):
     """Resolvent gap of a mode operator along its accretivity edge.
 
-    Sweeps s over a window (`s_window`, an increasing pair of finite
-    numbers, by default the skew range widened by 3 spreads + 1 either side;
-    auto-extended until the imaginary-part distance estimate certifies that
-    the global minimizer is interior), computes the smallest singular value
-    of matrix() - (lambda1 + i s), and refines every competitive local
-    minimum by trisection down to `refine_tol` bracket width.  The shift
-    lambda1 is the discrete accretivity edge so the returned gap feeds the
-    explicit semigroup bound exactly.
+    Sweeps s over `s_points` points of [w_lo - 3 spread - 1, w_hi + 3 spread
+    + 1], for [w_lo, w_hi] the range of w = op.skew_values and spread =
+    w_hi - w_lo, computes sigma_min(matrix() - lambda1 - i s), and refines
+    every competitive local minimum by trisection down to REFINE_TOL bracket
+    width.  The shift lambda1 is the discrete accretivity edge so the
+    returned gap feeds the explicit semigroup bound exactly.
+
+    The window holds the global minimum (numerical-range bounds: Trefethen
+    and Embree, Spectra and Pseudospectra, 2005, ch. 17).  With L =
+    laplacian(), W = diag(w) and B = matrix() - lambda1 = (L - lambda1) + iW:
+    - sigma_min(B - is) >= dist(s, [w_lo, w_hi]): x*(L - lambda1)x is real, so
+      ||(B - is)x|| >= |x*(W - s)x| for unit x;
+    - sigma_min(B - is) <= max_j |w_j - s|: (B - is)u = i(W - s)u for the
+      unit ground state u of L;
+    - sigma_min is 1-Lipschitz in s, so with the step h = (7 spread + 2) /
+      (s_points - 1) the sweep minimum is at most spread/2 + h/2 <=
+      0.56 spread + 0.016, while at both edges sigma_min >= 3 spread + 1,
+      far above that and either engine's error.
+    meta["certified"] checks this on the computed values, and
+    meta["window_extensions"] is 0: the window is never widened.
 
     Values come from the banded engine on op.band_form(), within
     engine.tolerance of the dense SVD's; the dense SVD evaluates every value
@@ -474,33 +483,33 @@ def resolvent_gap(op, s_window=None, s_points=192, refine_tol=1e-6):
       the lowest upper bound of any value.  Every other point is above the
       dense minimum, so the first point with the lowest dense value is the
       all-dense result.
-    So r_lambda1, s_argmin, window_extensions and refinement_warning are those
-    of an all-dense run.  meta["certified"] is false when 6 window extensions
-    did not certify the window; meta["refinements"] gives each candidate's
-    grid point and whether its trisection converged (refinement_warning is
-    set when one did not); meta["sigma_evals"] counts banded evaluations,
-    dense SVDs, and the dense SVDs among them that replaced a failed banded
-    evaluation, over the sweeps and the refinement.
+    So r_lambda1, s_argmin and refinement_warning are those of an all-dense
+    run.  meta["refinements"] gives each candidate's grid point and whether
+    its trisection converged (refinement_warning is set when one did not);
+    meta["sigma_evals"] counts banded evaluations, dense SVDs, and the dense
+    SVDs among them that replaced a failed banded evaluation, over the sweep
+    and the refinement.
     """
+    import scipy.linalg as sla
+
     if s_points < 64:
         raise ValueError("need at least 64 sweep points")
-    if s_window is not None:
-        lo, hi = map(float, s_window)
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValueError(f"s_window must be an increasing pair of finite numbers, "
-                             f"got {tuple(s_window)!r}")
     shift = op.lambda1_discrete
     mat = op.matrix()
     w = op.skew_values
     w_lo, w_hi = float(w.min()), float(w.max())
     spread = w_hi - w_lo
+    lo = w_lo - 3.0 * spread - 1.0
+    hi = w_hi + 3.0 * spread + 1.0
+    grid = np.linspace(lo, hi, s_points)
 
     evals = {"banded": 0, "dense": 0, "dense_fallbacks": 0}
     engine = _BandedSigma(*op.band_form())
+    tol = engine.tolerance(abs(shift) + float(np.abs(grid).max()))
 
     def dense(s):
         evals["dense"] += 1
-        return _sigma_min(mat, shift + 1j * s)
+        return float(sla.svdvals(mat - (shift + 1j * s) * np.eye(op.n))[-1])
 
     def densify(point):
         if point[2]:
@@ -514,37 +523,15 @@ def resolvent_gap(op, s_window=None, s_points=192, refine_tol=1e-6):
         evals["dense_fallbacks"] += 1
         return [s, dense(s), 0.0]
 
-    def sweep(grid):
-        points = [estimate(s) for s in grid]
-        near = _candidates(np.array([p[1] for p in points]), tol)
-        recheck = near.copy()
-        recheck[1:] |= near[:-1]
-        recheck[:-1] |= near[1:]
-        for j in np.flatnonzero(recheck):
-            densify(points[j])
-        return np.array([p[1] for p in points])
-
-    if s_window is None:
-        lo = w_lo - 3.0 * spread - 1.0
-        hi = w_hi + 3.0 * spread + 1.0
-
-    extensions = 0
-    while True:
-        grid = np.linspace(lo, hi, s_points)
-        tol = engine.tolerance(abs(shift) + float(np.abs(grid).max()))
-        vals = sweep(grid)
-        interior_min = float(vals.min())
-        # outside the window sigma(s) >= dist(s, range of the skew symbol),
-        # so once both edge distances clear the interior minimum the global
-        # infimum is certified to be interior
-        certified = (min(w_lo - lo, hi - w_hi) > interior_min
-                     and vals[0] > interior_min and vals[-1] > interior_min)
-        if certified or extensions >= 6:
-            break
-        width = hi - lo
-        lo -= width
-        hi += width
-        extensions += 1
+    swept = [estimate(s) for s in grid]
+    near = _candidates(np.array([p[1] for p in swept]), tol)
+    # each point that could be a candidate of the dense sweep, and its neighbours
+    for j in np.flatnonzero(np.convolve(near, np.ones(3), mode="same")):
+        densify(swept[j])
+    vals = np.array([p[1] for p in swept])
+    interior_min = float(vals.min())
+    certified = (min(w_lo - lo, hi - w_hi) > interior_min
+                 and vals[0] > interior_min and vals[-1] > interior_min)
 
     # the global minimum is always a candidate
     best_s, best_f = float(grid[np.argsort(vals)[0]]), interior_min
@@ -552,7 +539,7 @@ def resolvent_gap(op, s_window=None, s_points=192, refine_tol=1e-6):
     for j in np.flatnonzero(_candidates(vals, 0.0)):
         blo = grid[max(j - 1, 0)]
         bhi = grid[min(j + 1, len(grid) - 1)]
-        points, ok = _trisect(estimate, densify, float(blo), float(bhi), refine_tol)
+        points, ok = _trisect(estimate, densify, float(blo), float(bhi))
         visited += points
         refinements.append({"s": float(grid[j]), "converged": ok})
     # a point whose value less its error is above an upper bound of another
@@ -573,8 +560,8 @@ def resolvent_gap(op, s_window=None, s_points=192, refine_tol=1e-6):
         "window": (lo, hi),
         "s_points": s_points,
         "lambda1_discrete": shift,
-        "refine_tol": refine_tol,
-        "window_extensions": extensions,
+        "refine_tol": REFINE_TOL,
+        "window_extensions": 0,
         "refinement_warning": not all(r["converged"] for r in refinements),
         "refinements": refinements,
         "certified": bool(certified),

@@ -741,8 +741,8 @@ def field_from_config(config):
 
     The schema is {"kind": <name>, ...parameters}; see the CLI documentation
     for the parameter list of each kind, which is its constructor's.  Unknown
-    kinds, unknown keys, missing required keys and values the constructor
-    cannot take are rejected with a ValueError.
+    kinds, unknown or missing keys, non-finite numbers (JSON's NaN and
+    Infinity) and values the constructor cannot take raise a ValueError.
     """
     if not isinstance(config, dict):
         raise ValueError("velocity config must be a mapping")
@@ -757,6 +757,11 @@ def field_from_config(config):
     missing = [name for name, p in params.items() if p.default is p.empty and name not in cfg]
     if missing:
         raise ValueError(f"missing keys for velocity kind {kind!r}: {missing}")
+    bad = sorted(name for name, value in cfg.items()
+                 if any(isinstance(v, float) and not math.isfinite(v)
+                        for v in (value if isinstance(value, list) else [value])))
+    if bad:
+        raise ValueError(f"non-finite values for velocity kind {kind!r}: {bad}")
     try:
         return _CONSTRUCTORS[kind](**cfg)
     except TypeError as err:  # a value of the wrong type, such as null

@@ -50,6 +50,13 @@ class TestConfigValidation:
          "frequency must be a positive integer"),
         ({"kind": "sine", "amplitude": None, "frequency": 1},
          "bad velocity description: bad values for velocity kind 'sine'"),
+        # JSON's NaN and Infinity
+        ({"kind": "grid", "samples": [0.0, float("nan")]},
+         "bad velocity description: non-finite values for velocity kind 'grid': ['samples']"),
+        ({"kind": "sine", "amplitude": float("inf"), "frequency": 1},
+         "non-finite values for velocity kind 'sine': ['amplitude']"),
+        ({"kind": "grid", "samples": [0.0, 1.0], "domain": [0.0, float("-inf")]},
+         "non-finite values for velocity kind 'grid': ['domain']"),
     ])
     def test_bad_velocity(self, tmp_path, capsys, velocity, message):
         cfg = write_config(tmp_path, {"task": "bounds", "velocity": velocity})
@@ -131,6 +138,8 @@ class TestConfigValidation:
         ("abc", None, "seed must be an integer, got 'abc'"),
         (-1, None, "seed must be nonnegative, got -1"),
         (0, "-1", "seed must be nonnegative, got -1"),
+        (0, "abc", "argument --seed: invalid int value: 'abc'"),
+        (0, "1.5", "argument --seed: invalid int value: '1.5'"),
     ])
     def test_bad_seed(self, tmp_path, capsys, seed, flag, message):
         cfg = write_config(tmp_path, {"task": "simulate", "velocity": TWO_PLATEAU,
@@ -138,7 +147,22 @@ class TestConfigValidation:
         argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "o")]
         status = cli.main(argv + ([] if flag is None else ["--seed", flag]))
         assert status == cli.EXIT_CONFIG
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--workers", "x"], "argument --workers: invalid int value: 'x'"),
+        (None, "the following arguments are required: --config"),
+    ])
+    def test_malformed_command_line(self, tmp_path, capsys, flags, message):
+        # argparse's own status 2 would read as a validation-suite failure
+        cfg = write_config(tmp_path, {"task": "simulate", "velocity": TWO_PLATEAU,
+                                      "params": self.SIMULATE})
+        argv = ["simulate"] + ([] if flags is None else ["--config", cfg] + flags)
+        assert cli.main(argv + ["--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
         assert not (tmp_path / "o" / "manifest.json").exists()
     HALF_DOMAIN = {"kind": "grid", "samples": [0.0, 1.0], "domain": [0.0, 0.5]}
 
@@ -266,6 +290,20 @@ class TestSpectrumTask:
         sweep = (out / "sweep.csv").read_text().splitlines()
         assert sweep[0] == "s,sigma_min"
         assert len(sweep) == 65
+
+    # the keys of spectral_summary.json and of its meta that `report` reads, and
+    # that the benchmark's traced run reads (perfbench/tracing.py, _sweep_facts)
+    READ_KEYS = {"r_lambda1", "s_argmin", "meta"}
+    READ_META_KEYS = {"boundary", "k", "s_points", "window_extensions", "refinement_warning"}
+
+    def test_summary_keeps_the_keys_its_readers_read(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {"task": "spectrum", "velocity": TWO_PLATEAU,
+                                      "params": {"n": 16, "s_points": 64}})
+        assert cli.main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+        summary = json.loads((out / "spectral_summary.json").read_text())
+        assert self.READ_KEYS - set(summary) == set()
+        assert self.READ_META_KEYS - set(summary["meta"]) == set()
 
 
 class TestEvolveTask:

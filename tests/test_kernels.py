@@ -63,6 +63,13 @@ class TestHeatTorus:
                     for lo, hi in zip(edges[:-1], edges[1:]))
         assert total == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("t", [1e4, 1e5])
+    def test_long_times_reach_equilibrium(self, t):
+        # a cap on the image count would leave these short of 1 (0.995 and 0.63
+        # at a 400-image cap)
+        assert kr.heat_torus(0.3, 0.0, t) == pytest.approx(1.0, abs=1e-12)
+        assert kr.heat_torus_cell_mass(0.0, 0.0, 1.0, t) == pytest.approx(1.0, abs=1e-12)
+
 
 class TestHeatDirichlet:
     def test_boundary_vanishes(self):

@@ -280,7 +280,8 @@ class TestGapGolden:
     operators, recorded with the all-dense sweep and compared exactly.  The
     mirror-symmetric fields have twin sweep points whose dense values differ
     only by roundoff; five of these cases change when the banded sweep's
-    candidates and their neighbours are not evaluated again with the dense SVD."""
+    candidates and their neighbours are not evaluated again with the dense SVD.
+    `options` are spectral module constants patched for the case."""
 
     CASES = [
         # field, k, boundary, n, s_points, options, r_lambda1, s_argmin, extensions, warned
@@ -304,21 +305,18 @@ class TestGapGolden:
          0.04006498880968203, -0.5193195161088158, 0, False),
         ("grid8", 2, "dirichlet", 64, 128, {},
          0.41347211013800406, -2.677605846952981, 0, False),
-        ("two_plateau", 1, "periodic", 32, 64, {"s_window": (0.5, 1.0)},
-         0.2061090099691818, 3.1415928302501097, 3, False),
-        ("two_plateau", 1, "periodic", 32, 64, {"s_window": (40.0, 41.0)},
-         0.20610900996890275, 3.1415926663186617, 5, False),
-        ("two_plateau", 1, "periodic", 32, 64, {"s_window": (1000.0, 1001.0)},
-         630.5357054735034, 636.0, 6, False),
-        ("sawtooth", 1, "dirichlet", 32, 64, {"refine_tol": 0.0},
+        ("sawtooth", 1, "dirichlet", 32, 64, {"REFINE_TOL": 0.0},
          0.043389573311596395, 3.1415926045083395, 0, True),
     ]
 
     @pytest.mark.parametrize("name,k,boundary,n,s_points,options,r,s,ext,warned", CASES)
-    def test_golden(self, name, k, boundary, n, s_points, options, r, s, ext, warned):
+    def test_golden(self, monkeypatch, name, k, boundary, n, s_points, options, r, s, ext,
+                    warned):
+        for constant, value in options.items():
+            monkeypatch.setattr(spectral, constant, value)
         op = make_operator(GOLDEN_FIELDS[name](), k, boundary=boundary, n=n,
                            discretization="fd2")
-        summary = resolvent_gap(op, s_points=s_points, **options)
+        summary = resolvent_gap(op, s_points=s_points)
         got = (summary.r_lambda1, summary.s_argmin, summary.meta["window_extensions"],
                summary.meta["refinement_warning"])
         assert got == (r, s, ext, warned)
@@ -391,26 +389,38 @@ class TestGapMeta:
     def test_certified_flag(self):
         op = make_operator(two_plateau(0.0, 1.0), 1, boundary="periodic", n=32)
         assert resolvent_gap(op, s_points=64).meta["certified"] is True
-        far = resolvent_gap(op, s_window=(1000.0, 1001.0), s_points=64)
-        assert far.meta["window_extensions"] == 6
-        assert far.meta["certified"] is False
 
-    @pytest.mark.parametrize("window", [(1.0, 0.5), (0.7, 0.7), (math.nan, 1.0),
-                                        (0.0, math.inf), (0.0, 0.5, 1.0)])
-    def test_bad_s_window_rejected(self, window):
-        # a decreasing window would sweep a reversed grid to a wrong gap, and an
-        # empty one would never widen
-        op = make_operator(two_plateau(0.0, 1.0), 1, boundary="periodic", n=32)
-        with pytest.raises(ValueError):
-            resolvent_gap(op, s_window=window, s_points=64)
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), cells=st.integers(1, 16),
+           sine=st.integers(0, 3), amplitude=st.floats(0.0, 2.0), k=st.integers(0, 8),
+           n=st.integers(16, 48), boundary=st.sampled_from(["periodic", "dirichlet"]),
+           discretization=st.sampled_from(["fd2", "spectral"]))
+    def test_default_window_holds_the_minimum(self, seed, cells, sine, amplitude, k, n,
+                                              boundary, discretization):
+        # sigma_min(B - is) <= max_j |w_j - s| and is 1-Lipschitz in s, so the
+        # sweep minimum is at most spread/2 + h/2; at the window edges it is at
+        # least 3 spread + 1, so the first sweep is certified
+        if sine:
+            field = SineField(amplitude, sine, seed % 7)
+        else:
+            field = GridField(np.random.default_rng(seed).uniform(-1.0, 1.0, cells))
+        op = make_operator(field, k, boundary=boundary, n=n, discretization=discretization)
+        summary = resolvent_gap(op, s_points=64)
+        assert summary.meta["certified"] is True
+        assert summary.meta["window_extensions"] == 0
+        w = op.skew_values
+        spread = float(w.max() - w.min())
+        lo, hi = summary.meta["window"]
+        z_max = abs(op.lambda1_discrete) + max(abs(lo), abs(hi))
+        tolerance = spectral._BandedSigma(*op.band_form()).tolerance(z_max)
+        h = (hi - lo) / (64 - 1)
+        assert summary.r_lambda1 <= spread / 2 + h / 2 + tolerance
 
     def test_sigma_evals_fd2(self):
         op = make_operator(two_plateau(0.0, 1.0), 1, boundary="periodic", n=32)
-        summary = resolvent_gap(op, s_window=(0.5, 1.0), s_points=64)
-        evals = summary.meta["sigma_evals"]
-        swept = 64 * (1 + summary.meta["window_extensions"])
+        evals = resolvent_gap(op, s_points=64).meta["sigma_evals"]
         # the banded engine runs the sweep and the trisection
-        assert evals["banded"] + evals["dense_fallbacks"] > swept
+        assert evals["banded"] + evals["dense_fallbacks"] > 64
         # the dense SVD re-evaluates the candidates and decides the minimum
         assert evals["dense"] > 0
 
@@ -429,7 +439,7 @@ class TestGapMeta:
         assert evals["banded"] > 64
         assert 0 < evals["dense"] < 64
 
-    def test_refinements(self):
+    def test_refinements(self, monkeypatch):
         op = make_operator(SawtoothField(1.0), 1, boundary="dirichlet", n=32)
         summary = resolvent_gap(op, s_points=64)
         refinements = summary.meta["refinements"]
@@ -438,7 +448,8 @@ class TestGapMeta:
         lo, hi = summary.meta["window"]
         # the minimum lies in the bracket of a candidate, one grid step either side
         assert min(abs(r["s"] - summary.s_argmin) for r in refinements) <= (hi - lo) / 63
-        stalled = resolvent_gap(op, s_points=64, refine_tol=0.0).meta
+        monkeypatch.setattr(spectral, "REFINE_TOL", 0.0)
+        stalled = resolvent_gap(op, s_points=64).meta
         assert [r["s"] for r in stalled["refinements"]] == [r["s"] for r in refinements]
         assert not any(r["converged"] for r in stalled["refinements"])
         assert stalled["refinement_warning"] is True
