@@ -46,9 +46,9 @@ Integer parameters take JSON integers or integral numbers such as 64.0;
 t_end, dt and the entries of start, kill_interval and flatness_interval take
 finite JSON numbers (not strings or booleans).
 
-Exit codes: 0 success, 1 configuration error (a malformed command line
-included), 2 validation-suite failure (`validate` only), 3 numeric failure
-during a task.
+Exit codes: 0 success, 1 configuration error (a malformed command line and
+any value that a library call refuses with a ValueError included), 2
+validation-suite failure (`validate` only), 3 numeric failure during a task.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evolve, functionals, mcsim, validation
-from .spectral import ModeOperator, make_operator, resolvent_gap
+from .spectral import make_operator, resolvent_gap
 from .velocity import field_from_config
 
 EXIT_OK = 0
@@ -72,28 +72,15 @@ EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 
 
-class ConfigError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 1, as config errors: argparse's 2 is a validation failure."""
 
     def error(self, message):
-        raise ConfigError(message)
+        raise ValueError(message)
 
 
-_TASKS = ("bounds", "spectrum", "evolve", "simulate", "validate", "report")
-
-_PARAM_KEYS = {
-    "bounds": {"grid_n", "eps_grid", "flatness_interval", "j_points"},
-    "spectrum": {"k", "boundary", "n", "s_points", "discretization"},
-    "evolve": {"t_end", "samples", "k_max", "nx", "ny", "initial", "snapshots"},
-    "simulate": {"start", "t_end", "dt", "n_paths", "bins", "y_integrator",
-                 "kill_interval"},
-    "validate": {"criteria"},
-    "report": set(),
-}
+# the tasks that run on the config's velocity field
+_FIELD_TASKS = ("bounds", "spectrum", "evolve", "simulate")
 
 
 def load_config(path):
@@ -101,31 +88,31 @@ def load_config(path):
         with open(path) as handle:
             raw = json.load(handle)
     except OSError as err:
-        raise ConfigError(f"cannot read config: {err}") from err
+        raise ValueError(f"cannot read config: {err}") from err
     except json.JSONDecodeError as err:
-        raise ConfigError(f"config is not valid JSON: {err}") from err
+        raise ValueError(f"config is not valid JSON: {err}") from err
     if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
+        raise ValueError("config must be a JSON object")
     allowed = {"task", "velocity", "seed", "out_dir", "params"}
     extra = set(raw) - allowed
     if extra:
-        raise ConfigError(f"unknown config keys: {sorted(extra)}")
+        raise ValueError(f"unknown config keys: {sorted(extra)}")
     task = raw.get("task")
     if task not in _TASKS:
-        raise ConfigError(f"task must be one of {_TASKS}, got {task!r}")
+        raise ValueError(f"task must be one of {tuple(_TASKS)}, got {task!r}")
     params = raw.get("params", {})
     if not isinstance(params, dict):
-        raise ConfigError("params must be an object")
-    extra = set(params) - _PARAM_KEYS[task]
+        raise ValueError("params must be an object")
+    extra = set(params) - _TASKS[task][1]
     if extra:
-        raise ConfigError(f"unknown params for task {task!r}: {sorted(extra)}")
-    if task in ("bounds", "spectrum", "evolve", "simulate"):
+        raise ValueError(f"unknown params for task {task!r}: {sorted(extra)}")
+    if task in _FIELD_TASKS:
         if "velocity" not in raw:
-            raise ConfigError(f"task {task!r} needs a velocity description")
+            raise ValueError(f"task {task!r} needs a velocity description")
         try:
             field_from_config(raw["velocity"])
         except ValueError as err:
-            raise ConfigError(f"bad velocity description: {err}") from err
+            raise ValueError(f"bad velocity description: {err}") from err
     return raw
 
 
@@ -173,7 +160,7 @@ def _seeded(config, args):
 
 def _require(ok, message):
     if not ok:
-        raise ConfigError(message)
+        raise ValueError(message)
 
 
 def _int_param(params, name, default, least=None):
@@ -243,17 +230,11 @@ def task_bounds(config, ws, args):
 def task_spectrum(config, ws, args):
     field = field_from_config(config["velocity"])
     params = config.get("params", {})
-    boundary = params.get("boundary", "periodic")
-    discretization = params.get("discretization")
-    _require(boundary in ModeOperator.BOUNDARIES,
-             f"boundary must be one of {ModeOperator.BOUNDARIES}, got {boundary!r}")
-    _require(discretization is None or discretization in ModeOperator.DISCRETIZATIONS,
-             f"discretization must be one of {ModeOperator.DISCRETIZATIONS}, "
-             f"got {discretization!r}")
     n = _int_param(params, "n", 256, least=16)
     s_points = _int_param(params, "s_points", 192, least=64)
-    op = make_operator(field, k=_int_param(params, "k", 1), boundary=boundary, n=n,
-                       discretization=discretization)
+    op = make_operator(field, k=_int_param(params, "k", 1),
+                       boundary=params.get("boundary", "periodic"), n=n,
+                       discretization=params.get("discretization"))
     summary = resolvent_gap(op, s_points=s_points)
     ws.write_json("spectral_summary.json", summary.to_json_dict())
     ws.write_text("sweep.csv", summary.sweep_csv())
@@ -271,12 +252,8 @@ def task_evolve(config, ws, args):
     n_samples = _int_param(params, "samples", 33, least=1)
     n_snapshots = _int_param(params, "snapshots", 0, least=0)
     k_max = _int_param(params, "k_max", None, least=0)
-    try:
-        u0 = evolve.initial_samples(params.get("initial", "cos_y"), nx, ny,
-                                    _seeded(config, args))
-        fld = evolve.field_from_samples(u0, k_max=k_max)  # rejects a ny that aliases k_max
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    u0 = evolve.initial_samples(params.get("initial", "cos_y"), nx, ny, _seeded(config, args))
+    fld = evolve.field_from_samples(u0, k_max=k_max)  # rejects a ny that aliases k_max
     evo = evolve.Evolution(field)  # one operator per mode for the trace and the snapshots
     trace = evolve.relax_trace(u0, field, t_end=t_end, n_samples=n_samples, k_max=k_max,
                                evolution=evo)
@@ -294,24 +271,19 @@ def task_evolve(config, ws, args):
 def task_simulate(config, ws, args):
     field = field_from_config(config["velocity"])
     params = config.get("params", {})
-    _require(field.periodic, "simulate needs a torus velocity field")
     start = _pair(params.get("start", (0.0, 0.0)), "start")
     kill = params.get("kill_interval")
     if kill is not None:
         kill = _pair(kill, "kill_interval")
-        _require(kill[0] < kill[1], f"kill_interval must be increasing, got {list(kill)!r}")
-    try:  # PathConfig checks the ranges
-        cfg = mcsim.PathConfig(
-            dt=_float_param(params, "dt", 1e-3),
-            n_paths=_int_param(params, "n_paths", 100_000),
-            t_end=_float_param(params, "t_end", 1.0),
-            seed=_seeded(config, args),
-            y_integrator=params.get("y_integrator", "left"),
-            bins=_int_param(params, "bins", 32),
-            workers=args.workers,
-        )
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    cfg = mcsim.PathConfig(  # PathConfig checks the ranges; simulate, the field and kill_interval
+        dt=_float_param(params, "dt", 1e-3),
+        n_paths=_int_param(params, "n_paths", 100_000),
+        t_end=_float_param(params, "t_end", 1.0),
+        seed=_seeded(config, args),
+        y_integrator=params.get("y_integrator", "left"),
+        bins=_int_param(params, "bins", 32),
+        workers=args.workers,
+    )
     hist = mcsim.simulate(start, field, cfg, kill_interval=kill)
     ws.write_text("histogram.csv", hist.histogram_csv())
     ws.write_json("histogram-meta.json", hist.metadata())
@@ -413,13 +385,16 @@ def task_report(config, ws, args):
     return EXIT_OK
 
 
-_RUNNERS = {
-    "bounds": task_bounds,
-    "spectrum": task_spectrum,
-    "evolve": task_evolve,
-    "simulate": task_simulate,
-    "validate": task_validate,
-    "report": task_report,
+# task: (runner, the keys its params block takes)
+_TASKS = {
+    "bounds": (task_bounds, {"grid_n", "eps_grid", "flatness_interval", "j_points"}),
+    "spectrum": (task_spectrum, {"k", "boundary", "n", "s_points", "discretization"}),
+    "evolve": (task_evolve, {"t_end", "samples", "k_max", "nx", "ny", "initial",
+                             "snapshots"}),
+    "simulate": (task_simulate, {"start", "t_end", "dt", "n_paths", "bins",
+                                 "y_integrator", "kill_interval"}),
+    "validate": (task_validate, {"criteria"}),
+    "report": (task_report, set()),
 }
 
 
@@ -431,7 +406,7 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
     for task in _TASKS:
         p = sub.add_parser(task, help=f"run the {task} task")
-        p.add_argument("--config", required=(task not in ("validate", "report")),
+        p.add_argument("--config", required=task in _FIELD_TASKS,
                        help="path to the JSON config")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -444,18 +419,19 @@ def main(argv=None):
         if args.config is not None:
             config = load_config(args.config)
             if config["task"] != args.command:
-                raise ConfigError(f"config task {config['task']!r} does not match "
-                                  f"subcommand {args.command!r}")
+                raise ValueError(f"config task {config['task']!r} does not match "
+                                 f"subcommand {args.command!r}")
         else:
             config = {"task": args.command, "params": {}}
         ws = Workspace(args.out or config.get("out_dir") or "shearmix-out", config)
-        status = _RUNNERS[args.command](config, ws, args)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+        status = _TASKS[args.command][0](config, ws, args)
     except (ArithmeticError, np.linalg.LinAlgError) as err:
+        # first: LinAlgError is a ValueError
         print(f"numeric failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
+    except ValueError as err:  # the config, the command line or a library call refused a value
+        print(f"config error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
     ws.finish()
     return status
 

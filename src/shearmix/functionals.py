@@ -208,11 +208,11 @@ def min_affine_residual(field, eps, j_points=129):
 
 def _min_residual(table, eps, length):
     """Smallest residual in a `Primitive.window_table` over windows of length >= 2 eps."""
-    # eps = |I|/2 is admitted: exactly one window (J = I) qualifies there
+    # eps = |I|/2 is admitted: exactly one window (J = I) qualifies there, and
+    # the table always holds it
     if not 0.0 < eps <= 0.5 * length:
         raise ValueError("eps must lie in (0, |I|/2]")
-    admitted = table[table[:, 1] - table[:, 0] >= 2.0 * eps - 1e-12, 4]
-    return float(admitted.min()) if len(admitted) else math.inf
+    return float(table[table[:, 1] - table[:, 0] >= 2.0 * eps - 1e-12, 4].min())
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +469,8 @@ def compute_bounds_report(field, *, grid_n=512, eps_grid=DEFAULT_EPS_GRID,
         raise TypeError("expected a VelocityField")
     if not field.periodic:
         raise ValueError("bounds reports are defined for torus fields")
+    if not len(eps_grid):
+        raise ValueError("eps_grid must not be empty")
     prov = {}
     osc = field.oscillation()
     corr = lipschitz_correlation(field, boundary="periodic", grid_n=grid_n)
@@ -484,8 +486,7 @@ def compute_bounds_report(field, *, grid_n=512, eps_grid=DEFAULT_EPS_GRID,
     shortest = [2.0 * eps for eps in eps_grid]
     if interval == domain:
         shortest.append(scan_eps[0])
-    table = field.primitive(base=field.a).window_table(*domain, j_points,
-                                                       min(shortest, default=math.inf))
+    table = field.primitive(base=field.a).window_table(*domain, j_points, min(shortest))
     res_table = {eps: _min_residual(table, eps, field.length) for eps in eps_grid}
     gap_table = {eps: gap_bound_from_residual(res, eps, lambda1=0.0)
                  for eps, res in res_table.items()}

@@ -1,8 +1,8 @@
 """Closed-form heat kernels and the explicit Kolmogorov fundamental solution.
 
 Line, torus and Dirichlet-interval heat kernels are evaluated with certified
-series tails (below 1e-14; the torus image count grows like sqrt(t) without a
-cap, and only the sine series stops at a cap of 100 000 terms).  The plane
+series tails (below 1e-14, with no cap on the term count: the torus image
+count grows like sqrt(t) and the sine series like 1/sqrt(t)).  The plane
 kernel of the equation du/dt = dxx u - x dy u is built from the quadratic cost
 of its minimum-energy control problem and normalized to unit mass.
 """
@@ -39,10 +39,10 @@ def heat_line(x, t):
     return out if out.shape else float(out)
 
 
-def _term_count(tail, limit=math.inf):
-    """The first m >= 1 with tail(m) <= TAIL_TOL, capped at `limit`."""
+def _term_count(tail):
+    """The first m >= 1 with tail(m) <= TAIL_TOL."""
     m = 1
-    while tail(m) > TAIL_TOL and m < limit:
+    while tail(m) > TAIL_TOL:
         m += 1
     return m
 
@@ -100,7 +100,7 @@ def heat_dirichlet(x, xp, interval=(0.0, 1.0), t=0.125):
         # sum_{k>m} e^{-k^2 q} <= integral, evaluated through erfc
         return (2.0 / length) * 0.5 * math.sqrt(math.pi / q) * float(erfc(m * math.sqrt(q)))
 
-    m = _term_count(tail, 100_000)
+    m = _term_count(tail)
     x = np.asarray(x, dtype=float)
     xp = np.asarray(xp, dtype=float)
     if np.any((x < a - 1e-12) | (x > b + 1e-12) | (xp < a - 1e-12) | (xp > b + 1e-12)):

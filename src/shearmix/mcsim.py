@@ -272,7 +272,7 @@ def simulate_starts(starts, field, cfg, times, kill_interval=None):
     if not all(math.isfinite(c) for start in starts for c in start):
         raise ValueError(f"starts must be finite, got {list(starts)!r}")
     if kill_interval is not None and not kill_interval[0] < kill_interval[1]:
-        raise ValueError(f"kill interval must be increasing, got {kill_interval!r}")
+        raise ValueError(f"kill_interval must be increasing, got {list(kill_interval)!r}")
     n_steps, dt = _steps_for(cfg)
     step_of = {}
     for t in times:

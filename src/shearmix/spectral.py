@@ -48,7 +48,7 @@ def _grid(boundary, a, b, n):
     if boundary == "dirichlet":
         h = (b - a) / (n + 1)
         return h, a + h * np.arange(1, n + 1)
-    raise ValueError(f"unknown boundary: {boundary!r}")
+    raise ValueError(f"boundary must be one of {ModeOperator.BOUNDARIES}, got {boundary!r}")
 
 
 def laplace_eigs(boundary, interval=(0.0, 1.0), n=256):
@@ -113,9 +113,10 @@ class ModeOperator:
 
     def __init__(self, boundary, interval, v_samples, k, discretization="fd2"):
         if boundary not in self.BOUNDARIES:
-            raise ValueError(f"unknown boundary: {boundary!r}")
+            raise ValueError(f"boundary must be one of {self.BOUNDARIES}, got {boundary!r}")
         if discretization not in self.DISCRETIZATIONS:
-            raise ValueError(f"unknown discretization: {discretization!r}")
+            raise ValueError(f"discretization must be one of {self.DISCRETIZATIONS}, "
+                             f"got {discretization!r}")
         v_samples = np.array(v_samples, dtype=float)
         if v_samples.ndim != 1 or len(v_samples) < 16:
             raise ValueError("need at least 16 velocity samples")

@@ -302,6 +302,15 @@ def criterion_8(workers=2):
 
 
 def criterion_9(workers=2):
+    """The plane kernel: its control cost, a Monte Carlo histogram and the PDE residual.
+
+    The histogram's step-size bias is known exactly.  For V(x) = x from the
+    origin the trapezoid rule makes (X_n, Y_n) exactly Gaussian at t = n dt,
+    with mean 0, Var X = 2t, Cov(X, Y) = t^2 and Var Y = 2t^3/3 - t dt^2/6
+    (checked with rational arithmetic for n = 1, 2, 5, 10 and 40), against
+    the kernel's 2t^3/3.  So Var Y is low by dt^2 / (4 t^2), 2.5e-7 relative
+    at dt = 1e-3 and t = 1, far below what 10^6 paths resolve.
+    """
     details = {}
     rng = np.random.default_rng(90210)
     worst = 0.0

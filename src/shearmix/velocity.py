@@ -237,7 +237,10 @@ class Primitive:
     def window_table(self, lo, hi, points, min_len):
         """(count, 5) array of (left, right, p, q, residual) lines for the windows
         of length >= min_len on the uniform `points`-point lattice of [lo, hi],
-        in lattice order; [lo, hi] must lie in [a, b]."""
+        in lattice order; [lo, hi] must lie in [a, b].  The lattice needs at
+        least 2 points, so [lo, hi] is a window of the table when min_len allows."""
+        if points < 2:
+            raise ValueError(f"a window lattice needs at least 2 points, got {points}")
         self._check_window(lo, hi)
         grid = np.linspace(lo, hi, points)
         left, right = np.triu_indices(points, 1)
@@ -336,10 +339,14 @@ class VelocityField:
 
     kind = "abstract"
 
-    def __init__(self, a, b, periodic):
-        self.a = float(a)
-        self.b = float(b)
-        self.periodic = bool(periodic)
+    def __init__(self, domain=None):
+        """`domain` is None or "torus" for the unit torus, else an interval [a, b]."""
+        if domain is None or domain == "torus":
+            self.domain, self.a, self.b, self.periodic = None, 0.0, 1.0, True
+        else:
+            self.domain = [float(domain[0]), float(domain[1])]
+            self.a, self.b = self.domain
+            self.periodic = False
         if not self.b > self.a:
             raise DomainError("empty domain")
 
@@ -401,31 +408,31 @@ class VelocityField:
         return max(pairs, key=lambda pair: (pair.ell, pair.dv, -pair.first.left), default=None)
 
     def to_config(self):
-        raise NotImplementedError
+        """The kind and each constructor parameter, read from the attribute of its
+        name; None is left out, and arrays and lists are written as lists."""
+        cfg = {"kind": self.kind}
+        for name in inspect.signature(type(self)).parameters:
+            value = getattr(self, name)
+            if value is not None:
+                cfg[name] = list(value) if isinstance(value, (list, np.ndarray)) else value
+        return cfg
 
     def __repr__(self):
         return f"{type(self).__name__}({self.to_config()})"
 
 
-def _resolve_domain(domain):
-    if domain is None or domain == "torus":
-        return 0.0, 1.0, True
-    a, b = float(domain[0]), float(domain[1])
-    return a, b, False
-
-
 class _StepField(VelocityField):
-    """Shared machinery for representations that are step functions."""
+    """Shared machinery for representations that are step functions; a
+    subclass sets its domain, then its cells with `_set_cells`."""
 
-    def __init__(self, edges, values, a, b, periodic):
-        super().__init__(a, b, periodic)
+    def _set_cells(self, edges, values):
         edges = np.asarray(edges, dtype=float)
         values = np.asarray(values, dtype=float)
         if len(edges) != len(values) + 1:
             raise ValueError("need one more edge than cell values")
         if np.any(np.diff(edges) <= 0):
             raise ValueError("cell edges must be strictly increasing")
-        if not (abs(edges[0] - a) < 1e-12 and abs(edges[-1] - b) < 1e-12):
+        if not (abs(edges[0] - self.a) < 1e-12 and abs(edges[-1] - self.b) < 1e-12):
             raise DomainError("cells must tile the domain exactly")
         self.edges = edges
         self.values = values
@@ -497,17 +504,12 @@ class PiecewiseConstantField(_StepField):
     kind = "piecewise_constant"
 
     def __init__(self, breakpoints, values, domain=None):
-        a, b, periodic = _resolve_domain(domain)
+        super().__init__(domain)
         breakpoints = list(map(float, breakpoints))
-        if not breakpoints or abs(breakpoints[0] - a) > 1e-12:
+        if not breakpoints or abs(breakpoints[0] - self.a) > 1e-12:
             raise DomainError("first breakpoint must coincide with the domain start")
-        super().__init__(breakpoints + [b], values, a, b, periodic)
-
-    def to_config(self):
-        cfg = {"kind": self.kind, "breakpoints": list(self.edges[:-1]), "values": list(self.values)}
-        if not self.periodic:
-            cfg["domain"] = [self.a, self.b]
-        return cfg
+        self._set_cells(breakpoints + [self.b], values)
+        self.breakpoints = self.edges[:-1]
 
 
 class GridField(_StepField):
@@ -516,18 +518,12 @@ class GridField(_StepField):
     kind = "grid"
 
     def __init__(self, samples, domain=None):
-        a, b, periodic = _resolve_domain(domain)
+        super().__init__(domain)
         samples = np.asarray(samples, dtype=float)
         if samples.ndim != 1 or len(samples) < 1:
             raise ValueError("samples must be a nonempty 1D sequence")
-        edges = np.linspace(a, b, len(samples) + 1)
-        super().__init__(edges, samples, a, b, periodic)
-
-    def to_config(self):
-        cfg = {"kind": self.kind, "samples": list(self.values)}
-        if not self.periodic:
-            cfg["domain"] = [self.a, self.b]
-        return cfg
+        self._set_cells(np.linspace(self.a, self.b, len(samples) + 1), samples)
+        self.samples = self.values
 
 
 class HeavisideField(_StepField):
@@ -536,12 +532,10 @@ class HeavisideField(_StepField):
     kind = "heaviside"
 
     def __init__(self, high=1.0, low=0.0):
+        super().__init__()
         self.high = float(high)
         self.low = float(low)
-        super().__init__([0.0, 0.5, 1.0], [self.high, self.low], 0.0, 1.0, True)
-
-    def to_config(self):
-        return {"kind": self.kind, "high": self.high, "low": self.low}
+        self._set_cells([0.0, 0.5, 1.0], [self.high, self.low])
 
 
 class BinaryCascadeField(_StepField):
@@ -566,6 +560,7 @@ class BinaryCascadeField(_StepField):
     def __init__(self, c=1.0, tail_tol=1e-15):
         if c <= 0:
             raise ValueError("cascade decay parameter must be positive")
+        super().__init__()
         self.c = float(c)
         self.tail_tol = float(tail_tol)
         coefs = []
@@ -587,14 +582,11 @@ class BinaryCascadeField(_StepField):
                 bit = (cells >> (depth - k)) & 1
                 values += coefs[k - 1] * (1.0 - 2.0 * bit)
             edges = np.linspace(0.0, 1.0, 2**depth + 1)
-        super().__init__(edges, values, 0.0, 1.0, True)
+        self._set_cells(edges, values)
 
     def _all_plateaus(self):
         # judged as the idealized cascade, like a closed-form field, not by its cells
         return VelocityField._all_plateaus(self)
-
-    def to_config(self):
-        return {"kind": self.kind, "c": self.c, "tail_tol": self.tail_tol}
 
 
 class PiecewiseLinearField(VelocityField):
@@ -607,23 +599,22 @@ class PiecewiseLinearField(VelocityField):
     kind = "piecewise_linear"
 
     def __init__(self, knots, values, domain=None):
-        a, b, periodic = _resolve_domain(domain)
-        super().__init__(a, b, periodic)
+        super().__init__(domain)
         knots = np.asarray(knots, dtype=float)
         values = np.asarray(values, dtype=float)
-        if len(knots) != len(values) or len(knots) < (1 if periodic else 2):
+        if len(knots) != len(values) or len(knots) < (1 if self.periodic else 2):
             raise ValueError("knots and values must match and be nonempty")
         if np.any(np.diff(knots) <= 0):
             raise ValueError("knots must be strictly increasing")
-        if abs(knots[0] - a) > 1e-12:
+        if abs(knots[0] - self.a) > 1e-12:
             raise DomainError("first knot must coincide with the domain start")
-        if periodic:
-            if knots[-1] >= b:
+        if self.periodic:
+            if knots[-1] >= self.b:
                 raise DomainError("torus knots must lie in [0, 1)")
-            self._x = np.concatenate([knots, [b]])
+            self._x = np.concatenate([knots, [self.b]])
             self._v = np.concatenate([values, [values[0]]])
         else:
-            if abs(knots[-1] - b) > 1e-12:
+            if abs(knots[-1] - self.b) > 1e-12:
                 raise DomainError("last knot must coincide with the domain end")
             self._x = knots
             self._v = values
@@ -650,12 +641,6 @@ class PiecewiseLinearField(VelocityField):
         flat = self._v[:-1] == self._v[1:]
         return _constant_runs(self._x, np.where(flat, self._v[:-1], np.nan), self.periodic)
 
-    def to_config(self):
-        cfg = {"kind": self.kind, "knots": list(self.knots), "values": list(self.values)}
-        if not self.periodic:
-            cfg["domain"] = [self.a, self.b]
-        return cfg
-
 
 class SineField(VelocityField):
     """V(x) = amplitude * sin(2 pi frequency x + phase) on the torus."""
@@ -663,7 +648,7 @@ class SineField(VelocityField):
     kind = "sine"
 
     def __init__(self, amplitude=1.0, frequency=1, phase=0.0):
-        super().__init__(0.0, 1.0, True)
+        super().__init__()
         self.amplitude = float(amplitude)
         self.frequency = int(frequency)
         self.phase = float(phase)
@@ -689,10 +674,6 @@ class SineField(VelocityField):
         return SmoothPrimitive(pv, 0.0, 1.0, base, abs(amp), True, 0.0,
                                panels_per_unit=32 * freq)
 
-    def to_config(self):
-        return {"kind": self.kind, "amplitude": self.amplitude,
-                "frequency": self.frequency, "phase": self.phase}
-
 
 class SawtoothField(VelocityField):
     """V(x) = amplitude * x on [0, 1), repeating with a jump at the seam."""
@@ -700,7 +681,7 @@ class SawtoothField(VelocityField):
     kind = "sawtooth"
 
     def __init__(self, amplitude=1.0):
-        super().__init__(0.0, 1.0, True)
+        super().__init__()
         self.amplitude = float(amplitude)
 
     def _eval_inside(self, x):
@@ -715,9 +696,6 @@ class SawtoothField(VelocityField):
         coeffs = np.array([[0.0, 0.0, 0.5 * self.amplitude]])
         return PiecewisePolyPrimitive(np.array([0.0, 1.0]), coeffs, base,
                                       abs(self.amplitude), True)
-
-    def to_config(self):
-        return {"kind": self.kind, "amplitude": self.amplitude}
 
 
 def two_plateau(low=0.0, high=1.0, split=0.5):
@@ -739,8 +717,9 @@ _CONSTRUCTORS = {
 def field_from_config(config):
     """Build a velocity field from its JSON description.
 
-    The schema is {"kind": <name>, ...parameters}; see the CLI documentation
-    for the parameter list of each kind, which is its constructor's.  Unknown
+    The schema is {"kind": <name>, ...parameters}, the parameters being the
+    kind's constructor's, as `VelocityField.to_config` writes them; the CLI
+    documentation lists them for each kind.  Unknown
     kinds, unknown or missing keys, non-finite numbers (JSON's NaN and
     Infinity) and values the constructor cannot take raise a ValueError.
     """

@@ -1,10 +1,12 @@
+import inspect
 import json
+import re
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from shearmix import cli, evolve, functionals, validation
+from shearmix import cli, evolve, functionals, mcsim, validation, velocity
 from shearmix.evolve import load_snapshot
 from shearmix.velocity import BinaryCascadeField
 
@@ -230,12 +232,80 @@ class TestConfigValidation:
         assert "criteria must be a non-empty list of ids" in capsys.readouterr().err
         assert not (tmp_path / "o" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("task,owner,name,params", [
+        ("bounds", functionals, "compute_bounds_report", {}),
+        ("spectrum", cli, "resolvent_gap", {"n": 48, "s_points": 64}),
+        ("evolve", evolve, "relax_trace", {"t_end": 0.5, "samples": 3, "nx": 16, "ny": 5}),
+        ("simulate", mcsim, "simulate", SIMULATE),
+    ], ids=["bounds", "spectrum", "evolve", "simulate"])
+    @pytest.mark.parametrize("error,status,message", [
+        (ValueError("x"), cli.EXIT_CONFIG, "config error: x\n"),
+        # a LinAlgError is a ValueError, and stays a numeric failure
+        (np.linalg.LinAlgError("x"), cli.EXIT_NUMERIC, "numeric failure: x\n"),
+    ], ids=["ValueError", "LinAlgError"])
+    def test_library_refusal(self, tmp_path, capsys, monkeypatch, task, owner, name, params,
+                             error, status, message):
+        def refuse(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(owner, name, refuse)
+        cfg = write_config(tmp_path, {"task": task, "velocity": TWO_PLATEAU, "params": params})
+        assert cli.main([task, "--config", cfg, "--out", str(tmp_path / "o")]) == status
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
     def test_workers_key_rejected(self, tmp_path, capsys):
         # the worker count is the --workers flag alone
         cfg = write_config(tmp_path, {"task": "bounds", "velocity": TWO_PLATEAU, "workers": 2})
         assert cli.main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) \
             == cli.EXIT_CONFIG
         assert "unknown config keys: ['workers']" in capsys.readouterr().err
+
+
+def _doc_block(header):
+    """{name: item text} of the `name: items` lines under `header` in the CLI
+    docstring; a line indented past the names continues the item text."""
+    block = cli.__doc__.split(header, 1)[1].split("\n\n")[1]
+    entries = {}
+    for line in block.splitlines():
+        match = re.match(r"    (\w+):\s+(.*)", line)
+        if match:
+            name = match[1]
+            entries[name] = match[2]
+        else:
+            entries[name] += " " + line.strip()
+    return entries
+
+
+def _doc_names(items):
+    """First identifier of each comma-separated item at bracket depth 0; `(` and
+    `[` open and `)` and `]` close, as interval notation such as (0, 1] mixes them."""
+    if items.startswith("(none"):
+        return set()
+    names, depth, start = set(), 0, 0
+    for i, char in enumerate(items + ","):
+        depth += (char in "([") - (char in ")]")
+        if char == "," and depth == 0:
+            names.add(re.match(r"\s*([A-Za-z_]\w*)", items[start:i])[1])
+            start = i + 1
+    return names
+
+
+class TestDocumentedSchema:
+    """The schema blocks of the CLI docstring name exactly what the code takes."""
+
+    def test_velocity_kinds(self):
+        doc = _doc_block("Velocity kinds and their parameters:")
+        assert set(doc) == set(velocity._CONSTRUCTORS)
+        for kind, items in doc.items():
+            params = inspect.signature(velocity._CONSTRUCTORS[kind]).parameters
+            assert _doc_names(items) == set(params), kind
+
+    def test_task_params(self):
+        doc = _doc_block("Task parameter blocks (all optional, with defaults):")
+        assert set(doc) == set(cli._TASKS)
+        for task, items in doc.items():
+            assert _doc_names(items) == cli._TASKS[task][1], task
 
 
 class TestBoundsTask:

@@ -289,6 +289,13 @@ class TestAffineResidualScan:
         with pytest.raises(ValueError):
             fn.min_affine_residual(COS, 0.6)
 
+    @pytest.mark.parametrize("j_points", [0, 1])
+    def test_lattice_needs_two_points(self, j_points):
+        # a lattice of fewer points has no window: its empty minimum read inf,
+        # which gap_bound_from_residual turns into its largest bound
+        with pytest.raises(ValueError, match="at least 2 points"):
+            fn.min_affine_residual(two_plateau(), 0.1, j_points=j_points)
+
     @pytest.mark.parametrize("field, eps, expected", [
         (COS, 0.05, 2.054703774356023e-09),
         (COS, 0.5, 0.004965661264278969),
@@ -452,6 +459,10 @@ class TestBoundsReport:
         report.doeblin_c = 1.0 + 2.0**-52
         with pytest.raises(AssertionError, match="mass underflows"):
             report.validate()
+
+    def test_empty_eps_grid_is_refused(self):
+        with pytest.raises(ValueError, match="eps_grid must not be empty"):
+            fn.compute_bounds_report(two_plateau(), grid_n=64, j_points=9, eps_grid=())
 
     def test_json_round_trip(self):
         import json

@@ -118,9 +118,9 @@ class TestSimulate:
     @pytest.mark.parametrize("start,kill,message", [
         ((math.nan, 0.1), None, "starts must be finite"),
         ((0.5, math.inf), None, "starts must be finite"),
-        ((0.5, 0.5), (0.75, 0.25), "kill interval must be increasing"),
-        ((0.5, 0.5), (0.5, 0.5), "kill interval must be increasing"),
-        ((0.5, 0.5), (math.nan, 0.8), "kill interval must be increasing"),
+        ((0.5, 0.5), (0.75, 0.25), "kill_interval must be increasing"),
+        ((0.5, 0.5), (0.5, 0.5), "kill_interval must be increasing"),
+        ((0.5, 0.5), (math.nan, 0.8), "kill_interval must be increasing"),
     ])
     def test_refuses_bad_start_or_kill_interval(self, start, kill, message):
         with pytest.raises(ValueError, match=message):

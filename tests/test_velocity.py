@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -577,7 +578,59 @@ class TestFlatnessEstimate:
         assert not est.feasible
 
 
+@st.composite
+def _velocity_configs(draw):
+    """A config of any kind, on [a, b] where the kind takes a domain, with
+    each optional parameter present or left out."""
+    numbers = st.floats(-10.0, 10.0)
+    kind = draw(st.sampled_from(sorted(velocity._CONSTRUCTORS)))
+    cfg = {"kind": kind}
+    a, b = 0.0, 1.0
+    if "domain" in inspect.signature(velocity._CONSTRUCTORS[kind]).parameters \
+            and draw(st.booleans()):
+        a = draw(st.floats(-5.0, 5.0))
+        b = a + draw(st.floats(0.1, 5.0))
+        cfg["domain"] = [a, b]
+    inner = [a + k / 64 * (b - a) for k in sorted(draw(st.sets(st.integers(1, 63), max_size=8)))]
+    if kind == "piecewise_constant":
+        cfg["breakpoints"] = [a] + inner
+    elif kind == "piecewise_linear":
+        cfg["knots"] = [a] + inner + ([b] if "domain" in cfg else [])
+    elif kind == "grid":
+        cfg["samples"] = draw(st.lists(numbers, min_size=1, max_size=16))
+    elif kind == "sine":
+        cfg.update(amplitude=draw(numbers), frequency=draw(st.integers(1, 8)),
+                   phase=draw(st.floats(-4.0, 4.0)))
+    elif kind == "sawtooth":
+        cfg["amplitude"] = draw(numbers)
+    elif kind == "heaviside":
+        cfg.update(high=draw(numbers), low=draw(numbers))
+    else:
+        cfg.update(c=draw(st.floats(1e-3, 10.0)), tail_tol=draw(st.floats(1e-15, 1e-2)))
+    for key in ("breakpoints", "knots"):
+        if key in cfg:
+            cfg["values"] = draw(st.lists(numbers, min_size=len(cfg[key]),
+                                          max_size=len(cfg[key])))
+    for key in ("phase", "high", "low", "tail_tol"):
+        if key in cfg and draw(st.booleans()):
+            del cfg[key]
+    return cfg
+
+
 class TestConfig:
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=_velocity_configs(),
+           xs=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=16))
+    def test_to_config_is_the_constructor(self, cfg, xs):
+        v = field_from_config(cfg)
+        out = v.to_config()
+        assert out["kind"] == cfg["kind"]
+        assert set(out) - {"kind"} <= set(inspect.signature(type(v)).parameters)
+        v2 = field_from_config(out)
+        assert v2.to_config() == out
+        x = v.a + np.array(xs) * v.length
+        assert v2(x).tobytes() == v(x).tobytes()
+
     @pytest.mark.parametrize(
         "cfg",
         [
