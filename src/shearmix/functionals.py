@@ -10,7 +10,9 @@ uniform kernel lower bound into exponential total-variation decay.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -134,6 +136,28 @@ def _lp_weights(boundary, a, b, n):
     return x, w, h
 
 
+@functools.cache
+def _lp_pattern(n, periodic):
+    """CSC arrays (indptr, indices, data) of the correlation LP's constraint
+    rows, built once per (n, boundary) and read-only.
+
+    Rows 2i and 2i + 1 bound +-(phi_i - phi_{i+1}); the last pair closes the
+    torus, and Dirichlet drops it.  The mean row comes last, with ones where
+    the caller puts its weights: each column's last entry.
+    """
+    from scipy import sparse
+
+    # row i of diff is phi_i - phi_{i+1}
+    diff = sparse.eye_array(n) - sparse.eye_array(n, k=1) - sparse.eye_array(n, k=1 - n)
+    if not periodic:
+        diff = diff.tocsr()[:-1]
+    rows = sparse.csc_array(sparse.vstack((sparse.kron(diff, [[1.0], [-1.0]]), np.ones((1, n)))))
+    pattern = (rows.indptr, rows.indices, rows.data)
+    for arr in pattern:
+        arr.setflags(write=False)
+    return pattern
+
+
 def lipschitz_correlation(field, boundary="periodic", interval=None, grid_n=256):
     """Maximal weighted correlation of V against constrained test functions.
 
@@ -146,42 +170,80 @@ def lipschitz_correlation(field, boundary="periodic", interval=None, grid_n=256)
     a linear program; the value is the maximum over piecewise-linear test
     functions on the grid and converges to the continuum value as grid_n
     grows.
-    """
-    from scipy import sparse
-    from scipy.optimize import linprog
 
-    if grid_n < 8:
+    The LP goes straight to the HiGHS binding that scipy ships
+    (`scipy.optimize._highspy._core`, a private module, checked on scipy
+    1.17), as the same model and options `linprog(method="highs")` would
+    build, so every value keeps linprog's bits without its input parsing,
+    its per-call sparse conversions and its per-option checks:
+    - columns phi_j with bounds [-1, 1] and cost -(v_j w_j);
+    - 2 grid_n slope rows on the torus, 2 (grid_n - 1) for Dirichlet, each
+      in [-kHighsInf, slope cap], then the mean row w . phi in [0, 0], with
+      the pattern of `_lp_pattern`, built once per (grid_n, boundary);
+    - options presolve "on", dual simplex, no debug checks, no output.
+    linprog's two refusals are kept, each an `ArithmeticError`: a model
+    status other than optimal, and a solution outside its constraints by more
+    than linprog's tolerance 10 sqrt(1e-9) (or with a NaN in it).  A
+    non-finite cost is a `ValueError`, as linprog's input check made it.
+    """
+    from scipy.optimize._highspy import _core as highs
+
+    n = operator.index(grid_n)
+    if n < 8:
         raise ValueError("grid_n must be at least 8")
     if interval is None:
         a, b = field.a, field.b
     else:
         a, b = float(interval[0]), float(interval[1])
     length = b - a
-    x, w, h = _lp_weights(boundary, a, b, grid_n)
-    v = np.asarray(field(x), dtype=float)
+    x, w, h = _lp_weights(boundary, a, b, n)
+    cost = -(np.asarray(field(x), dtype=float) * w)
+    if not np.isfinite(cost).all():
+        raise ValueError("correlation LP cost must be finite (field values times weights)")
     slope_cap = 2.0 * math.pi / length * h
 
-    # row i of diff is phi_i - phi_{i+1}; the last row closes the torus, and
-    # Dirichlet drops it
-    n = grid_n
-    diff = sparse.eye_array(n) - sparse.eye_array(n, k=1) - sparse.eye_array(n, k=1 - n)
-    if boundary != "periodic":
-        diff = diff.tocsr()[:-1]
-    a_ub = sparse.kron(diff, [[1.0], [-1.0]])  # rows 2i and 2i + 1 bound +-(phi_i - phi_{i+1})
-    b_ub = np.full(a_ub.shape[0], slope_cap)
+    indptr, indices, data = _lp_pattern(n, boundary == "periodic")
+    data = data.copy()
+    data[indptr[1:] - 1] = w  # each column's last entry is its mean-row weight
+    slope_rows = int(indices[-1])  # the mean row's index
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = slope_rows + 1
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = indptr
+    lp.a_matrix_.index_ = indices
+    lp.a_matrix_.value_ = data
+    lp.col_cost_ = cost
+    lp.col_lower_ = np.full(n, -1.0)
+    lp.col_upper_ = np.full(n, 1.0)
+    lp.row_lower_ = np.append(np.full(slope_rows, -highs.kHighsInf), 0.0)
+    lp.row_upper_ = np.append(np.full(slope_rows, slope_cap), 0.0)
+    options = highs.HighsOptions()
+    options.presolve = "on"
+    options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
+    options.output_flag = False
+    options.log_to_console = False
+    solver = highs._Highs()
+    solver.passOptions(options)
+    solver.passModel(lp)
+    solver.run()
+    status = solver.getModelStatus()
+    if status != highs.HighsModelStatus.kOptimal:
+        raise ArithmeticError(f"correlation LP failed: {solver.modelStatusToString(status)}")
 
-    res = linprog(
-        -(v * w),
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=w[None, :],
-        b_eq=[0.0],
-        bounds=(-1.0, 1.0),
-        method="highs",
-    )
-    if res.status != 0:
-        raise ArithmeticError(f"correlation LP failed: {res.message}")
-    return max(0.0, -res.fun)
+    solution = solver.getSolution()
+    phi = np.array(solution.col_value)
+    row = np.array(solution.row_value)
+    fun = solver.getInfo().objective_function_value
+    tol = 10.0 * math.sqrt(1e-9)
+    slack = slope_cap - row[:slope_rows]
+    if (np.isnan(phi).any() or np.isnan(fun) or np.isnan(row).any()
+            or not np.all((phi >= -1.0 - tol) & (phi <= 1.0 + tol))
+            or (slack < -tol).any() or abs(row[slope_rows]) > tol):
+        raise ArithmeticError("correlation LP failed: the solution breaks its constraints "
+                              f"by more than {tol:.2e}")
+    return max(0.0, -fun)
 
 
 # ---------------------------------------------------------------------------

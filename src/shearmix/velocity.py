@@ -772,7 +772,8 @@ def estimate_flatness_constant(field, interval, eps_grid, j_points=65):
     if lo < field.a or hi > field.b:
         raise ValueError(f"interval [{lo:g}, {hi:g}] leaves the domain [{field.a:g}, {field.b:g}]")
     eps_grid = sorted(float(e) for e in eps_grid)
-    if not eps_grid or eps_grid[0] <= 0 or eps_grid[-1] >= hi - lo:
+    # every value is checked: a NaN sorts anywhere and fails each comparison
+    if not eps_grid or not all(0.0 < e < hi - lo for e in eps_grid):
         raise ValueError("eps values must lie strictly between 0 and the interval length")
     table = field.primitive(base=lo).window_table(lo, hi, j_points, eps_grid[0])
     return _flatness_from_table(table, eps_grid)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -263,6 +264,90 @@ class TestCorrelationLP:
     def test_grid_floor(self):
         with pytest.raises(ValueError):
             fn.lipschitz_correlation(COS, grid_n=4)
+
+
+def linprog_correlation(field, boundary="periodic", interval=None, grid_n=256):
+    """Reference: the correlation LP through `linprog(method="highs")`, with
+    the slope rows of `_lp_pattern` as a sparse matrix."""
+    from scipy import sparse
+    from scipy.optimize import linprog
+
+    a, b = (field.a, field.b) if interval is None else (float(interval[0]), float(interval[1]))
+    x, w, h = fn._lp_weights(boundary, a, b, grid_n)
+    indptr, indices, data = fn._lp_pattern(grid_n, boundary == "periodic")
+    a_ub = sparse.csc_array((data, indices, indptr))[:-1]  # the mean row is A_eq
+    res = linprog(-(np.asarray(field(x), dtype=float) * w), A_ub=a_ub,
+                  b_ub=np.full(a_ub.shape[0], 2.0 * math.pi / (b - a) * h),
+                  A_eq=w[None, :], b_eq=[0.0], bounds=(-1.0, 1.0), method="highs")
+    assert res.status == 0, res.message
+    return max(0.0, -res.fun)
+
+
+@st.composite
+def _lp_fields(draw):
+    values = st.floats(-10.0, 10.0)
+    kind = draw(st.sampled_from(["grid", "sine", "piecewise_linear"]))
+    if kind == "grid":
+        return GridField(draw(st.lists(values, min_size=1, max_size=40)))
+    if kind == "sine":
+        return SineField(draw(values), draw(st.integers(1, 8)), draw(st.floats(-4.0, 4.0)))
+    inner = sorted(draw(st.sets(st.integers(1, 63), max_size=8)))
+    knots = [0.0] + [k / 64 for k in inner]
+    return PiecewiseLinearField(knots, draw(st.lists(values, min_size=len(knots),
+                                                     max_size=len(knots))))
+
+
+class TestCorrelationLPSolver:
+    """The direct HiGHS call against linprog's model, options and refusals."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(field=_lp_fields(), case=st.sampled_from([("periodic", None), ("dirichlet", None),
+                                                     ("dirichlet", (0.2, 0.7))]),
+           grid_n=st.sampled_from([8, 9, 33, 64, 128]))
+    def test_same_bits_as_linprog(self, field, case, grid_n):
+        boundary, interval = case
+        assert fn.lipschitz_correlation(field, boundary, interval, grid_n) == \
+            linprog_correlation(field, boundary, interval, grid_n)
+
+    @staticmethod
+    def _patch_solver(monkeypatch, **overrides):
+        from scipy.optimize._highspy import _core as highs
+
+        class Patched(highs._Highs):
+            pass
+
+        for name, method in overrides.items():
+            setattr(Patched, name, method)
+        monkeypatch.setattr(highs, "_Highs", Patched)
+        return highs
+
+    def test_non_optimal_status_is_refused(self, monkeypatch):
+        highs = self._patch_solver(
+            monkeypatch, getModelStatus=lambda self: highs.HighsModelStatus.kIterationLimit)
+        with pytest.raises(ArithmeticError, match="correlation LP failed: Iteration limit"):
+            fn.lipschitz_correlation(COS, grid_n=64)
+
+    def test_infeasible_solution_is_refused(self, monkeypatch):
+        from scipy.optimize._highspy import _core as highs
+
+        get_solution = highs._Highs.getSolution
+
+        def far_off(self):
+            # every phi doubled: |phi| and the slopes break their bounds
+            solution = get_solution(self)
+            return SimpleNamespace(col_value=2.0 * np.array(solution.col_value),
+                                   row_value=2.0 * np.array(solution.row_value))
+
+        self._patch_solver(monkeypatch, getSolution=far_off)
+        with pytest.raises(ArithmeticError, match="breaks its constraints"):
+            fn.lipschitz_correlation(COS, grid_n=64)
+        monkeypatch.undo()
+        assert fn.lipschitz_correlation(COS, grid_n=64) > 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_cost_is_refused(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            fn.lipschitz_correlation(GridField([bad, 1.0, 2.0]), grid_n=8)
 
 
 class TestAffineResidualScan:

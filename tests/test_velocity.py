@@ -571,6 +571,14 @@ class TestFlatnessEstimate:
         with pytest.raises(ValueError, match="leaves the domain"):
             estimate_flatness_constant(field, interval, [0.1, 0.2], j_points=9)
 
+    @pytest.mark.parametrize("eps_grid", [[0.1, math.nan], [math.nan], [math.nan, 0.1]])
+    def test_nan_scale_is_refused(self, eps_grid):
+        # a NaN sorts anywhere, so checking only the sorted ends let it through:
+        # [0.1, nan] dropped the NaN scale from the table, and the others
+        # refused with "no admissible subintervals"
+        with pytest.raises(ValueError, match="eps values must lie strictly between"):
+            estimate_flatness_constant(SineField(), (0.0, 1.0), eps_grid, j_points=9)
+
     def test_cascade_infeasible_at_fine_scales(self):
         # the truncated cascade is flat below its digit resolution
         v = BinaryCascadeField(c=1.0)
