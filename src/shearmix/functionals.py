@@ -11,8 +11,12 @@ uniform kernel lower bound into exponential total-variation decay.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
 import operator
+import os
+import sys
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -143,19 +147,61 @@ def _lp_pattern(n, periodic):
 
     Rows 2i and 2i + 1 bound +-(phi_i - phi_{i+1}); the last pair closes the
     torus, and Dirichlet drops it.  The mean row comes last, with ones where
-    the caller puts its weights: each column's last entry.
+    the caller puts its weights: each column's last entry.  Column j meets
+    rows 2j - 2 and 2j - 1 (-1, +1), then 2j and 2j + 1 (+1, -1), in
+    increasing row order, as `scipy.sparse` lays them out.
     """
-    from scipy import sparse
-
-    # row i of diff is phi_i - phi_{i+1}
-    diff = sparse.eye_array(n) - sparse.eye_array(n, k=1) - sparse.eye_array(n, k=1 - n)
-    if not periodic:
-        diff = diff.tocsr()[:-1]
-    rows = sparse.csc_array(sparse.vstack((sparse.kron(diff, [[1.0], [-1.0]]), np.ones((1, n)))))
-    pattern = (rows.indptr, rows.indices, rows.data)
+    slope_rows = 2 * n if periodic else 2 * n - 2  # also the mean row's index
+    rows = np.column_stack((2 * np.arange(n)[:, None] + np.arange(-2, 2), np.full(n, slope_rows)))
+    values = np.tile([-1.0, 1.0, 1.0, -1.0, 1.0], (n, 1))
+    if periodic:  # column 0 meets its own pair first, then the closing pair
+        rows[0, :4] = [0, 1, slope_rows - 2, slope_rows - 1]
+        values[0, :4] = [1.0, -1.0, -1.0, 1.0]
+    else:  # Dirichlet has no closing pair: column n - 1 has no rows 2n - 2, 2n - 1
+        rows[-1, 2:4] = -1
+    keep = rows >= 0
+    indptr = np.append(0, np.cumsum(keep.sum(axis=1))).astype(np.int32)
+    pattern = (indptr, rows[keep].astype(np.int32), values[keep])
     for arr in pattern:
         arr.setflags(write=False)
     return pattern
+
+
+_HIGHS = "scipy.optimize._highspy._core"
+
+
+def _highs():
+    """The HiGHS binding that scipy ships, loaded without `scipy.optimize`.
+
+    Returns the module in `sys.modules` when there is one, so scipy's own
+    import (and a test's monkeypatch of it) is the module used.  Otherwise
+    loads the extension from scipy's `optimize/_highspy` directory and
+    registers it under its own name before executing it, as an import does:
+    a later `import scipy.optimize` then finds it there and reuses it rather
+    than loading the extension a second time.  The parent packages stay
+    unloaded, which saves the start-up of `scipy.optimize` and
+    `scipy.sparse`; `from scipy.optimize._highspy import _core` still gives
+    this module once they load.
+    """
+    module = sys.modules.get(_HIGHS)
+    if module is not None:
+        return module
+    import scipy
+
+    directory = os.path.join(scipy.__path__[0], "optimize", "_highspy")
+    finder = importlib.machinery.FileFinder(
+        directory, (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec(_HIGHS)
+    if spec is None:
+        raise ImportError(f"no HiGHS extension _core in {directory}", name=_HIGHS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_HIGHS] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[_HIGHS]
+        raise
+    return module
 
 
 def lipschitz_correlation(field, boundary="periodic", interval=None, grid_n=256):
@@ -171,11 +217,16 @@ def lipschitz_correlation(field, boundary="periodic", interval=None, grid_n=256)
     functions on the grid and converges to the continuum value as grid_n
     grows.
 
+    `interval` (a, b) must have a < b; a reversed, empty or NaN interval is
+    a `ValueError`.
+
     The LP goes straight to the HiGHS binding that scipy ships
     (`scipy.optimize._highspy._core`, a private module, checked on scipy
     1.17), as the same model and options `linprog(method="highs")` would
     build, so every value keeps linprog's bits without its input parsing,
-    its per-call sparse conversions and its per-option checks:
+    its per-call sparse conversions and its per-option checks.  `_highs()`
+    loads that extension alone, so the LP imports neither `scipy.optimize`
+    nor `scipy.sparse`, and its constraint pattern is numpy arrays:
     - columns phi_j with bounds [-1, 1] and cost -(v_j w_j);
     - 2 grid_n slope rows on the torus, 2 (grid_n - 1) for Dirichlet, each
       in [-kHighsInf, slope cap], then the mean row w . phi in [0, 0], with
@@ -186,8 +237,6 @@ def lipschitz_correlation(field, boundary="periodic", interval=None, grid_n=256)
     than linprog's tolerance 10 sqrt(1e-9) (or with a NaN in it).  A
     non-finite cost is a `ValueError`, as linprog's input check made it.
     """
-    from scipy.optimize._highspy import _core as highs
-
     n = operator.index(grid_n)
     if n < 8:
         raise ValueError("grid_n must be at least 8")
@@ -195,6 +244,8 @@ def lipschitz_correlation(field, boundary="periodic", interval=None, grid_n=256)
         a, b = field.a, field.b
     else:
         a, b = float(interval[0]), float(interval[1])
+    if not b > a:
+        raise ValueError(f"interval must satisfy a < b, got ({a!r}, {b!r})")
     length = b - a
     x, w, h = _lp_weights(boundary, a, b, n)
     cost = -(np.asarray(field(x), dtype=float) * w)
@@ -206,6 +257,7 @@ def lipschitz_correlation(field, boundary="periodic", interval=None, grid_n=256)
     data = data.copy()
     data[indptr[1:] - 1] = w  # each column's last entry is its mean-row weight
     slope_rows = int(indices[-1])  # the mean row's index
+    highs = _highs()
     lp = highs.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = n
     lp.num_row_ = lp.a_matrix_.num_row_ = slope_rows + 1

@@ -265,17 +265,44 @@ class TestCorrelationLP:
         with pytest.raises(ValueError):
             fn.lipschitz_correlation(COS, grid_n=4)
 
+    @pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+    @pytest.mark.parametrize("interval", [(0.6, 0.2), (0.5, 0.5), (math.nan, 0.5),
+                                          (0.2, math.nan)])
+    def test_interval_must_increase(self, boundary, interval):
+        with pytest.raises(ValueError, match="interval must satisfy a < b"):
+            fn.lipschitz_correlation(COS, boundary, interval, grid_n=64)
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_pattern_is_the_sparse_construction(self, periodic):
+        for n in [*range(8, 71), 128, 255, 256, 512, 1024]:
+            rows = sparse_rows(n, periodic)
+            for got, want in zip(fn._lp_pattern(n, periodic),
+                                 (rows.indptr, rows.indices, rows.data)):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+                assert not got.flags.writeable
+
+
+def sparse_rows(n, periodic):
+    """Reference: the correlation LP's constraint rows as a `scipy.sparse`
+    difference operator, slope rows then a mean row of ones."""
+    from scipy import sparse
+
+    # row i of diff is phi_i - phi_{i+1}
+    diff = sparse.eye_array(n) - sparse.eye_array(n, k=1) - sparse.eye_array(n, k=1 - n)
+    if not periodic:
+        diff = diff.tocsr()[:-1]
+    return sparse.csc_array(sparse.vstack((sparse.kron(diff, [[1.0], [-1.0]]), np.ones((1, n)))))
+
 
 def linprog_correlation(field, boundary="periodic", interval=None, grid_n=256):
     """Reference: the correlation LP through `linprog(method="highs")`, with
-    the slope rows of `_lp_pattern` as a sparse matrix."""
-    from scipy import sparse
+    the slope rows of `sparse_rows`."""
     from scipy.optimize import linprog
 
     a, b = (field.a, field.b) if interval is None else (float(interval[0]), float(interval[1]))
     x, w, h = fn._lp_weights(boundary, a, b, grid_n)
-    indptr, indices, data = fn._lp_pattern(grid_n, boundary == "periodic")
-    a_ub = sparse.csc_array((data, indices, indptr))[:-1]  # the mean row is A_eq
+    a_ub = sparse_rows(grid_n, boundary == "periodic")[:-1]  # the mean row is A_eq
     res = linprog(-(np.asarray(field(x), dtype=float) * w), A_ub=a_ub,
                   b_ub=np.full(a_ub.shape[0], 2.0 * math.pi / (b - a) * h),
                   A_eq=w[None, :], b_eq=[0.0], bounds=(-1.0, 1.0), method="highs")
