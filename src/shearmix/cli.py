@@ -10,7 +10,7 @@ Config schema (unknown keys anywhere are rejected)::
     {
       "task": "bounds" | "spectrum" | "evolve" | "simulate" | "validate" | "report",
       "velocity": { "kind": ..., ... },     # required except for validate/report
-      "seed": 0,                            # optional integer >= 0 (null: 0),
+      "seed": 0,                            # optional integer (null: 0),
                                             # overridden by --seed
       "out_dir": "out",                     # optional, overridden by --out
       "params": { ... task-specific ... }
@@ -31,24 +31,21 @@ Velocity kinds and their parameters:
 
 Task parameter blocks (all optional, with defaults):
 
-    bounds:   grid_n, eps_grid (non-empty list of numbers in (0, (b - a)/2]),
-              flatness_interval ([lo, hi] with a <= lo < hi <= b of the
-              field's domain), j_points
+    bounds:   grid_n, eps_grid (non-empty list of numbers), flatness_interval
+              ([lo, hi]), j_points
     spectrum: k, boundary, n, s_points, discretization
     evolve:   t_end, samples, k_max, nx, ny, initial ("cos_y" | "cos_xy" |
               "random"), snapshots (count of field dumps)
     simulate: start [x, y], t_end, dt, n_paths, bins, y_integrator,
-              kill_interval? ([lo, hi] with lo < hi)
+              kill_interval? ([lo, hi])
     validate: criteria (non-empty list of known criterion ids 1-11, default all)
     report:   (none; reads artifacts already in the output directory)
 
-Integer parameters take JSON integers or integral numbers such as 64.0;
-t_end, dt and the entries of start, kill_interval and flatness_interval take
-finite JSON numbers (not strings or booleans).
-
-Exit codes: 0 success, 1 configuration error (a malformed command line and
-any value that a library call refuses with a ValueError included), 2
-validation-suite failure (`validate` only), 3 numeric failure during a task.
+The CLI checks JSON types only (integers or integral numbers such as 64.0;
+finite numbers, not strings or booleans, for t_end, dt and the pairs), and
+the library states every range.  Exit codes: 0 success, 1 configuration error
+(a malformed command line or a value that a library call refuses with a
+ValueError), 2 validation-suite failure (`validate` only), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -153,9 +150,8 @@ class Workspace:
 
 
 def _seeded(config, args):
-    """The run seed: --seed, else the config's; an integer, least 0, null meaning 0."""
-    return _int_param({"seed": args.seed} if args.seed is not None else config,
-                      "seed", 0, least=0)
+    """The run seed: --seed, else the config's; an integer, null meaning 0."""
+    return _int_param({"seed": args.seed} if args.seed is not None else config, "seed", 0)
 
 
 def _require(ok, message):
@@ -163,25 +159,18 @@ def _require(ok, message):
         raise ValueError(message)
 
 
-def _int_param(params, name, default, least=None):
-    """Integer task parameter (default when absent or null), at least `least`."""
+def _int_param(params, name, default):
+    """Integer task parameter (default when absent or null)."""
     value = params.get(name)
     if value is None:
         return default
     _require(type(value) is int or (type(value) is float and value.is_integer()),
              f"{name} must be an integer, got {value!r}")
-    value = int(value)
-    if least is not None:
-        bound = "nonnegative" if least == 0 else f"at least {least}"
-        _require(value >= least, f"{name} must be {bound}, got {value}")
-    return value
+    return int(value)
 
 
 def _float_param(params, name, default):
-    """Finite number task parameter (default when absent or null).
-
-    JSON strings and booleans are refused; the task checks the range.
-    """
+    """Finite number task parameter (default when absent or null); not a string or boolean."""
     value = params.get(name)
     if value is None:
         return default
@@ -199,29 +188,21 @@ def _pair(value, name):
 
 
 def task_bounds(config, ws, args):
-    field = field_from_config(config["velocity"])
     params = config.get("params", {})
-    _require(field.periodic, "bounds reports are defined for torus fields")
     eps_grid = params.get("eps_grid")
     if eps_grid is None:
         eps_grid = list(functionals.DEFAULT_EPS_GRID)
     _require(isinstance(eps_grid, list) and eps_grid,
              f"eps_grid must be a non-empty list of numbers, got {eps_grid!r}")
-    half = 0.5 * field.length
-    _require(all(type(e) in (int, float) and 0.0 < e <= half for e in eps_grid),
-             f"eps_grid entries must lie in (0, {half:g}], got {eps_grid!r}")
     interval = params.get("flatness_interval")
     if interval is not None:
-        lo, hi = _pair(interval, "flatness_interval")
-        _require(lo < hi, f"flatness_interval must be increasing, got {interval!r}")
-        _require(field.a <= lo and hi <= field.b,
-                 f"flatness_interval must lie in [{field.a:g}, {field.b:g}], got {interval!r}")
+        _pair(interval, "flatness_interval")
     report = functionals.compute_bounds_report(
-        field,
-        grid_n=_int_param(params, "grid_n", 512, least=8),
-        eps_grid=tuple(eps_grid),
+        field_from_config(config["velocity"]),
+        grid_n=_int_param(params, "grid_n", 512),
+        eps_grid=eps_grid,
         flatness_interval=interval,
-        j_points=_int_param(params, "j_points", 65, least=2),
+        j_points=_int_param(params, "j_points", 65),
     )
     ws.write_json("bounds.json", report.to_json_dict())
     return EXIT_OK
@@ -230,12 +211,11 @@ def task_bounds(config, ws, args):
 def task_spectrum(config, ws, args):
     field = field_from_config(config["velocity"])
     params = config.get("params", {})
-    n = _int_param(params, "n", 256, least=16)
-    s_points = _int_param(params, "s_points", 192, least=64)
     op = make_operator(field, k=_int_param(params, "k", 1),
-                       boundary=params.get("boundary", "periodic"), n=n,
+                       boundary=params.get("boundary", "periodic"),
+                       n=_int_param(params, "n", 256),
                        discretization=params.get("discretization"))
-    summary = resolvent_gap(op, s_points=s_points)
+    summary = resolvent_gap(op, s_points=_int_param(params, "s_points", 192))
     ws.write_json("spectral_summary.json", summary.to_json_dict())
     ws.write_text("sweep.csv", summary.sweep_csv())
     return EXIT_OK
@@ -245,26 +225,24 @@ def task_evolve(config, ws, args):
     field = field_from_config(config["velocity"])
     params = config.get("params", {})
     _require(field.periodic, "evolve needs a torus velocity field")
-    nx = _int_param(params, "nx", 64, least=16)
-    ny = _int_param(params, "ny", 17, least=1)
+    ny = _int_param(params, "ny", 17)
     t_end = _float_param(params, "t_end", 10.0)
-    _require(t_end > 0.0, f"t_end must be positive, got {t_end}")
-    n_samples = _int_param(params, "samples", 33, least=1)
-    n_snapshots = _int_param(params, "snapshots", 0, least=0)
-    k_max = _int_param(params, "k_max", None, least=0)
-    u0 = evolve.initial_samples(params.get("initial", "cos_y"), nx, ny, _seeded(config, args))
+    k_max = _int_param(params, "k_max", None)
+    u0 = evolve.initial_samples(params.get("initial", "cos_y"), _int_param(params, "nx", 64),
+                                ny, _seeded(config, args))
     fld = evolve.field_from_samples(u0, k_max=k_max)  # rejects a ny that aliases k_max
     evo = evolve.Evolution(field)  # one operator per mode for the trace and the snapshots
-    trace = evolve.relax_trace(u0, field, t_end=t_end, n_samples=n_samples, k_max=k_max,
-                               evolution=evo)
+    n_snapshots = _int_param(params, "snapshots", 0)
+    snapshots = evo.trajectory(fld, t_end, n_snapshots) if n_snapshots else ()  # 0: none
+    trace = evolve.relax_trace(u0, field, t_end=t_end, n_samples=_int_param(params, "samples", 33),
+                               k_max=k_max, evolution=evo)
     ws.write_text("decay.csv", trace.decay_csv())
-    if n_snapshots:
-        for i, (t, state) in enumerate(evo.trajectory(fld, t_end, n_snapshots)):
-            name = f"field-{i:03d}.f64"
-            evolve.save_snapshot(ws.out / name, evolve.field_to_samples(state, ny),
-                                 meta={"time": t})
-            ws.record_file(name)
-            ws.record_file(name + ".json")
+    for i, (t, state) in enumerate(snapshots):
+        name = f"field-{i:03d}.f64"
+        evolve.save_snapshot(ws.out / name, evolve.field_to_samples(state, ny),
+                             meta={"time": t})
+        ws.record_file(name)
+        ws.record_file(name + ".json")
     return EXIT_OK
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from . import functionals
+from . import _checks, functionals
 from .spectral import _grid, make_operator
 
 __all__ = [
@@ -103,8 +103,7 @@ def field_from_samples(u0, k_max=None, boundary="periodic", interval=(0.0, 1.0))
     if u0.ndim != 2:
         raise ValueError("samples must be a 2D array (x by y)")
     ny = u0.shape[1]
-    if k_max is None:
-        k_max = (ny - 1) // 2
+    k_max = (ny - 1) // 2 if k_max is None else _checks.count(k_max, "k_max", 0)
     if ny < 2 * k_max + 1:
         raise ValueError(f"ny = {ny} aliases modes up to k_max = {k_max}")
     spectrum = np.fft.fft(u0, axis=1) / ny
@@ -114,8 +113,7 @@ def field_from_samples(u0, k_max=None, boundary="periodic", interval=(0.0, 1.0))
 
 def field_to_samples(field, ny):
     """Evaluate the mode representation back on an x-by-y sample grid."""
-    if ny < 2 * field.k_max + 1:
-        raise ValueError("ny too small for the stored modes")
+    _checks.count(ny, "ny", 2 * field.k_max + 1)  # the stored modes need no aliasing
     spectrum = np.zeros((field.nx, ny), dtype=complex)
     spectrum[:, np.arange(-field.k_max, field.k_max + 1) % ny] = field.coeffs.T
     return np.fft.ifft(spectrum * ny, axis=1).real
@@ -126,8 +124,10 @@ def initial_samples(kind, nx, ny, seed=0):
 
     `cos_y` is cos(2 pi y) and `cos_xy` is cos(2 pi x) cos(2 pi y); `random`
     sums ten modes cos(2 pi (m x + k y) + phase), k = 1, 2 and m = -2..2, with
-    N(0, 1/4) amplitudes and uniform phases drawn from `seed`.
+    N(0, 1/4) amplitudes and uniform phases drawn from `seed`; nx >= 16.
     """
+    nx, ny = _checks.count(nx, "nx", 16), _checks.count(ny, "ny", 1)
+    _checks.seed(seed)
     x = np.arange(nx) / nx
     y = np.arange(ny) / ny
     xx, yy = np.meshgrid(x, y, indexing="ij")
@@ -183,12 +183,17 @@ class Evolution:
         return out
 
     def trajectory(self, field, t_end, n_samples):
-        """Yield (t, state) at the n_samples times linspace(0, t_end, n_samples).
+        """Iterator of (t, state) at the n_samples times linspace(0, t_end, n_samples).
 
-        The state at t = 0 is `field` itself; each later state is one exact
-        step of times[1] - times[0] from the one before.
+        The arguments are checked at the call.  The state at t = 0 is `field`
+        itself; each later state is one exact step of times[1] - times[0]
+        from the one before, stepped as it is read.
         """
-        times = np.linspace(0.0, t_end, n_samples)
+        times = np.linspace(0.0, _checks.positive(t_end, "t_end"),
+                            _checks.count(n_samples, "n_samples", 1))
+        return self._states(field, times)
+
+    def _states(self, field, times):
         for i, t in enumerate(times):
             if i > 0:
                 field = self.step(field, times[1] - times[0])
@@ -231,8 +236,9 @@ def relax_trace(u0, field_v, t_end, n_samples=32, k_max=None, correlation_grid=2
     evo = Evolution(field_v) if evolution is None else evolution
     if evo.field_v is not field_v:
         raise ValueError("the evolution steps another velocity field")
+    states = evo.trajectory(fld, t_end, n_samples)  # checked before the LP
     rate = evo._envelope_rate(correlation_grid)
-    samples = [(t, state.deviation()) for t, state in evo.trajectory(fld, t_end, n_samples)]
+    samples = [(t, state.deviation()) for t, state in states]
     times, dev = (np.array(column) for column in zip(*samples))
     envelope = math.e ** (math.pi / 2.0 - rate * times) * dev[0]
     violations = [int(i) for i in np.nonzero(dev > envelope * (1 + 1e-9) + 1e-12)[0]]
@@ -262,7 +268,7 @@ def strip_trace(nu0, field_v, interval, t_end, n_samples=16):
     kappa0 is the initial floor of the y-averaged data.
     """
     nu0 = np.asarray(nu0, dtype=float)
-    a, b = float(interval[0]), float(interval[1])
+    a, b = _checks.interval(interval, "interval")
     length = b - a
     fld = field_from_samples(nu0, boundary="dirichlet", interval=(a, b))
     nodes = _grid("dirichlet", a, b, fld.nx)[1]

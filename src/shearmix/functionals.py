@@ -14,13 +14,13 @@ import functools
 import importlib.machinery
 import importlib.util
 import math
-import operator
 import os
 import sys
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from . import _checks
 from .velocity import VelocityField, _flatness_from_table, estimate_flatness_constant
 
 __all__ = [
@@ -52,10 +52,8 @@ def _invert_s_tan(y, coeff, inner, s_max):
     """Invert the increasing bijection s -> coeff * s * tan(inner * s).
 
     Defined on [0, s_max) with inner * s_max = pi/2; bisection to relative
-    tolerance 1e-12 with a 200-iteration cap.
+    tolerance 1e-12 with a 200-iteration cap; the caller checks y >= 0.
     """
-    if y < 0:
-        raise ValueError("argument must be nonnegative")
     if y == 0.0:
         return 0.0
 
@@ -79,8 +77,8 @@ def _invert_s_tan(y, coeff, inner, s_max):
 
 def mixing_rate(correlation, oscillation):
     """L2 relaxation rate lower bound (correlation / (2 pi (1 + osc)))^2."""
-    if correlation < 0 or oscillation < 0:
-        raise ValueError("inputs must be nonnegative")
+    _checks.positive(correlation, "correlation", strict=False)
+    _checks.positive(oscillation, "oscillation", strict=False)
     return (correlation / (2.0 * math.pi * (1.0 + oscillation))) ** 2
 
 
@@ -89,6 +87,7 @@ def mixing_rate_from_residual(residual_full):
 
     Inverts s -> 144 s tan(2s) on [0, pi/4) and squares the result.
     """
+    _checks.positive(residual_full, "residual_full", strict=False)
     s = _invert_s_tan(residual_full, 144.0, 2.0, math.pi / 4.0)
     return s * s
 
@@ -100,12 +99,12 @@ def gap_bound_from_correlation(correlation, oscillation, length, periodic_improv
     With `periodic_improved` (valid for the full torus, L = 1) the sharper
     (corr / (2 pi (1 + osc)))^2 is returned instead.
     """
-    if correlation < 0 or oscillation < 0 or length <= 0:
-        raise ValueError("bad inputs")
+    improved = mixing_rate(correlation, oscillation)  # which checks both
+    _checks.positive(length, "length")
     if periodic_improved:
         if abs(length - 1.0) > 1e-12:
             raise ValueError("improved bound applies to the unit torus only")
-        return mixing_rate(correlation, oscillation)
+        return improved
     denom = math.pi**2 / length**2 + length**2 / math.pi**2 * oscillation**2
     return correlation**2 / 18.0 / denom
 
@@ -117,8 +116,8 @@ def gap_bound_from_residual(residual_eps, eps, lambda1=0.0):
     the bijection s -> 36 s tan(s) on [0, pi/2).  The result never exceeds
     pi^2 / (4 eps^2).
     """
-    if eps <= 0 or residual_eps < 0:
-        raise ValueError("bad inputs")
+    _checks.positive(eps, "eps")
+    _checks.positive(residual_eps, "residual_eps", strict=False)
     s = _invert_s_tan(eps * residual_eps, 36.0, 1.0, math.pi / 2.0)
     return max(0.0, s * s / eps**2 - lambda1)
 
@@ -217,8 +216,7 @@ def lipschitz_correlation(field, boundary="periodic", interval=None, grid_n=256)
     functions on the grid and converges to the continuum value as grid_n
     grows.
 
-    `interval` (a, b) must have a < b; a reversed, empty or NaN interval is
-    a `ValueError`.
+    `interval` (a, b) must be finite with a < b.
 
     The LP goes straight to the HiGHS binding that scipy ships
     (`scipy.optimize._highspy._core`, a private module, checked on scipy
@@ -237,15 +235,8 @@ def lipschitz_correlation(field, boundary="periodic", interval=None, grid_n=256)
     than linprog's tolerance 10 sqrt(1e-9) (or with a NaN in it).  A
     non-finite cost is a `ValueError`, as linprog's input check made it.
     """
-    n = operator.index(grid_n)
-    if n < 8:
-        raise ValueError("grid_n must be at least 8")
-    if interval is None:
-        a, b = field.a, field.b
-    else:
-        a, b = float(interval[0]), float(interval[1])
-    if not b > a:
-        raise ValueError(f"interval must satisfy a < b, got ({a!r}, {b!r})")
+    n = _checks.count(grid_n, "grid_n", 8)
+    a, b = (field.a, field.b) if interval is None else _checks.interval(interval, "interval")
     length = b - a
     x, w, h = _lp_weights(boundary, a, b, n)
     cost = -(np.asarray(field(x), dtype=float) * w)
@@ -316,16 +307,17 @@ def min_affine_residual(field, eps, j_points=129):
     Nondecreasing in eps for a fixed lattice.
     """
     a, b = field.a, field.b
-    table = field.primitive(base=a).window_table(a, b, j_points, 2.0 * eps)
-    return _min_residual(table, eps, b - a)
-
-
-def _min_residual(table, eps, length):
-    """Smallest residual in a `Primitive.window_table` over windows of length >= 2 eps."""
     # eps = |I|/2 is admitted: exactly one window (J = I) qualifies there, and
     # the table always holds it
-    if not 0.0 < eps <= 0.5 * length:
-        raise ValueError("eps must lie in (0, |I|/2]")
+    if not (_checks.finite(eps) and 0.0 < eps <= 0.5 * (b - a)):
+        raise ValueError(f"eps must lie in (0, {0.5 * (b - a):g}], got {eps!r}")
+    _checks.count(j_points, "j_points", 2)
+    table = field.primitive(base=a).window_table(a, b, j_points, 2.0 * eps)
+    return _min_residual(table, eps)
+
+
+def _min_residual(table, eps):
+    """Smallest residual in a `Primitive.window_table` over windows of length >= 2 eps."""
     return float(table[table[:, 1] - table[:, 0] >= 2.0 * eps - 1e-12, 4].min())
 
 
@@ -352,8 +344,7 @@ def plateau_constants(ell, dv):
     """
     if not 0.0 < ell <= 0.5:
         raise ValueError("plateau length must lie in (0, 1/2]")
-    if dv <= 0.0:
-        raise ValueError("plateau height difference must be positive")
+    _checks.positive(dv, "dv")
     time = 1.0 / dv + (3.0 + 2.0 * ell**2) / 8.0
     log_mass = (
         -1.5 * math.log(8.0 * math.pi * math.e)
@@ -384,11 +375,10 @@ def flatness_constants(length, oscillation, correlation, k_const):
     """
     if not 0.0 < length <= 1.0:
         raise ValueError("interval length must lie in (0, 1]")
-    if oscillation < 0.0:
-        raise ValueError("oscillation must be nonnegative")
-    if correlation <= 0.0:
+    _checks.positive(oscillation, "oscillation", strict=False)
+    if not correlation > 0.0:
         raise ArithmeticError("correlation must be positive; the bound is undefined otherwise")
-    if k_const < 1.0:
+    if not k_const >= 1.0:
         raise ValueError("non-flatness constant must be at least 1")
     growth = 1.0 + 2.0 * math.pi * oscillation * length**2
     time = (10.0 * growth / (length * correlation)) ** 2 * (
@@ -404,8 +394,7 @@ def doeblin_constants(t_star, alpha_star):
     C = 1/(1 - alpha) and rho = log(C)/t; rho goes through log1p so it stays
     accurate when alpha is tiny.
     """
-    if t_star <= 0.0:
-        raise ValueError("minorization time must be positive")
+    _checks.positive(t_star, "t_star")
     if not 0.0 < alpha_star < 1.0:
         raise ValueError("minorization mass must lie in (0, 1)")
     c = 1.0 / (1.0 - alpha_star)
@@ -452,7 +441,7 @@ def doeblin_iterate(kernel, t_star_steps, alpha_star, horizon):
         raise MinorizationError("kernel rows must sum to 1")
     if not np.allclose(p.sum(axis=0), 1.0, atol=1e-9):
         raise MinorizationError("kernel columns must sum to 1 (uniform must be invariant)")
-    pt = np.linalg.matrix_power(p, int(t_star_steps))
+    pt = np.linalg.matrix_power(p, _checks.count(t_star_steps, "t_star_steps", 1))
     floor = alpha_star / n
     if pt.min() < floor - 1e-12:
         idx = np.unravel_index(int(np.argmin(pt)), pt.shape)
@@ -585,6 +574,13 @@ def compute_bounds_report(field, *, grid_n=512, eps_grid=DEFAULT_EPS_GRID,
         raise ValueError("bounds reports are defined for torus fields")
     if not len(eps_grid):
         raise ValueError("eps_grid must not be empty")
+    half = 0.5 * field.length
+    if not all(_checks.finite(e) and 0.0 < e <= half for e in eps_grid):
+        raise ValueError(f"eps_grid entries must lie in (0, {half:g}], got {eps_grid!r}")
+    domain = (field.a, field.b)
+    interval = (domain if flatness_interval is None
+                else _checks.interval(flatness_interval, "flatness_interval", *domain))
+    _checks.count(j_points, "j_points", 2)
     prov = {}
     osc = field.oscillation()
     corr = lipschitz_correlation(field, boundary="periodic", grid_n=grid_n)
@@ -592,16 +588,13 @@ def compute_bounds_report(field, *, grid_n=512, eps_grid=DEFAULT_EPS_GRID,
     res_full = full_affine_residual(field)
     # one table of lattice windows over the domain serves every eps, and the
     # flatness scan too when its interval is the domain
-    domain = (field.a, field.b)
-    interval = flatness_interval if flatness_interval is not None else domain
-    interval = (float(interval[0]), float(interval[1]))
     length = interval[1] - interval[0]
     scan_eps = [e * length for e in (0.1, 0.2, 0.4, 0.8)]
     shortest = [2.0 * eps for eps in eps_grid]
     if interval == domain:
         shortest.append(scan_eps[0])
     table = field.primitive(base=field.a).window_table(*domain, j_points, min(shortest))
-    res_table = {eps: _min_residual(table, eps, field.length) for eps in eps_grid}
+    res_table = {eps: _min_residual(table, eps) for eps in eps_grid}
     gap_table = {eps: gap_bound_from_residual(res, eps, lambda1=0.0)
                  for eps, res in res_table.items()}
     report = BoundsReport(

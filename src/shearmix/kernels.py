@@ -4,7 +4,8 @@ Line, torus and Dirichlet-interval heat kernels are evaluated with certified
 series tails (below 1e-14, with no cap on the term count: the torus image
 count grows like sqrt(t) and the sine series like 1/sqrt(t)).  The plane
 kernel of the equation du/dt = dxx u - x dy u is built from the quadratic cost
-of its minimum-energy control problem and normalized to unit mass.
+of its minimum-energy control problem and normalized to unit mass.  A time t
+that is not finite and positive is refused before any series is summed.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import _checks
 
 __all__ = [
     "heat_line",
@@ -32,8 +35,7 @@ TAIL_TOL = 1e-14
 
 def heat_line(x, t):
     """Heat kernel on the line, (4 pi t)^{-1/2} exp(-x^2 / 4t)."""
-    if t <= 0:
-        raise ValueError("time must be positive")
+    _checks.positive(t, "t")
     x = np.asarray(x, dtype=float)
     out = np.exp(-x * x / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
     return out if out.shape else float(out)
@@ -50,6 +52,7 @@ def _term_count(tail):
 def _torus_images(t):
     from scipy.special import erfc
 
+    _checks.positive(t, "t")
     # tail of the image sum is below erfc((M - 1/2) / (2 sqrt(t))): M ~ 11 sqrt(t)
     return _term_count(lambda m: float(erfc((m - 0.5) / (2.0 * math.sqrt(t)))))
 
@@ -60,8 +63,6 @@ def heat_torus(x, xp=0.0, t=0.125):
     Dominates the line kernel at the wrapped offset and converges to the
     uniform density 1 as t grows.
     """
-    if t <= 0:
-        raise ValueError("time must be positive")
     m = _torus_images(t)
     d = np.asarray(x, dtype=float) - np.asarray(xp, dtype=float)
     d = d - np.round(d)  # wrap to [-1/2, 1/2]
@@ -76,8 +77,6 @@ def heat_torus_cell_mass(x0, lo, hi, t):
     """Exact mass the torus kernel started at x0 assigns to the cell [lo, hi]."""
     from scipy.special import erf
 
-    if t <= 0:
-        raise ValueError("time must be positive")
     m = _torus_images(t)
     s = 2.0 * math.sqrt(t)
     total = 0.0
@@ -90,9 +89,8 @@ def heat_dirichlet(x, xp, interval=(0.0, 1.0), t=0.125):
     """Heat kernel on an interval with absorbing endpoints (sine series)."""
     from scipy.special import erfc
 
-    if t <= 0:
-        raise ValueError("time must be positive")
-    a, b = float(interval[0]), float(interval[1])
+    _checks.positive(t, "t")
+    a, b = _checks.interval(interval, "interval")
     length = b - a
     q = math.pi**2 * t / length**2
 
@@ -133,8 +131,7 @@ class KolmogorovState:
     t: float
 
     def __post_init__(self):
-        if self.t <= 0:
-            raise ValueError("time must be positive")
+        _checks.positive(self.t, "t")
 
 
 @dataclass(frozen=True)
@@ -148,6 +145,7 @@ class ControlSolution:
 
 def kolmogorov_cost(t, x, y, x0=0.0, y0=0.0):
     """Quadratic action (x-x0)^2/(4t) + 3 (y - y0 - (x+x0) t / 2)^2 / t^3."""
+    _checks.positive(t, "t")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     straight = y - y0 - 0.5 * (x + x0) * t
@@ -173,8 +171,6 @@ def kolmogorov_control(state):
 
 def kolmogorov_kernel(t, x, y, x0=0.0, y0=0.0):
     """Unit-mass fundamental solution of du/dt = dxx u - x dy u on the plane."""
-    if t <= 0:
-        raise ValueError("time must be positive")
-    out = KOLMOGOROV_NORMALIZATION / t**2 * np.exp(-kolmogorov_cost(t, x, y, x0, y0))
-    out = np.asarray(out)
+    cost = kolmogorov_cost(t, x, y, x0, y0)  # refuses a bad t
+    out = np.asarray(KOLMOGOROV_NORMALIZATION / t**2 * np.exp(-cost))
     return out if out.shape else float(out)

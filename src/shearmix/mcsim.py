@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from . import kernels
+from . import _checks, kernels
 from .velocity import _panel_quadrature
 
 __all__ = [
@@ -49,7 +49,7 @@ _STEP_CHUNK = 4
 
 @dataclass(frozen=True)
 class PathConfig:
-    """Simulation parameters; the seed pins the entire output."""
+    """Simulation parameters; the seed, in [0, 2**64), pins the entire output."""
 
     dt: float
     n_paths: int
@@ -62,16 +62,15 @@ class PathConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_end <= 0:
-            raise ValueError("dt and t_end must be positive")
-        if self.n_paths < 1:
-            raise ValueError("need at least one path")
+        _checks.positive(self.dt, "dt")
+        _checks.positive(self.t_end, "t_end")
+        for name in ("n_paths", "bins", "block_size", "workers"):
+            _checks.count(getattr(self, name), name, 1)
+        _checks.seed(self.seed)
         if self.y_integrator not in ("left", "trapezoid"):
             raise ValueError(f"unknown y integrator: {self.y_integrator!r}")
         if self.geometry not in ("torus2", "plane"):
             raise ValueError(f"unknown geometry: {self.geometry!r}")
-        if self.bins < 1 or self.block_size < 1 or self.workers < 1:
-            raise ValueError("bins, block_size and workers must be positive")
 
     replace = dataclasses.replace
 
@@ -165,8 +164,7 @@ def _simulate_block(block_index, lo, hi, start, vfun, cfg, snapshot_steps, obser
     m = hi - lo
     n_steps, dt = _steps_for(cfg)
     wrap = cfg.geometry == "torus2"
-    key = np.array([(cfg.seed ^ _start_tag(start)) % (1 << 64), block_index],
-                   dtype=np.uint64)
+    key = np.array([cfg.seed ^ _start_tag(start), block_index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     x0, y0 = float(start[0]), float(start[1])
     if wrap:
@@ -271,12 +269,12 @@ def simulate_starts(starts, field, cfg, times, kill_interval=None):
         raise ValueError("histogram simulation lives on the torus")
     if not all(math.isfinite(c) for start in starts for c in start):
         raise ValueError(f"starts must be finite, got {list(starts)!r}")
-    if kill_interval is not None and not kill_interval[0] < kill_interval[1]:
-        raise ValueError(f"kill_interval must be increasing, got {list(kill_interval)!r}")
+    if kill_interval is not None:
+        _checks.interval(kill_interval, "kill_interval")
     n_steps, dt = _steps_for(cfg)
     step_of = {}
     for t in times:
-        s = int(round(t / dt))
+        s = int(round(_checks.positive(t, "times") / dt))
         if not 1 <= s <= n_steps:
             raise ValueError(f"snapshot time {t} outside the simulated horizon")
         step_of[t] = s
@@ -456,6 +454,7 @@ def kolmogorov_experiment(cfg, bins=24):
 
     if cfg.geometry != "plane":
         raise ValueError("the free-space comparison runs on the plane")
+    _checks.count(bins, "bins", 1)
     n_steps, dt = _steps_for(cfg)
     blocks = _run([(0.0, 0.0)], lambda x: x, cfg, {n_steps}, _positions)[0][n_steps]
     x, y = map(np.concatenate, zip(*blocks))

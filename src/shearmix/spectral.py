@@ -26,6 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _checks
+
 __all__ = [
     "ModeOperator",
     "SpectralSummary",
@@ -58,9 +60,9 @@ def laplace_eigs(boundary, interval=(0.0, 1.0), n=256):
     conditions; e1 is sampled on the operator grid and renormalized to unit
     discrete L2 norm.
     """
-    a, b = float(interval[0]), float(interval[1])
+    a, b = _checks.interval(interval, "interval")
     length = b - a
-    h, x = _grid(boundary, a, b, n)
+    h, x = _grid(boundary, a, b, _checks.count(n, "n", 1))
     if boundary == "periodic":
         lam1 = 0.0
         e1 = np.full(n, 1.0 / math.sqrt(length))
@@ -112,8 +114,6 @@ class ModeOperator:
     DISCRETIZATIONS = ("fd2", "spectral")
 
     def __init__(self, boundary, interval, v_samples, k, discretization="fd2"):
-        if boundary not in self.BOUNDARIES:
-            raise ValueError(f"boundary must be one of {self.BOUNDARIES}, got {boundary!r}")
         if discretization not in self.DISCRETIZATIONS:
             raise ValueError(f"discretization must be one of {self.DISCRETIZATIONS}, "
                              f"got {discretization!r}")
@@ -121,9 +121,9 @@ class ModeOperator:
         if v_samples.ndim != 1 or len(v_samples) < 16:
             raise ValueError("need at least 16 velocity samples")
         self.boundary = boundary
-        self.a, self.b = float(interval[0]), float(interval[1])
+        self.a, self.b = _checks.interval(interval, "interval")
         self.n = len(v_samples)
-        self.k = int(k)
+        self.k = _checks.count(k, "k")
         self.discretization = discretization
         v_samples.setflags(write=False)
         self.v_samples = v_samples
@@ -259,9 +259,7 @@ class ModeOperator:
         """
         import scipy.linalg as sla
 
-        if dt <= 0:
-            raise ValueError("time step must be positive")
-        key = float(dt)
+        key = float(_checks.positive(dt, "dt"))
         if key not in self._propagators:
             mat = self.matrix()
             radius_floor = abs(np.trace(mat)) / self.n
@@ -287,12 +285,11 @@ def make_operator(field, k, boundary="periodic", interval=None, n=256, discretiz
     automatically for smooth closed-form fields on the periodic torus, where
     it is exact to machine precision.
     """
-    if interval is None:
-        interval = (field.a, field.b)
+    interval = _checks.interval((field.a, field.b) if interval is None else interval, "interval")
     if discretization is None:
         smooth = getattr(field, "kind", None) == "sine"
         discretization = "spectral" if (boundary == "periodic" and smooth) else "fd2"
-    _, nodes = _grid(boundary, float(interval[0]), float(interval[1]), n)
+    _, nodes = _grid(boundary, *interval, _checks.count(n, "n", 16))
     return ModeOperator(boundary, interval, field(nodes), k, discretization)
 
 
@@ -493,8 +490,7 @@ def resolvent_gap(op, s_points=192):
     """
     import scipy.linalg as sla
 
-    if s_points < 64:
-        raise ValueError("need at least 64 sweep points")
+    s_points = _checks.count(s_points, "s_points", 64)
     shift = op.lambda1_discrete
     mat = op.matrix()
     w = op.skew_values
@@ -592,8 +588,8 @@ def semigroup_norm(op, times):
     import scipy.linalg as sla
 
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    if np.any(times < 0):
-        raise ValueError("times must be nonnegative")
+    for t in times:  # a NaN would reach the SVD below as a numeric failure
+        _checks.positive(t, "times", strict=False)
     eig = op.eigendecomposition
     mat = op.matrix()
     rates = eig.values.real

@@ -24,6 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _checks
+
 __all__ = [
     "DomainError",
     "Plateau",
@@ -239,8 +241,7 @@ class Primitive:
         of length >= min_len on the uniform `points`-point lattice of [lo, hi],
         in lattice order; [lo, hi] must lie in [a, b].  The lattice needs at
         least 2 points, so [lo, hi] is a window of the table when min_len allows."""
-        if points < 2:
-            raise ValueError(f"a window lattice needs at least 2 points, got {points}")
+        _checks.count(points, "points", 2)
         self._check_window(lo, hi)
         grid = np.linspace(lo, hi, points)
         left, right = np.triu_indices(points, 1)
@@ -344,11 +345,9 @@ class VelocityField:
         if domain is None or domain == "torus":
             self.domain, self.a, self.b, self.periodic = None, 0.0, 1.0, True
         else:
-            self.domain = [float(domain[0]), float(domain[1])]
+            self.domain = list(_checks.interval(domain, "domain"))
             self.a, self.b = self.domain
             self.periodic = False
-        if not self.b > self.a:
-            raise DomainError("empty domain")
 
     @property
     def length(self):
@@ -386,8 +385,7 @@ class VelocityField:
 
     def plateaus(self, min_length=0.0):
         """Maximal constancy intervals of length >= min_length, left to right."""
-        if min_length < 0.0:
-            raise ValueError("min_length must be nonnegative")
+        _checks.positive(min_length, "min_length", strict=False)
         return [p for p in self._all_plateaus() if p.length >= min_length]
 
     def _all_plateaus(self):
@@ -558,8 +556,7 @@ class BinaryCascadeField(_StepField):
     MAX_DEPTH = 16
 
     def __init__(self, c=1.0, tail_tol=1e-15):
-        if c <= 0:
-            raise ValueError("cascade decay parameter must be positive")
+        _checks.positive(c, "c")
         super().__init__()
         self.c = float(c)
         self.tail_tol = float(tail_tol)
@@ -766,11 +763,7 @@ def estimate_flatness_constant(field, interval, eps_grid, j_points=65):
 
     The result is a finite-grid estimate of the true constant, not a proof.
     """
-    lo, hi = float(interval[0]), float(interval[1])
-    if not hi > lo:
-        raise ValueError("empty interval")
-    if lo < field.a or hi > field.b:
-        raise ValueError(f"interval [{lo:g}, {hi:g}] leaves the domain [{field.a:g}, {field.b:g}]")
+    lo, hi = _checks.interval(interval, "interval", field.a, field.b)
     eps_grid = sorted(float(e) for e in eps_grid)
     # every value is checked: a NaN sorts anywhere and fails each comparison
     if not eps_grid or not all(0.0 < e < hi - lo for e in eps_grid):

@@ -142,6 +142,8 @@ class TestConfigValidation:
         (0, "-1", "seed must be nonnegative, got -1"),
         (0, "abc", "argument --seed: invalid int value: 'abc'"),
         (0, "1.5", "argument --seed: invalid int value: '1.5'"),
+        # a Philox key word: 2**64 would alias seed 0
+        (2**64, None, "seed must be below 2**64, got 18446744073709551616"),
     ])
     def test_bad_seed(self, tmp_path, capsys, seed, flag, message):
         cfg = write_config(tmp_path, {"task": "simulate", "velocity": TWO_PLATEAU,
@@ -171,8 +173,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize("velocity,params,message", [
         (TWO_PLATEAU, {"geometry": "plane"}, "unknown params"),
         (TWO_PLATEAU, {"y_integrator": "midpoint"}, "unknown y integrator"),
-        (TWO_PLATEAU, {"dt": 0}, "dt and t_end must be positive"),
-        (TWO_PLATEAU, {"n_paths": 0}, "need at least one path"),
+        (TWO_PLATEAU, {"dt": 0}, "dt must be positive, got 0.0"),
+        (TWO_PLATEAU, {"n_paths": 0}, "n_paths must be at least 1, got 0"),
         (TWO_PLATEAU, {"start": [0.5]}, "start must be a pair of numbers"),
         (TWO_PLATEAU, {"kill_interval": [0.5]}, "kill_interval must be a pair of numbers"),
         (HALF_DOMAIN, {}, "needs a torus velocity field"),
@@ -200,7 +202,8 @@ class TestConfigValidation:
         ({"ny": 5, "k_max": 3}, "aliases modes"),
         ({"t_end": 0}, "t_end must be positive"),
         ({"samples": 0}, "samples must be at least 1"),
-        ({"snapshots": -1}, "snapshots must be nonnegative"),
+        # the snapshot count is the n_samples of Evolution.trajectory
+        ({"snapshots": -1}, "n_samples must be at least 1, got -1"),
         ({"k_max": 1.5}, "k_max must be an integer"),
         ({"t_end": "abc"}, "t_end must be a finite number, got 'abc'"),
         ({"t_end": "2.0"}, "t_end must be a finite number, got '2.0'"),

@@ -269,7 +269,7 @@ class TestCorrelationLP:
     @pytest.mark.parametrize("interval", [(0.6, 0.2), (0.5, 0.5), (math.nan, 0.5),
                                           (0.2, math.nan)])
     def test_interval_must_increase(self, boundary, interval):
-        with pytest.raises(ValueError, match="interval must satisfy a < b"):
+        with pytest.raises(ValueError, match="interval must be increasing and finite"):
             fn.lipschitz_correlation(COS, boundary, interval, grid_n=64)
 
     @pytest.mark.parametrize("periodic", [True, False])
@@ -405,7 +405,7 @@ class TestAffineResidualScan:
     def test_lattice_needs_two_points(self, j_points):
         # a lattice of fewer points has no window: its empty minimum read inf,
         # which gap_bound_from_residual turns into its largest bound
-        with pytest.raises(ValueError, match="at least 2 points"):
+        with pytest.raises(ValueError, match="j_points must be at least 2"):
             fn.min_affine_residual(two_plateau(), 0.1, j_points=j_points)
 
     @pytest.mark.parametrize("field, eps, expected", [

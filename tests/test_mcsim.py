@@ -35,7 +35,7 @@ class TestPathConfig:
             mcsim.PathConfig(dt=0.1, n_paths=10, t_end=1.0, y_integrator="simpson")
         with pytest.raises(ValueError):
             mcsim.PathConfig(dt=0.1, n_paths=10, t_end=1.0, geometry="sphere")
-        with pytest.raises(ValueError, match="workers must be positive"):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
             mcsim.PathConfig(dt=0.1, n_paths=10, t_end=1.0, workers=0)
 
 

@@ -1,0 +1,147 @@
+"""The refusal contract: a bad argument is refused by name, never turned into a number.
+
+One table of (entry point, parameter, call, probed values, more bad values).
+Every probed value, and one value drawn from the row's strategy, must raise a
+ValueError or TypeError whose message starts with the parameter's name.  A
+returned value fails the row, and so does a call that runs past a one-second
+alarm, so that a regression to a hang fails instead of stalling the suite.
+The drawn values are NaN and infinities, numbers out of range, reversed or
+empty intervals, non-integral floats and booleans where a count belongs.
+"""
+
+import math
+import signal
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from shearmix import evolve, functionals, kernels, mcsim, spectral
+from shearmix.velocity import SawtoothField, SineField, estimate_flatness_constant, two_plateau
+
+NAN, INF = math.nan, math.inf
+NONFINITE = st.sampled_from([NAN, INF, -INF])
+# a number that is not a finite positive one
+NOT_POSITIVE = NONFINITE | st.floats(max_value=0.0, allow_nan=False)
+# a count that is not an integer: a non-integral float, a boolean or no number
+NOT_INTEGER = (st.floats(allow_nan=False, allow_infinity=False).filter(
+    lambda v: not v.is_integer()) | st.booleans() | NONFINITE)
+
+
+def below(least):
+    return st.integers(max_value=least - 1)
+
+
+def not_increasing(lo=-1.0, hi=1.0):
+    """Pairs inside [lo, hi] that are reversed, empty or hold a NaN or an infinity."""
+    finite = st.floats(lo, hi)
+    reversed_or_empty = st.tuples(finite, finite).map(lambda p: (max(p), min(p)))
+    return reversed_or_empty | st.tuples(finite, NONFINITE) | st.tuples(NONFINITE, finite)
+
+
+FIELD = two_plateau()
+OP = spectral.make_operator(FIELD, 1, n=16)
+U0 = evolve.initial_samples("cos_y", 16, 5)
+
+
+def path_config(**bad):
+    return mcsim.PathConfig(**dict(dict(dt=0.1, n_paths=10, t_end=1.0), **bad))
+
+
+# (entry point, parameter, call with the bad value, probed values, more bad values)
+ROWS = [
+    ("PathConfig", "dt", lambda v: path_config(dt=v), [NAN], NOT_POSITIVE),
+    ("PathConfig", "t_end", lambda v: path_config(t_end=v), [INF], NOT_POSITIVE),
+    ("PathConfig", "n_paths", lambda v: path_config(n_paths=v), [2.5, True],
+     NOT_INTEGER | below(1)),
+    ("PathConfig", "bins", lambda v: path_config(bins=v), [2.5], NOT_INTEGER | below(1)),
+    ("PathConfig", "workers", lambda v: path_config(workers=v), [1.5], NOT_INTEGER | below(1)),
+    ("PathConfig", "seed", lambda v: path_config(seed=v), [-1, 2**64],
+     below(0) | st.integers(min_value=2**64) | NOT_INTEGER),
+    ("heat_line", "t", lambda v: kernels.heat_line(0.1, v), [NAN, INF], NOT_POSITIVE),
+    ("heat_torus", "t", lambda v: kernels.heat_torus(0.1, 0.0, v), [NAN, INF], NOT_POSITIVE),
+    ("heat_torus_cell_mass", "t", lambda v: kernels.heat_torus_cell_mass(0.1, 0.0, 0.5, v),
+     [NAN, INF], NOT_POSITIVE),
+    ("heat_dirichlet", "t", lambda v: kernels.heat_dirichlet(0.3, 0.5, (0.0, 1.0), v),
+     [NAN, INF], NOT_POSITIVE),
+    ("kolmogorov_kernel", "t", lambda v: kernels.kolmogorov_kernel(v, 0.1, 0.2), [NAN, INF],
+     NOT_POSITIVE),
+    ("kolmogorov_cost", "t", lambda v: kernels.kolmogorov_cost(v, 0.1, 0.2), [NAN, 0.0],
+     NOT_POSITIVE),
+    ("semigroup_norm", "times", lambda v: spectral.semigroup_norm(OP, [0.5, v]), [NAN],
+     NONFINITE | st.floats(max_value=-1e-300, allow_nan=False)),
+    ("relax_trace", "t_end", lambda v: evolve.relax_trace(U0, FIELD, v, n_samples=3), [NAN],
+     NOT_POSITIVE),
+    ("relax_trace", "n_samples", lambda v: evolve.relax_trace(U0, FIELD, 1.0, n_samples=v),
+     [2.5], NOT_INTEGER | below(1)),
+    ("make_operator", "interval",
+     lambda v: spectral.make_operator(FIELD, 1, boundary="dirichlet", interval=v, n=16),
+     [(0.7, 0.2)], not_increasing(0.0, 1.0)),
+    ("make_operator", "n",
+     lambda v: spectral.make_operator(SawtoothField(1.0), 1, n=v, discretization="fd2"),
+     [16.5], NOT_INTEGER | below(16)),
+    ("ModeOperator", "k",
+     lambda v: spectral.ModeOperator("periodic", (0.0, 1.0), np.zeros(16), v), [1.5],
+     NOT_INTEGER),
+    ("resolvent_gap", "s_points", lambda v: spectral.resolvent_gap(OP, s_points=v), [64.5],
+     NOT_INTEGER | below(64)),
+    ("compute_bounds_report", "j_points",
+     lambda v: functionals.compute_bounds_report(FIELD, grid_n=16, j_points=v), [2.5],
+     NOT_INTEGER | below(2)),
+    ("compute_bounds_report", "flatness_interval",
+     lambda v: functionals.compute_bounds_report(FIELD, grid_n=16, flatness_interval=v),
+     [(0.6, 0.4), (0.5, 0.5), (0.5, 1.5)], not_increasing(0.0, 1.0)),
+    ("compute_bounds_report", "eps_grid",
+     lambda v: functionals.compute_bounds_report(FIELD, grid_n=16, eps_grid=[0.1, v]),
+     [NAN, 0.6, "0.1", True], NOT_POSITIVE | st.floats(min_value=0.5, exclude_min=True)),
+    ("lipschitz_correlation", "interval",
+     lambda v: functionals.lipschitz_correlation(FIELD, "dirichlet", v, grid_n=16),
+     [(0.6, 0.2), (NAN, 0.5)], not_increasing()),
+    ("mixing_rate", "correlation", lambda v: functionals.mixing_rate(v, 1.0), [NAN],
+     NONFINITE),
+    ("gap_bound_from_correlation", "oscillation",
+     lambda v: functionals.gap_bound_from_correlation(1.0, v, 1.0), [NAN], NONFINITE),
+    ("gap_bound_from_residual", "residual_eps",
+     lambda v: functionals.gap_bound_from_residual(v, 0.1), [NAN], NONFINITE),
+    ("initial_samples", "nx", lambda v: evolve.initial_samples("cos_y", v, 5), [16.5],
+     NOT_INTEGER | below(16)),
+    ("initial_samples", "ny", lambda v: evolve.initial_samples("cos_y", 16, v), [5.5],
+     NOT_INTEGER | below(1)),
+    ("initial_samples", "seed", lambda v: evolve.initial_samples("random", 16, 5, v),
+     [-1, 2**64], NOT_INTEGER),
+    ("estimate_flatness_constant", "interval",
+     lambda v: estimate_flatness_constant(SineField(), v, [0.05], j_points=9),
+     [(0.5, 1.5), (0.6, 0.6)], not_increasing(0.0, 1.0)),
+]
+
+
+class _Hang(Exception):
+    pass
+
+
+def _alarm(signum, frame):
+    raise _Hang("no refusal within one second")
+
+
+def _refused(call, value):
+    """The exception that `call(value)` raises within one second."""
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises((ValueError, TypeError)) as err:
+            call(value)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    return err.value
+
+
+@pytest.mark.parametrize("name,call,probed,more", [row[1:] for row in ROWS],
+                         ids=[f"{row[0]}-{row[1]}" for row in ROWS])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_refused_by_name(name, call, probed, more, data):
+    for value in [*probed, data.draw(more, label=name)]:
+        message = str(_refused(call, value))
+        assert message.startswith(f"{name} "), (value, message)
