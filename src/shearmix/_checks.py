@@ -8,17 +8,33 @@ check runs once per call, outside every loop.  Standard library only.
 
 import math
 import numbers
+import sys
 
 
 def finite(value):
-    """Whether `value` is a finite real number; a bool is not."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    """Whether `value` is a finite real number: not a bool, nor an int past the floats."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def number(value, name):
+    """`value` as a float, if a finite number."""
+    if not finite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def finite_all(values, name):
+    """`values`, if each of them is a finite number."""
+    for value in values:
+        if not finite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    return values
 
 
 def positive(value, name, strict=True):
     """`value`, if a finite number above 0 (at least 0 when not strict)."""
-    if not finite(value):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    number(value, name)
     if value < 0 or (strict and value == 0):
         raise ValueError(f"{name} must be {'positive' if strict else 'nonnegative'}, got {value}")
     return value

@@ -10,7 +10,7 @@ Config schema (unknown keys anywhere are rejected)::
     {
       "task": "bounds" | "spectrum" | "evolve" | "simulate" | "validate" | "report",
       "velocity": { "kind": ..., ... },     # required except for validate/report
-      "seed": 0,                            # optional integer (null: 0),
+      "seed": 0,                            # optional integer, default 0,
                                             # overridden by --seed
       "out_dir": "out",                     # optional, overridden by --out
       "params": { ... task-specific ... }
@@ -33,19 +33,23 @@ Task parameter blocks (all optional, with defaults):
 
     bounds:   grid_n, eps_grid (non-empty list of numbers), flatness_interval
               ([lo, hi]), j_points
-    spectrum: k, boundary, n, s_points, discretization
-    evolve:   t_end, samples, k_max, nx, ny, initial ("cos_y" | "cos_xy" |
-              "random"), snapshots (count of field dumps)
-    simulate: start [x, y], t_end, dt, n_paths, bins, y_integrator,
-              kill_interval? ([lo, hi])
+    spectrum: k = 1, boundary, n, s_points, discretization
+    evolve:   t_end = 10.0, samples = 33, k_max, nx = 64, ny = 17,
+              initial = "cos_y" ("cos_y" | "cos_xy" | "random"),
+              snapshots = 0 (count of field dumps)
+    simulate: start = [0, 0] ([x, y]), t_end = 1.0, dt = 0.001,
+              n_paths = 100000, bins, y_integrator, kill_interval ([lo, hi])
     validate: criteria (non-empty list of known criterion ids 1-11, default all)
     report:   (none; reads artifacts already in the output directory)
 
-The CLI checks JSON types only (integers or integral numbers such as 64.0;
-finite numbers, not strings or booleans, for t_end, dt and the pairs), and
-the library states every range.  Exit codes: 0 success, 1 configuration error
-(a malformed command line or a value that a library call refuses with a
-ValueError), 2 validation-suite failure (`validate` only), 3 numeric failure.
+A default written here, like the seed's, is the CLI's own: no library call
+has one.  A key that is absent or null is not passed on, so every other
+default is the library's.  The CLI checks JSON types only (integers or
+integral numbers such as 64.0; finite numbers, not strings or booleans, for
+t_end, dt and the pairs), and the library states every range.  Exit codes: 0
+success, 1 configuration error (a malformed command line or a value that a
+library call refuses with a ValueError), 2 validation-suite failure
+(`validate` only), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -53,13 +57,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import evolve, functionals, mcsim, validation
+from . import _checks, evolve, functionals, mcsim, validation
 from .spectral import make_operator, resolvent_gap
 from .velocity import field_from_config
 
@@ -76,11 +79,8 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-# the tasks that run on the config's velocity field
-_FIELD_TASKS = ("bounds", "spectrum", "evolve", "simulate")
-
-
 def load_config(path):
+    """The config at `path`, its velocity field or None, and its typed non-null params."""
     try:
         with open(path) as handle:
             raw = json.load(handle)
@@ -97,20 +97,23 @@ def load_config(path):
     task = raw.get("task")
     if task not in _TASKS:
         raise ValueError(f"task must be one of {tuple(_TASKS)}, got {task!r}")
+    _, types, takes_field = _TASKS[task]
     params = raw.get("params", {})
     if not isinstance(params, dict):
         raise ValueError("params must be an object")
-    extra = set(params) - _TASKS[task][1]
+    extra = set(params) - set(types)
     if extra:
         raise ValueError(f"unknown params for task {task!r}: {sorted(extra)}")
-    if task in _FIELD_TASKS:
+    field = None
+    if takes_field:
         if "velocity" not in raw:
             raise ValueError(f"task {task!r} needs a velocity description")
         try:
-            field_from_config(raw["velocity"])
+            field = field_from_config(raw["velocity"])
         except ValueError as err:
             raise ValueError(f"bad velocity description: {err}") from err
-    return raw
+    return raw, field, {name: _typed(name, params[name], kind)
+                        for name, kind in types.items() if params.get(name) is not None}
 
 
 class Workspace:
@@ -123,35 +126,25 @@ class Workspace:
         self.artifacts = []
 
     def write_text(self, name, text):
-        path = self.out / name
-        path.write_text(text)
-        self._record(name, path.read_bytes())
-        return path
+        (self.out / name).write_text(text)
+        self.record_file(name)
 
     def write_json(self, name, payload):
-        return self.write_text(name, json.dumps(payload, indent=1, sort_keys=True) + "\n")
+        self.write_text(name, json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
-    def _record(self, name, blob):
+    def record_file(self, name):
+        """Record a file of the directory, as it is on disk, with its size and digest."""
+        blob = (self.out / name).read_bytes()
         self.artifacts.append({
             "name": name,
             "bytes": len(blob),
             "sha256": hashlib.sha256(blob).hexdigest(),
         })
 
-    def record_file(self, name):
-        """Record a file that its writer put in the directory (the snapshots)."""
-        self._record(name, (self.out / name).read_bytes())
-
     def finish(self):
         manifest = {"config": self.config, "artifacts": self.artifacts}
         path = self.out / "manifest.json"
         path.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
-        return path
-
-
-def _seeded(config, args):
-    """The run seed: --seed, else the config's; an integer, null meaning 0."""
-    return _int_param({"seed": args.seed} if args.seed is not None else config, "seed", 0)
 
 
 def _require(ok, message):
@@ -159,83 +152,62 @@ def _require(ok, message):
         raise ValueError(message)
 
 
-def _int_param(params, name, default):
-    """Integer task parameter (default when absent or null)."""
-    value = params.get(name)
-    if value is None:
-        return default
-    _require(type(value) is int or (type(value) is float and value.is_integer()),
-             f"{name} must be an integer, got {value!r}")
-    return int(value)
+# a JSON type of a parameter: (test, what a refused value must be, conversion)
+_JSON_TYPES = {
+    "integer": (lambda v: type(v) is int or (type(v) is float and v.is_integer()),
+                "an integer", int),
+    "number": (_checks.finite, "a finite number", float),  # not a string or a boolean
+    "pair": (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_checks.finite, v)),
+             "a pair of numbers", list),
+    "list": (lambda v: isinstance(v, list) and len(v) > 0, "a non-empty list of numbers", list),
+    "any": (lambda v: True, None, lambda v: v),  # for the library call to check
+}
 
 
-def _float_param(params, name, default):
-    """Finite number task parameter (default when absent or null); not a string or boolean."""
-    value = params.get(name)
-    if value is None:
-        return default
-    _require(type(value) in (int, float) and math.isfinite(value),
-             f"{name} must be a finite number, got {value!r}")
-    return float(value)
+def _typed(name, value, kind):
+    """`value` converted for the library call, if of the JSON type `kind`."""
+    test, what, convert = _JSON_TYPES[kind]
+    _require(test(value), f"{name} must be {what}, got {value!r}")
+    return convert(value)
 
 
-def _pair(value, name):
-    """Pair of finite numbers; JSON strings, booleans and NaN are refused."""
-    _require(isinstance(value, (list, tuple)) and len(value) == 2
-             and all(type(v) in (int, float) and math.isfinite(v) for v in value),
-             f"{name} must be a pair of numbers, got {value!r}")
-    return tuple(value)
+def _given(values, *names):
+    """The entries of `values` among `names` that are not None, as keywords."""
+    return {name: values[name] for name in names if values.get(name) is not None}
 
 
-def task_bounds(config, ws, args):
-    params = config.get("params", {})
-    eps_grid = params.get("eps_grid")
-    if eps_grid is None:
-        eps_grid = list(functionals.DEFAULT_EPS_GRID)
-    _require(isinstance(eps_grid, list) and eps_grid,
-             f"eps_grid must be a non-empty list of numbers, got {eps_grid!r}")
-    interval = params.get("flatness_interval")
-    if interval is not None:
-        _pair(interval, "flatness_interval")
-    report = functionals.compute_bounds_report(
-        field_from_config(config["velocity"]),
-        grid_n=_int_param(params, "grid_n", 512),
-        eps_grid=eps_grid,
-        flatness_interval=interval,
-        j_points=_int_param(params, "j_points", 65),
-    )
+def _seeded(config, args):
+    """The run seed: --seed, else the config's; an integer, null meaning 0."""
+    seed = config.get("seed") if args.seed is None else args.seed
+    return 0 if seed is None else _typed("seed", seed, "integer")
+
+
+def task_bounds(field, params, ws, args):
+    report = functionals.compute_bounds_report(field, **params)
     ws.write_json("bounds.json", report.to_json_dict())
     return EXIT_OK
 
 
-def task_spectrum(config, ws, args):
-    field = field_from_config(config["velocity"])
-    params = config.get("params", {})
-    op = make_operator(field, k=_int_param(params, "k", 1),
-                       boundary=params.get("boundary", "periodic"),
-                       n=_int_param(params, "n", 256),
-                       discretization=params.get("discretization"))
-    summary = resolvent_gap(op, s_points=_int_param(params, "s_points", 192))
+def task_spectrum(field, params, ws, args):
+    op = make_operator(field, params.get("k", 1),
+                       **_given(params, "boundary", "n", "discretization"))
+    summary = resolvent_gap(op, **_given(params, "s_points"))
     ws.write_json("spectral_summary.json", summary.to_json_dict())
     ws.write_text("sweep.csv", summary.sweep_csv())
     return EXIT_OK
 
 
-def task_evolve(config, ws, args):
-    field = field_from_config(config["velocity"])
-    params = config.get("params", {})
+def task_evolve(field, params, ws, args):
     _require(field.periodic, "evolve needs a torus velocity field")
-    ny = _int_param(params, "ny", 17)
-    t_end = _float_param(params, "t_end", 10.0)
-    k_max = _int_param(params, "k_max", None)
-    u0 = evolve.initial_samples(params.get("initial", "cos_y"), _int_param(params, "nx", 64),
-                                ny, _seeded(config, args))
-    fld = evolve.field_from_samples(u0, k_max=k_max)  # rejects a ny that aliases k_max
+    t_end, ny, k_max = params.get("t_end", 10.0), params.get("ny", 17), _given(params, "k_max")
+    u0 = evolve.initial_samples(params.get("initial", "cos_y"), params.get("nx", 64), ny,
+                                _seeded(ws.config, args))
+    fld = evolve.field_from_samples(u0, **k_max)  # rejects a ny that aliases k_max
     evo = evolve.Evolution(field)  # one operator per mode for the trace and the snapshots
-    n_snapshots = _int_param(params, "snapshots", 0)
+    n_snapshots = params.get("snapshots", 0)
     snapshots = evo.trajectory(fld, t_end, n_snapshots) if n_snapshots else ()  # 0: none
-    trace = evolve.relax_trace(u0, field, t_end=t_end, n_samples=_int_param(params, "samples", 33),
-                               k_max=k_max, evolution=evo)
+    trace = evolve.relax_trace(u0, field, t_end=t_end, n_samples=params.get("samples", 33),
+                               evolution=evo, **k_max)
     ws.write_text("decay.csv", trace.decay_csv())
     for i, (t, state) in enumerate(snapshots):
         name = f"field-{i:03d}.f64"
@@ -246,36 +218,28 @@ def task_evolve(config, ws, args):
     return EXIT_OK
 
 
-def task_simulate(config, ws, args):
-    field = field_from_config(config["velocity"])
-    params = config.get("params", {})
-    start = _pair(params.get("start", (0.0, 0.0)), "start")
-    kill = params.get("kill_interval")
-    if kill is not None:
-        kill = _pair(kill, "kill_interval")
+def task_simulate(field, params, ws, args):
     cfg = mcsim.PathConfig(  # PathConfig checks the ranges; simulate, the field and kill_interval
-        dt=_float_param(params, "dt", 1e-3),
-        n_paths=_int_param(params, "n_paths", 100_000),
-        t_end=_float_param(params, "t_end", 1.0),
-        seed=_seeded(config, args),
-        y_integrator=params.get("y_integrator", "left"),
-        bins=_int_param(params, "bins", 32),
-        workers=args.workers,
+        dt=params.get("dt", 1e-3),
+        n_paths=params.get("n_paths", 100_000),
+        t_end=params.get("t_end", 1.0),
+        seed=_seeded(ws.config, args),
+        **_given(params, "y_integrator", "bins"),
+        **_given(vars(args), "workers"),
     )
-    hist = mcsim.simulate(start, field, cfg, kill_interval=kill)
+    hist = mcsim.simulate(params.get("start", (0.0, 0.0)), field, cfg,
+                          **_given(params, "kill_interval"))
     ws.write_text("histogram.csv", hist.histogram_csv())
     ws.write_json("histogram-meta.json", hist.metadata())
     return EXIT_OK
 
 
-def task_validate(config, ws, args):
-    params = config.get("params", {})
-    ids = params.get("criteria")
+def task_validate(field, params, ws, args):
     known = [cid for cid, _, _ in validation.CRITERIA]
-    _require(ids is None or (isinstance(ids, list) and ids
-                             and all(type(i) is int and i in known for i in ids)),
+    ids = params.get("criteria", known)
+    _require(isinstance(ids, list) and ids and all(type(i) is int and i in known for i in ids),
              f"criteria must be a non-empty list of ids from {known}, got {ids!r}")
-    results = validation.run_all(ids=ids, progress=print, workers=args.workers)
+    results = validation.run_all(ids=ids, progress=print, **_given(vars(args), "workers"))
     # artifacts must regenerate bit-identically, so timings stay on stdout
     lines = [r.status() for r in results]
     payload = [
@@ -302,7 +266,7 @@ def _jsonable(obj):
     return obj
 
 
-def task_report(config, ws, args):
+def task_report(field, params, ws, args):
     """Summarize whatever artifacts previous tasks left in the directory."""
     summary = []
     missing = []
@@ -330,7 +294,6 @@ def task_report(config, ws, args):
         if bounds_path.exists() and comparable:
             # for periodic modes k >= 1 the mode gap dominates the k = 1
             # correlation bound (the bound only improves with the mode index)
-            bounds = json.loads(bounds_path.read_text())
             ref = bounds["gap_bound_correlation_periodic"]
             refs["gap_bound_correlation_periodic"] = ref
             gap_table = bounds.get("gap_bound_residual_table", {})
@@ -363,16 +326,21 @@ def task_report(config, ws, args):
     return EXIT_OK
 
 
-# task: (runner, the keys its params block takes)
+# task: (runner, the JSON type of each key its params block takes, in the order
+# they are checked, and whether the task runs on the config's velocity field)
 _TASKS = {
-    "bounds": (task_bounds, {"grid_n", "eps_grid", "flatness_interval", "j_points"}),
-    "spectrum": (task_spectrum, {"k", "boundary", "n", "s_points", "discretization"}),
-    "evolve": (task_evolve, {"t_end", "samples", "k_max", "nx", "ny", "initial",
-                             "snapshots"}),
-    "simulate": (task_simulate, {"start", "t_end", "dt", "n_paths", "bins",
-                                 "y_integrator", "kill_interval"}),
-    "validate": (task_validate, {"criteria"}),
-    "report": (task_report, set()),
+    "bounds": (task_bounds, {"eps_grid": "list", "flatness_interval": "pair",
+                             "grid_n": "integer", "j_points": "integer"}, True),
+    "spectrum": (task_spectrum, {"k": "integer", "boundary": "any", "n": "integer",
+                                 "discretization": "any", "s_points": "integer"}, True),
+    "evolve": (task_evolve, {"ny": "integer", "t_end": "number", "k_max": "integer",
+                             "initial": "any", "nx": "integer", "snapshots": "integer",
+                             "samples": "integer"}, True),
+    "simulate": (task_simulate, {"start": "pair", "kill_interval": "pair", "dt": "number",
+                                 "n_paths": "integer", "t_end": "number",
+                                 "y_integrator": "any", "bins": "integer"}, True),
+    "validate": (task_validate, {"criteria": "any"}, False),
+    "report": (task_report, {}, False),
 }
 
 
@@ -384,25 +352,25 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
     for task in _TASKS:
         p = sub.add_parser(task, help=f"run the {task} task")
-        p.add_argument("--config", required=task in _FIELD_TASKS,
+        p.add_argument("--config", required=_TASKS[task][2],
                        help="path to the JSON config")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--workers", type=int, default=2 if task == "validate" else 1,
-                       help="Monte Carlo worker count of simulate (default 1) and "
-                            "validate (default 2)")
+        p.add_argument("--workers", type=int, help="Monte Carlo worker count of simulate "
+                       "and validate (default: the library's, 1 and 2)")
     try:
         args = parser.parse_args(argv)
-        _require(args.workers >= 1, f"--workers must be at least 1, got {args.workers}")
+        _require(args.workers is None or args.workers >= 1,
+                 f"--workers must be at least 1, got {args.workers}")
         if args.config is not None:
-            config = load_config(args.config)
+            config, field, params = load_config(args.config)
             if config["task"] != args.command:
                 raise ValueError(f"config task {config['task']!r} does not match "
                                  f"subcommand {args.command!r}")
         else:
-            config = {"task": args.command, "params": {}}
+            config, field, params = {"task": args.command, "params": {}}, None, {}
         ws = Workspace(args.out or config.get("out_dir") or "shearmix-out", config)
-        status = _TASKS[args.command][0](config, ws, args)
+        status = _TASKS[args.command][0](field, params, ws, args)
     except (ArithmeticError, np.linalg.LinAlgError) as err:
         # first: LinAlgError is a ValueError
         print(f"numeric failure: {err}", file=sys.stderr)

@@ -5,7 +5,8 @@ series tails (below 1e-14, with no cap on the term count: the torus image
 count grows like sqrt(t) and the sine series like 1/sqrt(t)).  The plane
 kernel of the equation du/dt = dxx u - x dy u is built from the quadratic cost
 of its minimum-energy control problem and normalized to unit mass.  A time t
-that is not finite and positive is refused before any series is summed.
+that is not finite and positive, a point that is not finite and a torus cell
+that is reversed or longer than 1 are refused before any series is summed.
 """
 
 from __future__ import annotations
@@ -33,10 +34,17 @@ __all__ = [
 TAIL_TOL = 1e-14
 
 
+def _points(x, name):
+    """`x` as a float array, if each of its points is finite."""
+    x = np.asarray(x, dtype=float)
+    _checks.finite_all(x.ravel().tolist(), name)
+    return x
+
+
 def heat_line(x, t):
     """Heat kernel on the line, (4 pi t)^{-1/2} exp(-x^2 / 4t)."""
     _checks.positive(t, "t")
-    x = np.asarray(x, dtype=float)
+    x = _points(x, "x")
     out = np.exp(-x * x / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
     return out if out.shape else float(out)
 
@@ -64,7 +72,7 @@ def heat_torus(x, xp=0.0, t=0.125):
     uniform density 1 as t grows.
     """
     m = _torus_images(t)
-    d = np.asarray(x, dtype=float) - np.asarray(xp, dtype=float)
+    d = _points(x, "x") - _points(xp, "xp")
     d = d - np.round(d)  # wrap to [-1/2, 1/2]
     out = np.zeros_like(d, dtype=float)
     for j in range(-m, m + 1):
@@ -78,6 +86,8 @@ def heat_torus_cell_mass(x0, lo, hi, t):
     from scipy.special import erf
 
     m = _torus_images(t)
+    _checks.number(x0, "x0")
+    _checks.interval((lo, hi), "cell", lo, lo + 1.0)  # at most one torus long
     s = 2.0 * math.sqrt(t)
     total = 0.0
     for j in range(-m, m + 1):
@@ -99,8 +109,7 @@ def heat_dirichlet(x, xp, interval=(0.0, 1.0), t=0.125):
         return (2.0 / length) * 0.5 * math.sqrt(math.pi / q) * float(erfc(m * math.sqrt(q)))
 
     m = _term_count(tail)
-    x = np.asarray(x, dtype=float)
-    xp = np.asarray(xp, dtype=float)
+    x, xp = _points(x, "x"), _points(xp, "xp")
     if np.any((x < a - 1e-12) | (x > b + 1e-12) | (xp < a - 1e-12) | (xp > b + 1e-12)):
         raise ValueError("points must lie inside the interval")
     out = np.zeros(np.broadcast(x, xp).shape, dtype=float)

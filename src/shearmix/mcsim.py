@@ -267,8 +267,7 @@ def simulate_starts(starts, field, cfg, times, kill_interval=None):
     """
     if cfg.geometry != "torus2":
         raise ValueError("histogram simulation lives on the torus")
-    if not all(math.isfinite(c) for start in starts for c in start):
-        raise ValueError(f"starts must be finite, got {list(starts)!r}")
+    _checks.finite_all([c for start in starts for c in start], "starts")
     if kill_interval is not None:
         _checks.interval(kill_interval, "kill_interval")
     n_steps, dt = _steps_for(cfg)

@@ -474,14 +474,18 @@ _MONTE_CARLO = (8, 9, 10)
 
 def run_all(ids=None, progress=None, workers=2):
     """Run the requested criteria (all by default), in id order, and return
-    their timed CriterionResults; `progress` gets each result's line.
+    their timed CriterionResults; `progress` gets each result's line.  Unknown
+    ids and an empty list are refused.
 
     `workers` is the Monte Carlo worker count of criteria 8, 9 and 10; their
     results do not depend on it (criterion 11 checks that for a histogram).
     The spectral summaries that criteria 4 and 5 share are computed once per
     process.
     """
-    todo = [c for c in CRITERIA if ids is None or c[0] in ids]
+    ids = [c[0] for c in CRITERIA] if ids is None else list(ids)
+    todo = [c for c in CRITERIA if c[0] in ids]
+    if not todo or len(todo) < len(set(ids)):
+        raise ValueError(f"ids must be a non-empty list of known criterion ids, got {ids!r}")
     results = []
     for cid, name, func in todo:
         start = time.time()

@@ -503,10 +503,11 @@ class PiecewiseConstantField(_StepField):
 
     def __init__(self, breakpoints, values, domain=None):
         super().__init__(domain)
-        breakpoints = list(map(float, breakpoints))
+        breakpoints = _checks.finite_all(list(map(float, breakpoints)), "breakpoints")
         if not breakpoints or abs(breakpoints[0] - self.a) > 1e-12:
             raise DomainError("first breakpoint must coincide with the domain start")
         self._set_cells(breakpoints + [self.b], values)
+        _checks.finite_all(self.values.tolist(), "values")
         self.breakpoints = self.edges[:-1]
 
 
@@ -520,6 +521,7 @@ class GridField(_StepField):
         samples = np.asarray(samples, dtype=float)
         if samples.ndim != 1 or len(samples) < 1:
             raise ValueError("samples must be a nonempty 1D sequence")
+        _checks.finite_all(samples.tolist(), "samples")
         self._set_cells(np.linspace(self.a, self.b, len(samples) + 1), samples)
         self.samples = self.values
 
@@ -531,8 +533,8 @@ class HeavisideField(_StepField):
 
     def __init__(self, high=1.0, low=0.0):
         super().__init__()
-        self.high = float(high)
-        self.low = float(low)
+        self.high = _checks.number(float(high), "high")
+        self.low = _checks.number(float(low), "low")
         self._set_cells([0.0, 0.5, 1.0], [self.high, self.low])
 
 
@@ -559,7 +561,7 @@ class BinaryCascadeField(_StepField):
         _checks.positive(c, "c")
         super().__init__()
         self.c = float(c)
-        self.tail_tol = float(tail_tol)
+        self.tail_tol = _checks.number(float(tail_tol), "tail_tol")
         coefs = []
         for k in range(1, self.MAX_DEPTH + 2):
             ak = math.exp(-self.c * 4.0**k)
@@ -601,6 +603,8 @@ class PiecewiseLinearField(VelocityField):
         values = np.asarray(values, dtype=float)
         if len(knots) != len(values) or len(knots) < (1 if self.periodic else 2):
             raise ValueError("knots and values must match and be nonempty")
+        _checks.finite_all(knots.tolist(), "knots")
+        _checks.finite_all(values.tolist(), "values")
         if np.any(np.diff(knots) <= 0):
             raise ValueError("knots must be strictly increasing")
         if abs(knots[0] - self.a) > 1e-12:
@@ -646,9 +650,9 @@ class SineField(VelocityField):
 
     def __init__(self, amplitude=1.0, frequency=1, phase=0.0):
         super().__init__()
-        self.amplitude = float(amplitude)
+        self.amplitude = _checks.number(float(amplitude), "amplitude")
         self.frequency = int(frequency)
-        self.phase = float(phase)
+        self.phase = _checks.number(float(phase), "phase")
         if self.frequency != float(frequency) or self.frequency < 1:
             raise ValueError("frequency must be a positive integer")
 
@@ -679,7 +683,7 @@ class SawtoothField(VelocityField):
 
     def __init__(self, amplitude=1.0):
         super().__init__()
-        self.amplitude = float(amplitude)
+        self.amplitude = _checks.number(float(amplitude), "amplitude")
 
     def _eval_inside(self, x):
         return self.amplitude * np.asarray(x, dtype=float)

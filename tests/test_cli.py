@@ -1,6 +1,7 @@
 import inspect
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,15 +122,33 @@ class TestConfigValidation:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o" / "manifest.json").exists()
 
-    def test_null_eps_grid_is_the_default(self, tmp_path):
-        reports = []
-        for name, params in (("absent", {}), ("null", {"eps_grid": None})):
-            cfg = write_config(tmp_path, {"task": "bounds", "velocity": TWO_PLATEAU,
-                                          "params": dict(params, grid_n=64)}, name=f"{name}.json")
+    # every parameter of every task, each given a value that keeps the run small
+    PARAMS = {
+        "bounds": {"grid_n": 64, "eps_grid": [0.1], "flatness_interval": [0.0, 1.0],
+                   "j_points": 9},
+        "spectrum": {"k": 2, "boundary": "periodic", "n": 16, "s_points": 64,
+                     "discretization": "fd2"},
+        "evolve": {"t_end": 0.5, "samples": 3, "k_max": 1, "nx": 16, "ny": 5,
+                   "initial": "cos_xy", "snapshots": 2},
+        "simulate": {"start": [0.25, 0.25], "t_end": 0.05, "dt": 0.01, "n_paths": 100,
+                     "bins": 4, "y_integrator": "trapezoid", "kill_interval": [0.1, 0.9]},
+        "validate": {"criteria": [1]},
+    }
+
+    @pytest.mark.parametrize("task,key", [(task, key) for task in cli._TASKS
+                                          for key in sorted(cli._TASKS[task][1])])
+    def test_null_is_the_default(self, tmp_path, monkeypatch, task, key):
+        # the other keys keep their small values; the key under test takes its default
+        monkeypatch.setattr(validation, "CRITERIA", [(1, "passes", lambda: ({}, True))])
+        artifacts = []
+        for name, value in (("absent", {}), ("null", {key: None})):
+            params = {k: v for k, v in self.PARAMS[task].items() if k != key}
+            cfg = write_config(tmp_path, {"task": task, "velocity": TWO_PLATEAU,
+                                          "params": dict(params, **value)}, name=f"{name}.json")
             out = tmp_path / f"out-{name}"
-            assert cli.main(["bounds", "--config", cfg, "--out", str(out)]) == 0
-            reports.append((out / "bounds.json").read_text())
-        assert reports[0] == reports[1]
+            assert cli.main([task, "--config", cfg, "--out", str(out)]) == 0
+            artifacts.append(json.loads((out / "manifest.json").read_text())["artifacts"])
+        assert artifacts[0] == artifacts[1]
 
     SIMULATE = {"start": [0.25, 0.25], "t_end": 0.05, "dt": 0.01, "n_paths": 100,
                 "bins": 4}
@@ -188,6 +207,8 @@ class TestConfigValidation:
         (TWO_PLATEAU, {"kill_interval": [0.5, 0.5]}, "kill_interval must be increasing"),
         (TWO_PLATEAU, {"kill_interval": [0.2, float("inf")]},
          "kill_interval must be a pair of numbers"),
+        # an integer beyond the largest float is refused, not a numeric failure
+        (TWO_PLATEAU, {"t_end": 10**400}, "t_end must be a finite number, got 1000"),
     ])
     def test_bad_simulate_params(self, tmp_path, capsys, velocity, params, message):
         cfg = write_config(tmp_path, {"task": "simulate", "velocity": velocity,
@@ -257,6 +278,24 @@ class TestConfigValidation:
         assert capsys.readouterr().err == message
         assert not (tmp_path / "o" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("task,params", [
+        ("bounds", {"grid_n": 64, "j_points": 9}),
+        ("spectrum", {"n": 16, "s_points": 64}),
+        ("evolve", {"t_end": 0.5, "samples": 3, "nx": 16, "ny": 5}),
+        ("simulate", SIMULATE),
+    ])
+    def test_one_field_build_per_run(self, tmp_path, monkeypatch, task, params):
+        built = []
+
+        def counted(config):
+            built.append(config)
+            return velocity.field_from_config(config)
+
+        monkeypatch.setattr(cli, "field_from_config", counted)
+        cfg = write_config(tmp_path, {"task": task, "velocity": TWO_PLATEAU, "params": params})
+        assert cli.main([task, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert built == [TWO_PLATEAU]
+
     def test_workers_key_rejected(self, tmp_path, capsys):
         # the worker count is the --workers flag alone
         cfg = write_config(tmp_path, {"task": "bounds", "velocity": TWO_PLATEAU, "workers": 2})
@@ -308,7 +347,7 @@ class TestDocumentedSchema:
         doc = _doc_block("Task parameter blocks (all optional, with defaults):")
         assert set(doc) == set(cli._TASKS)
         for task, items in doc.items():
-            assert _doc_names(items) == cli._TASKS[task][1], task
+            assert _doc_names(items) == set(cli._TASKS[task][1]), task
 
 
 class TestBoundsTask:
@@ -324,6 +363,19 @@ class TestBoundsTask:
         manifest = json.loads((out / "manifest.json").read_text())
         names = [a["name"] for a in manifest["artifacts"]]
         assert "bounds.json" in names
+
+    def test_readme_example_adds_no_default(self, tmp_path):
+        # the README's bounds config passes grid_n alone; every other default is the library's
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = readme.split("Example config, computing every bound", 1)[1]
+        config = json.loads(example.split("```json\n", 1)[1].split("```", 1)[0])
+        out = tmp_path / "out"
+        assert cli.main(["bounds", "--config", write_config(tmp_path, config),
+                         "--out", str(out)]) == cli.EXIT_OK
+        field = velocity.field_from_config(config["velocity"])
+        report = functionals.compute_bounds_report(field, grid_n=512)
+        assert (out / "bounds.json").read_text() == json.dumps(
+            report.to_json_dict(), indent=1, sort_keys=True) + "\n"
 
     def test_manifest_digests_reproducible(self, tmp_path):
         digests = []

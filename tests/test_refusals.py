@@ -5,8 +5,9 @@ Every probed value, and one value drawn from the row's strategy, must raise a
 ValueError or TypeError whose message starts with the parameter's name.  A
 returned value fails the row, and so does a call that runs past a one-second
 alarm, so that a regression to a hang fails instead of stalling the suite.
-The drawn values are NaN and infinities, numbers out of range, reversed or
-empty intervals, non-integral floats and booleans where a count belongs.
+The drawn values are NaN and infinities, integers beyond the largest float,
+numbers out of range, reversed, empty or too long intervals, non-integral
+floats and booleans where a count belongs, and unknown criterion ids.
 """
 
 import math
@@ -17,11 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shearmix import evolve, functionals, kernels, mcsim, spectral
-from shearmix.velocity import SawtoothField, SineField, estimate_flatness_constant, two_plateau
+from shearmix import evolve, functionals, kernels, mcsim, spectral, validation
+from shearmix.velocity import (BinaryCascadeField, GridField, HeavisideField,
+                               PiecewiseConstantField, PiecewiseLinearField, SawtoothField,
+                               SineField, estimate_flatness_constant, two_plateau)
 
 NAN, INF = math.nan, math.inf
 NONFINITE = st.sampled_from([NAN, INF, -INF])
+# integers that no float holds
+BEYOND_FLOATS = st.integers(min_value=2**1024) | st.integers(max_value=-2**1024)
 # a number that is not a finite positive one
 NOT_POSITIVE = NONFINITE | st.floats(max_value=0.0, allow_nan=False)
 # a count that is not an integer: a non-integral float, a boolean or no number
@@ -59,7 +64,22 @@ ROWS = [
     ("PathConfig", "workers", lambda v: path_config(workers=v), [1.5], NOT_INTEGER | below(1)),
     ("PathConfig", "seed", lambda v: path_config(seed=v), [-1, 2**64],
      below(0) | st.integers(min_value=2**64) | NOT_INTEGER),
+    ("ModeOperator.propagator", "dt", lambda v: OP.propagator(v), [10**400, -10**400],
+     BEYOND_FLOATS | NOT_POSITIVE),
     ("heat_line", "t", lambda v: kernels.heat_line(0.1, v), [NAN, INF], NOT_POSITIVE),
+    ("heat_line", "x", lambda v: kernels.heat_line([0.0, v], 0.1), [NAN], NONFINITE),
+    ("heat_torus", "x", lambda v: kernels.heat_torus(v, 0.0, 0.1), [NAN], NONFINITE),
+    ("heat_torus", "xp", lambda v: kernels.heat_torus(0.1, v, 0.1), [INF], NONFINITE),
+    ("heat_torus_cell_mass", "x0", lambda v: kernels.heat_torus_cell_mass(v, 0.0, 0.5, 0.1),
+     [NAN], NONFINITE),
+    ("heat_torus_cell_mass", "cell", lambda v: kernels.heat_torus_cell_mass(0.5, *v, 0.1),
+     [(0.5, 0.2), (0.1, 2.5), (NAN, 0.5)],
+     not_increasing() | st.tuples(st.floats(-1.0, 1.0), st.floats(1.01, 3.0)).map(
+         lambda p: (p[0], p[0] + p[1]))),
+    ("heat_dirichlet", "x", lambda v: kernels.heat_dirichlet(v, 0.5, (0.0, 1.0), 0.1), [NAN],
+     NONFINITE),
+    ("heat_dirichlet", "xp", lambda v: kernels.heat_dirichlet(0.5, [0.2, v], (0.0, 1.0), 0.1),
+     [NAN], NONFINITE),
     ("heat_torus", "t", lambda v: kernels.heat_torus(0.1, 0.0, v), [NAN, INF], NOT_POSITIVE),
     ("heat_torus_cell_mass", "t", lambda v: kernels.heat_torus_cell_mass(0.1, 0.0, 0.5, v),
      [NAN, INF], NOT_POSITIVE),
@@ -110,6 +130,23 @@ ROWS = [
      NOT_INTEGER | below(1)),
     ("initial_samples", "seed", lambda v: evolve.initial_samples("random", 16, 5, v),
      [-1, 2**64], NOT_INTEGER),
+    ("GridField", "samples", lambda v: GridField([0.0, v, 1.0]), [NAN, INF], NONFINITE),
+    ("PiecewiseConstantField", "breakpoints",
+     lambda v: PiecewiseConstantField([0.0, v], [0.0, 1.0]), [NAN], NONFINITE),
+    ("PiecewiseConstantField", "values",
+     lambda v: PiecewiseConstantField([0.0, 0.5], [v, 1.0]), [NAN], NONFINITE),
+    ("PiecewiseLinearField", "knots", lambda v: PiecewiseLinearField([0.0, v], [0.0, 1.0]),
+     [NAN], NONFINITE),
+    ("PiecewiseLinearField", "values", lambda v: PiecewiseLinearField([0.0, 0.5], [v, 1.0]),
+     [NAN], NONFINITE),
+    ("SineField", "amplitude", lambda v: SineField(v, 1), [NAN], NONFINITE),
+    ("SineField", "phase", lambda v: SineField(1.0, 1, v), [NAN], NONFINITE),
+    ("SawtoothField", "amplitude", lambda v: SawtoothField(v), [INF], NONFINITE),
+    ("HeavisideField", "high", lambda v: HeavisideField(v), [NAN], NONFINITE),
+    ("HeavisideField", "low", lambda v: HeavisideField(1.0, v), [NAN], NONFINITE),
+    ("BinaryCascadeField", "tail_tol", lambda v: BinaryCascadeField(1.0, v), [NAN], NONFINITE),
+    ("run_all", "ids", lambda v: validation.run_all(ids=v), [[99], [], [1, 99]],
+     st.lists(st.integers(max_value=0) | st.integers(min_value=12), min_size=1)),
     ("estimate_flatness_constant", "interval",
      lambda v: estimate_flatness_constant(SineField(), v, [0.05], j_points=9),
      [(0.5, 1.5), (0.6, 0.6)], not_increasing(0.0, 1.0)),
