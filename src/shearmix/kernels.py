@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 TAIL_TOL = 1e-14
+# terms times points of the sine series summed per numpy pass
+SERIES_CHUNK = 1 << 16
 
 
 def _points(x, name):
@@ -50,11 +52,22 @@ def heat_line(x, t):
 
 
 def _term_count(tail):
-    """The first m >= 1 with tail(m) <= TAIL_TOL."""
-    m = 1
-    while tail(m) > TAIL_TOL:
-        m += 1
-    return m
+    """The first m >= 1 with tail(m) <= TAIL_TOL, for a nonincreasing tail.
+
+    Doubling finds an m with tail(m) <= TAIL_TOL, then bisection the first
+    one: O(log m) evaluations of the tail.
+    """
+    hi = 1
+    while tail(hi) > TAIL_TOL:
+        hi *= 2
+    lo = hi // 2  # 0, or a count whose tail is above TAIL_TOL
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if tail(mid) > TAIL_TOL:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def _torus_images(t):
@@ -115,8 +128,17 @@ def heat_dirichlet(x, xp, interval=(0.0, 1.0), t=0.125):
     out = np.zeros(np.broadcast(x, xp).shape, dtype=float)
     u = math.pi * (x - a) / length
     v = math.pi * (xp - a) / length
-    for k in range(1, m + 1):
-        out += math.exp(-(k**2) * q) * np.sin(k * u) * np.sin(k * v)
+    # terms k = 1..m in chunks, each added to out in order of k: accumulate
+    # sums strictly left to right (a sum would pair terms), and math.exp and
+    # these sin calls give the bits of the term-by-term loop (k * k in floats
+    # is one rounding of the exact square, as float(k**2) is)
+    chunk = max(1, SERIES_CHUNK // max(out.size, 1))
+    for first in range(1, m + 1, chunk):
+        ks = np.arange(first, min(first + chunk, m + 1), dtype=float)
+        decay = np.fromiter(map(math.exp, (-(ks * ks) * q).tolist()), float, len(ks))
+        ks = ks.reshape((-1,) + (1,) * out.ndim)
+        terms = decay.reshape(ks.shape) * np.sin(ks * u) * np.sin(ks * v)
+        out = np.add.accumulate(np.concatenate((out[None], terms)), axis=0)[-1]
     out *= 2.0 / length
     return out if out.shape else float(out)
 

@@ -338,15 +338,27 @@ class _BandedSigma:
 
     M has the singular values of A (see ModeOperator.band_form); its band of
     width w is kept and the rest is dropped, which moves every singular value
-    by at most the dropped part's Frobenius norm.  At each shift the band of
-    M - zI is factored once (LAPACK gbtrf); Lanczos with full
-    reorthogonalization on (M-zI)^-1 (M-zI)^-H (two gbtrs solves per step)
-    converges to its largest eigenvalue theta = sigma_min^-2 (Wright and
-    Trefethen, SIAM J. Sci. Comput. 23, 2001).  Lanczos stops once the
-    residual bound puts sigma within min(1e-12 sigma, eps ||M - zI||_1) of
-    its limit; the start vector is a fixed-seed normal vector, so it has no
-    symmetry that could hide the wanted singular vector.  A call returns
-    None when the factor is singular or Lanczos has not converged.
+    by at most the dropped part's Frobenius norm.  Lanczos with full
+    reorthogonalization on (M-zI)^-1 (M-zI)^-H converges to its largest
+    eigenvalue theta = sigma_min^-2 (Wright and Trefethen, SIAM J. Sci.
+    Comput. 23, 2001).  Lanczos stops once the residual bound puts sigma
+    within min(1e-12 sigma, eps ||M - zI||_1) of its limit; the start vector
+    is a fixed-seed normal vector, so it has no symmetry that could hide the
+    wanted singular vector.
+
+    Shifts are evaluated in chunks of `chunk` shifts: CHUNK, or fewer when
+    their band storage would pass CHUNK_BYTES (one at a time for a wide band).
+    The bands of M - zI for the shifts of a chunk are stacked block-diagonally
+    in one LAPACK band storage and factored by one gbtrf: the band entries
+    that would couple two blocks are stored zeros, so no pivot search picks a
+    row of the next block over a nonzero pivot and elimination adds 0 times
+    a row there, and each block's factor is that block's own LU.  Lanczos
+    then runs for the whole chunk in lockstep, with one pair of gbtrs solves
+    per step over the stacked vector, batched reorthogonalization and one
+    batched eigh of the tridiagonals; a shift that has stopped leaves the
+    stacked factor.  A chunk with a singular block is evaluated one shift at
+    a time.  A shift's value is None when its factor is singular or its
+    Lanczos has not converged.
     """
 
     # bound on |banded - dense sigma_min| in units of eps ||M - zI||_1, beyond
@@ -354,6 +366,11 @@ class _BandedSigma:
     # and 45 times (0.35) on periodic sine collocation with nothing dropped
     TOLERANCE = 16.0
     MAX_STEPS = 48
+    # chunk 16 and 32 timed the same on battery sweeps at n = 128 and 256, 8
+    # and 64 slower; the byte cap keeps wide bands (Dirichlet collocation is
+    # at width n - 1) to one shift at a time at n >= 128
+    CHUNK = 16
+    CHUNK_BYTES = 1 << 20
 
     def __init__(self, mat, width):
         n = len(mat)
@@ -361,11 +378,12 @@ class _BandedSigma:
         # LAPACK band storage: M[i, j] at row 2w + i - j, rows 0..w-1 hold fill-in
         inside = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= w
         i, j = np.nonzero(inside)
-        self.band = np.zeros((3 * w + 1, n), dtype=complex)
+        self.band = np.zeros((3 * w + 1, n), dtype=complex, order="F")
         self.band[2 * w + i - j, j] = mat[i, j]
         self.dropped = float(np.linalg.norm(mat[~inside]))
         self.norm1 = float(np.abs(mat).sum(axis=0).max())
         self.steps = min(n, self.MAX_STEPS)
+        self.chunk = int(np.clip(self.CHUNK_BYTES // self.band.nbytes, 1, self.CHUNK))
         start = np.random.default_rng(20011).standard_normal(n)
         self.start = start / np.linalg.norm(start)
 
@@ -373,40 +391,82 @@ class _BandedSigma:
         """Bound on |banded - dense| for shifts with |z| <= z_max."""
         return self.TOLERANCE * np.finfo(float).eps * (self.norm1 + z_max) + self.dropped
 
-    def __call__(self, z):
+    def sigma_min(self, shifts):
+        """sigma_min(M - zI), or None, for each z in `shifts`, in chunks."""
+        shifts = np.asarray(shifts, dtype=complex)
+        values = []
+        for i in range(0, len(shifts), self.chunk):
+            values += self._chunk(shifts[i:i + self.chunk])
+        return values
+
+    def _chunk(self, shifts):
         from scipy.linalg import lapack
 
-        w = self.width
-        band = self.band.copy()
-        band[2 * w] -= z
-        lu, piv, info = lapack.zgbtrf(band, w, w, overwrite_ab=True)
+        n, w = len(self.start), self.width
+        # the stacked bands, F-ordered: block b holds columns b n .. b n + n - 1
+        stacked = np.tile(self.band.T, (len(shifts), 1)).T
+        stacked[2 * w] -= np.repeat(shifts, n)
+        lu, piv, info = lapack.zgbtrf(stacked, w, w, overwrite_ab=True)
         if info != 0:
-            return None
-        atol = np.finfo(float).eps * (self.norm1 + abs(z))
-        basis = np.empty((len(self.start), self.steps + 1), dtype=complex, order="F")
+            if len(shifts) == 1:
+                return [None]
+            return [self._chunk(shifts[b:b + 1])[0] for b in range(len(shifts))]
+        return self._lanczos(lu, piv, shifts)
+
+    def _lanczos(self, lu, piv, shifts):
+        """Inverse Lanczos in lockstep on the stacked factor (lu, piv) of a chunk."""
+        from scipy.linalg import lapack
+
+        n, w = len(self.start), self.width
+        values = [None] * len(shifts)
+        live = np.arange(len(shifts))  # chunk position of each block still running
+        atol = np.finfo(float).eps * (self.norm1 + np.abs(shifts))
+        # one row of Lanczos vectors per block; room grows as steps are taken
+        basis = np.empty((len(shifts), min(8, self.steps + 1), n), dtype=complex)
         basis[:, 0] = self.start
-        alpha = np.empty(self.steps)
-        beta = np.zeros(self.steps)
+        alpha = np.empty((len(shifts), self.steps))
+        beta = np.zeros((len(shifts), self.steps))
         for m in range(self.steps):
-            x, _ = lapack.zgbtrs(lu, w, w, basis[:, m:m + 1], piv, trans=2)
+            x, _ = lapack.zgbtrs(lu, w, w, basis[:, m].reshape(-1, 1), piv, trans=2)
             x, _ = lapack.zgbtrs(lu, w, w, x, piv, overwrite_b=True)
-            x = x[:, 0]
+            x = x.reshape(len(live), n, 1)
             done = basis[:, :m + 1]
-            coef = done.conj().T @ x
-            x -= done @ coef
-            again = done.conj().T @ x  # second pass: full reorthogonalization
-            x -= done @ again
-            alpha[m] = (coef[m] + again[m]).real
-            norm = float(np.linalg.norm(x))
-            theta, vecs, _ = lapack.dstev(alpha[:m + 1], beta[:max(m, 1)])
-            sigma = 1.0 / math.sqrt(theta[-1])
+            coef = 0.0
+            for _ in range(2):  # two passes: full reorthogonalization
+                # done^H x per block, as the conjugate of done x^*
+                proj = np.matmul(done, x.conj()).conj()
+                x -= np.matmul(done.transpose(0, 2, 1), proj)
+                coef = coef + proj[:, m, 0]
+            alpha[:, m] = coef.real
+            norm = np.linalg.norm(x[:, :, 0], axis=1)
+            # the tridiagonals, diagonal and subdiagonal set through flat views
+            tri = np.zeros((len(live), (m + 1) ** 2))
+            tri[:, ::m + 2] = alpha[:, :m + 1]
+            tri[:, m + 1::m + 2] = beta[:, :m]
+            theta, vecs = np.linalg.eigh(tri.reshape(-1, m + 1, m + 1))
+            theta = theta[:, -1]
+            sigma = 1.0 / np.sqrt(theta)
             # |theta - eigenvalue| <= residual, and d sigma = sigma d theta / (2 theta)
-            residual = norm * abs(vecs[-1, -1])
-            if 0.5 * sigma * residual / theta[-1] <= min(1e-12 * sigma, atol):
-                return sigma
-            beta[m] = norm
-            basis[:, m + 1] = x / norm
-        return None
+            residual = norm * np.abs(vecs[:, -1, -1])
+            stop = 0.5 * sigma * residual / theta <= np.minimum(1e-12 * sigma, atol)
+            for b in np.flatnonzero(stop):
+                values[live[b]] = float(sigma[b])
+            if stop.all() or m + 1 == self.steps:
+                break
+            if stop.any():
+                # keep the running blocks' columns of the factor, with pivots
+                # moved from their old block offsets to the new ones
+                keep = ~stop
+                cols = (np.flatnonzero(keep)[:, None] * n + np.arange(n)).ravel()
+                lu = np.asfortranarray(lu[:, cols])
+                piv = piv[cols] - (cols - np.arange(len(cols)))
+                live, basis, alpha, beta = live[keep], basis[keep], alpha[keep], beta[keep]
+                atol, x, norm = atol[keep], x[keep], norm[keep]
+            if m + 1 == basis.shape[1]:
+                basis = np.concatenate((basis, np.empty_like(basis)), axis=1)
+            beta[:, m] = norm
+            basis[:, m + 1] = x[:, :, 0] / norm[:, None]
+        return values
 
 
 # bracket width at which the trisection of a sweep minimum stops
@@ -416,22 +476,21 @@ REFINE_TOL = 1e-6
 def _trisect(estimate, densify, lo, hi, max_iter=200):
     """Trisection for a local minimum inside [lo, hi], on estimated values.
 
-    `estimate(s)` returns a point [s, value, error] whose value is within
-    `error` of the dense SVD's (error 0 for a dense value), and
-    `densify(point)` replaces an estimate by the dense value.  Each step drops
-    the outer third next to the higher of the two inner points (the left
-    third on a tie); a step that the errors cannot decide compares dense
-    values.  So the points visited, the final bracket and `converged` are
-    those of a trisection on dense values.  It stops when the bracket is at
-    most REFINE_TOL wide.  Returns the visited points, in visit order, and
-    `converged`.
+    `estimate(ss)` returns a point [s, value, error] for each s in ss, whose
+    value is within `error` of the dense SVD's (error 0 for a dense value),
+    and `densify(point)` replaces an estimate by the dense value.  Each step
+    estimates its two inner points together and drops the outer third next
+    to the higher of them (the left third on a tie); a step that the errors
+    cannot decide compares dense values.  So the points visited, the final
+    bracket and `converged` are those of a trisection on dense values.  It
+    stops when the bracket is at most REFINE_TOL wide.  Returns the visited
+    points, in visit order, and `converged`.
     """
     points = []
     for _ in range(max_iter):
         if hi - lo <= REFINE_TOL:
             return points, True
-        p1 = estimate(lo + (hi - lo) / 3.0)
-        p2 = estimate(hi - (hi - lo) / 3.0)
+        p1, p2 = estimate([lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0])
         if abs(p1[1] - p2[1]) <= p1[2] + p2[2]:
             densify(p1)
             densify(p2)
@@ -468,8 +527,9 @@ def resolvent_gap(op, s_points=192):
     meta["window_extensions"] is 0: the window is never widened.
 
     Values come from the banded engine on op.band_form(), within
-    engine.tolerance of the dense SVD's; the dense SVD evaluates every value
-    that this bound cannot rule out of a decision:
+    engine.tolerance of the dense SVD's: the whole sweep in chunks, and the
+    two points of each trisection step as one chunk.  The dense SVD
+    evaluates every value that this bound cannot rule out of a decision:
     - in the sweep, every point that could be a refinement candidate of the
       dense sweep, and its two neighbours.  Every other point then lies above
       the dense minimum in both engines, so the dense minimum, the
@@ -504,23 +564,30 @@ def resolvent_gap(op, s_points=192):
     engine = _BandedSigma(*op.band_form())
     tol = engine.tolerance(abs(shift) + float(np.abs(grid).max()))
 
+    diag = np.arange(op.n)
+
     def dense(s):
         evals["dense"] += 1
-        return float(sla.svdvals(mat - (shift + 1j * s) * np.eye(op.n))[-1])
+        shifted = np.array(mat, order="F")
+        shifted[diag, diag] -= shift + 1j * s
+        return float(sla.svdvals(shifted, overwrite_a=True)[-1])
 
     def densify(point):
         if point[2]:
             point[1], point[2] = dense(point[0]), 0.0
 
-    def estimate(s):
-        value = engine(shift + 1j * s)
-        if value is not None:
-            evals["banded"] += 1
-            return [s, value, tol]
-        evals["dense_fallbacks"] += 1
-        return [s, dense(s), 0.0]
+    def estimate(ss):
+        points = []
+        for s, value in zip(ss, engine.sigma_min([shift + 1j * s for s in ss])):
+            if value is None:
+                evals["dense_fallbacks"] += 1
+                points.append([s, dense(s), 0.0])
+            else:
+                evals["banded"] += 1
+                points.append([s, value, tol])
+        return points
 
-    swept = [estimate(s) for s in grid]
+    swept = estimate(grid)
     near = _candidates(np.array([p[1] for p in swept]), tol)
     # each point that could be a candidate of the dense sweep, and its neighbours
     for j in np.flatnonzero(np.convolve(near, np.ones(3), mode="same")):

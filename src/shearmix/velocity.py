@@ -651,6 +651,7 @@ class SineField(VelocityField):
     def __init__(self, amplitude=1.0, frequency=1, phase=0.0):
         super().__init__()
         self.amplitude = _checks.number(float(amplitude), "amplitude")
+        _checks.number(frequency, "frequency")
         self.frequency = int(frequency)
         self.phase = _checks.number(float(phase), "phase")
         if self.frequency != float(frequency) or self.frequency < 1:

@@ -71,6 +71,27 @@ class TestHeatTorus:
         assert kr.heat_torus_cell_mass(0.0, 0.0, 1.0, t) == pytest.approx(1.0, abs=1e-12)
 
 
+def _sine_series_loop(x, xp, interval, t):
+    """The Dirichlet kernel term by term, its count found one term at a time:
+    the reference for heat_dirichlet's chunked sum and term search."""
+    from scipy.special import erfc
+
+    a, b = interval
+    length = b - a
+    q = math.pi**2 * t / length**2
+    m = 1
+    while (2.0 / length) * 0.5 * math.sqrt(math.pi / q) * float(erfc(m * math.sqrt(q))) > 1e-14:
+        m += 1
+    x, xp = np.asarray(x, dtype=float), np.asarray(xp, dtype=float)
+    out = np.zeros(np.broadcast(x, xp).shape, dtype=float)
+    u = math.pi * (x - a) / length
+    v = math.pi * (xp - a) / length
+    for k in range(1, m + 1):
+        out += math.exp(-(k**2) * q) * np.sin(k * u) * np.sin(k * v)
+    out *= 2.0 / length
+    return out if out.shape else float(out)
+
+
 class TestHeatDirichlet:
     def test_boundary_vanishes(self):
         assert kr.heat_dirichlet(0.0, 0.5, (0.0, 1.0), 0.1) == pytest.approx(0.0, abs=1e-12)
@@ -119,6 +140,18 @@ class TestHeatDirichlet:
         t = 1e-11
         ratio = kr.heat_dirichlet(0.5, 0.5, (0.0, 1.0), t) / kr.heat_line(0.0, t)
         assert ratio == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("t", [1e-8, 1e-5, 0.02, 0.125, 1.0])
+    @pytest.mark.parametrize("interval", [(0.0, 1.0), (0.2, 0.7)])
+    def test_same_bits_as_the_term_loop(self, t, interval):
+        # 9 and 25 points split the 2e4 terms at t = 1e-8 into several chunks
+        a, b = interval
+        x = np.random.default_rng(7).uniform(a, b, 9)
+        grid = np.linspace(a, b, 5)
+        for args in [(x[2], x[5]), (x, x[0]), (grid[:, None], grid[None, :])]:
+            got = kr.heat_dirichlet(*args, interval, t)
+            want = _sine_series_loop(*args, interval, t)
+            assert type(got) is type(want) and np.array_equal(got, want)
 
 
 class TestKolmogorovControl:

@@ -141,6 +141,9 @@ ROWS = [
      [NAN], NONFINITE),
     ("SineField", "amplitude", lambda v: SineField(v, 1), [NAN], NONFINITE),
     ("SineField", "phase", lambda v: SineField(1.0, 1, v), [NAN], NONFINITE),
+    ("SineField", "frequency", lambda v: SineField(1.0, v),
+     [NAN, INF, "2", True, 1.5, 0, 2**53 + 1],
+     NOT_INTEGER | below(1)),
     ("SawtoothField", "amplitude", lambda v: SawtoothField(v), [INF], NONFINITE),
     ("HeavisideField", "high", lambda v: HeavisideField(v), [NAN], NONFINITE),
     ("HeavisideField", "low", lambda v: HeavisideField(1.0, v), [NAN], NONFINITE),

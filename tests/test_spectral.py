@@ -4,6 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.linalg import lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -323,14 +324,18 @@ class TestGapGolden:
 
     def test_fallbacks_are_counted_and_change_nothing(self, monkeypatch):
         name, k, boundary, n, s_points, _, r, s, ext, warned = self.CASES[0]
-        banded = spectral._BandedSigma.__call__
+        banded = spectral._BandedSigma.sigma_min
         calls = []
 
-        def every_third_fails(engine, z):
-            calls.append(z)
-            return None if len(calls) % 3 == 0 else banded(engine, z)
+        def every_third_fails(engine, shifts):
+            values = banded(engine, shifts)
+            for b, z in enumerate(shifts):
+                calls.append(z)
+                if len(calls) % 3 == 0:
+                    values[b] = None
+            return values
 
-        monkeypatch.setattr(spectral._BandedSigma, "__call__", every_third_fails)
+        monkeypatch.setattr(spectral._BandedSigma, "sigma_min", every_third_fails)
         op = make_operator(GOLDEN_FIELDS[name](), k, boundary=boundary, n=n)
         summary = resolvent_gap(op, s_points=s_points)
         assert (summary.r_lambda1, summary.s_argmin) == (r, s)
@@ -340,6 +345,27 @@ class TestGapGolden:
         assert evals["dense_fallbacks"] == len(calls) // 3
         assert evals["banded"] + evals["dense_fallbacks"] == len(calls)
         assert evals["dense"] > evals["dense_fallbacks"]
+
+    def test_singular_chunk_is_evaluated_one_shift_at_a_time(self, monkeypatch):
+        # gbtrf reporting a singular block for every chunk of two or more
+        # shifts sends each chunk through the one-shift path
+        name, k, boundary, n, s_points, _, r, s, ext, warned = self.CASES[0]
+        op = make_operator(GOLDEN_FIELDS[name](), k, boundary=boundary, n=n)
+        chunked = resolvent_gap(op, s_points=s_points)
+        factor, sizes = lapack.zgbtrf, []
+
+        def singular_chunks(ab, kl, ku, **options):
+            lu, piv, info = factor(ab, kl, ku, **options)
+            sizes.append(ab.shape[1] // n)
+            return lu, piv, (1 if ab.shape[1] > n else info)
+
+        monkeypatch.setattr(lapack, "zgbtrf", singular_chunks)
+        single = resolvent_gap(op, s_points=s_points)
+        assert max(sizes) > 1 and sizes.count(1) == single.meta["sigma_evals"]["banded"]
+        assert single.meta["sigma_evals"]["dense_fallbacks"] == 0
+        assert (single.r_lambda1, single.s_argmin) == (r, s)
+        assert (single.r_lambda1, single.s_argmin, single.meta) == \
+            (chunked.r_lambda1, chunked.s_argmin, chunked.meta)
 
     # cos collocation on the torus, recorded with the all-dense sweep and trisection
     COLLOCATION_CASES = [
@@ -375,7 +401,8 @@ class TestGapGolden:
         banded = resolvent_gap(op, s_points=64)
         # a failed banded evaluation falls back to the dense SVD, so this is all-dense
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(spectral._BandedSigma, "__call__", lambda engine, z: None)
+            patch.setattr(spectral._BandedSigma, "sigma_min",
+                          lambda engine, shifts: [None] * len(shifts))
             dense = resolvent_gap(op, s_points=64)
         assert dense.meta["sigma_evals"]["banded"] == 0
         assert banded.meta["sigma_evals"]["banded"] > 0
@@ -455,13 +482,24 @@ class TestGapMeta:
         assert stalled["refinement_warning"] is True
 
 
+def _in_chunk(engine, op, z):
+    """The banded value at z, evaluated as the middle block of a full chunk
+    whose other shifts spread over the default window."""
+    w = op.skew_values
+    spread = float(w.max() - w.min())
+    s = np.linspace(w.min() - 3.0 * spread - 1.0, w.max() + 3.0 * spread + 1.0, engine.chunk)
+    shifts = op.lambda1_discrete + 1j * s
+    shifts[engine.chunk // 2] = z
+    return engine.sigma_min(shifts)[engine.chunk // 2]
+
+
 def _assert_banded_matches_dense(op, fraction):
     engine = spectral._BandedSigma(*op.band_form())
     w = op.skew_values
     spread = float(w.max() - w.min())
     s = w.min() - 3.0 * spread - 1.0 + fraction * (8.0 * spread + 2.0)
     z = op.lambda1_discrete + 1j * s
-    banded = engine(z)
+    banded = _in_chunk(engine, op, z)
     mat = op.matrix()
     dense = sla.svdvals(mat - z * np.eye(op.n))[-1]
     norm1 = np.abs(mat).sum(axis=0).max()
@@ -492,11 +530,42 @@ class TestBandedSigma:
         op = make_operator(field, 3, boundary=boundary, n=64, discretization="fd2")
         _assert_banded_matches_dense(op, fraction)
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), cells=st.integers(1, 16),
+           case=st.sampled_from(["periodic", "dirichlet", "dirichlet collocation"]),
+           k=st.sampled_from([1, 3]), n=st.integers(16, 64), data=st.data())
+    def test_chunk_matches_one_shift_at_a_time(self, seed, cells, case, k, n, data):
+        if case == "dirichlet collocation":
+            op = make_operator(SineField(1.0, 1 + seed % 3, seed % 7), k, boundary="dirichlet",
+                               n=n, discretization="spectral")
+        else:
+            field = GridField(np.random.default_rng(seed).uniform(-1.0, 1.0, cells))
+            op = make_operator(field, k, boundary=case, n=n)
+        engine = spectral._BandedSigma(*op.band_form())
+        # a sweep of the default window that ends in a partial chunk
+        s_points = data.draw(st.integers(engine.chunk + 1, 3 * engine.chunk + 1).filter(
+            lambda count: count % engine.chunk), label="s_points")
+        w = op.skew_values
+        spread = float(w.max() - w.min())
+        s = np.linspace(w.min() - 3.0 * spread - 1.0, w.max() + 3.0 * spread + 1.0, s_points)
+        shifts = op.lambda1_discrete + 1j * s
+        chunked = engine.sigma_min(shifts)
+        single = [engine.sigma_min([z])[0] for z in shifts]
+        assert None not in chunked and None not in single
+        mat = op.matrix()
+        eps = np.finfo(float).eps
+        for z, a, b in zip(shifts, chunked, single):
+            dense = sla.svdvals(mat - z * np.eye(op.n))[-1]
+            assert abs(a - dense) <= engine.tolerance(abs(z))
+            # only rounding tells a block of a chunk from a chunk of one
+            # (measured at most 0.34 eps (norm1 + |z|) on 120 such sweeps)
+            assert abs(a - b) <= 2.0 * eps * (engine.norm1 + abs(z))
+
     def test_near_singular_shift(self):
         # A - zI is the periodic Laplacian, singular up to roundoff
         zero = PiecewiseConstantField([0.0], [0.0])
         op = make_operator(zero, 1, boundary="periodic", n=16)
-        banded = spectral._BandedSigma(*op.band_form())(0.0)
+        banded = _in_chunk(spectral._BandedSigma(*op.band_form()), op, 0.0)
         norm1 = np.abs(op.matrix()).sum(axis=0).max()
         assert banded is not None and banded <= 16.0 * np.finfo(float).eps * norm1
 
@@ -504,7 +573,7 @@ class TestBandedSigma:
         monkeypatch.setattr(spectral._BandedSigma, "MAX_STEPS", 1)
         op = make_operator(two_plateau(0.0, 1.0), 1, boundary="periodic", n=32)
         engine = spectral._BandedSigma(*op.band_form())
-        assert engine(op.lambda1_discrete + 3.0j) is None
+        assert engine.sigma_min([op.lambda1_discrete + 3.0j]) == [None]
 
 
 class TestCollocationBand:
@@ -527,7 +596,7 @@ class TestCollocationBand:
         spread = float(w.max() - w.min())
         s = w.min() - 3.0 * spread - 1.0 + fraction * (8.0 * spread + 2.0)
         z = op.lambda1_discrete + 1j * s
-        banded = engine(z)
+        banded = _in_chunk(engine, op, z)
         dense = sla.svdvals(op.matrix() - z * np.eye(op.n))[-1]
         assert banded is not None
         assert abs(banded - dense) <= engine.tolerance(abs(z))
@@ -550,9 +619,8 @@ class TestCollocationBand:
         engine = spectral._BandedSigma(mat, 1)
         assert engine.dropped > 0.0
         worst = 0.0
-        for s in np.linspace(-10.0, 16.0, 27):
-            z = op.lambda1_discrete + 1j * s
-            banded = engine(z)
+        shifts = op.lambda1_discrete + 1j * np.linspace(-10.0, 16.0, 27)
+        for z, banded in zip(shifts, engine.sigma_min(shifts)):
             dense = sla.svdvals(op.matrix() - z * np.eye(op.n))[-1]
             assert abs(banded - dense) <= engine.tolerance(abs(z))
             worst = max(worst, abs(banded - dense) / (engine.tolerance(abs(z)) - engine.dropped))
