@@ -150,9 +150,10 @@ class Evolution:
     """Cached per-mode propagators for one velocity field.
 
     Each stepped field supplies the grid (nx, boundary, interval); operators
-    are cached per (|k|, grid), and propagators for negative modes are the
-    conjugates of the positive ones.  The envelope rate of `relax_trace` is
-    cached per correlation grid, so its LP is solved once per field.
+    are cached per (|k|, grid), and a negative mode's vector v is stepped by
+    the positive mode's propagator P as conj(P conj(v)), with no conjugate
+    copy of P.  The envelope rate of `relax_trace` is cached per correlation
+    grid, so its LP is solved once per field.
     """
 
     def __init__(self, field_v):
@@ -177,9 +178,8 @@ class Evolution:
                 self._ops[key] = make_operator(self.field_v, abs(k), boundary=field.boundary,
                                                interval=field.interval, n=field.nx)
             prop = self._ops[key].propagator(dt)
-            if k < 0:
-                prop = np.conj(prop)
-            out.coeffs[k + field.k_max] = prop @ field.coeffs[k + field.k_max]
+            v = field.coeffs[k + field.k_max]
+            out.coeffs[k + field.k_max] = prop @ v if k >= 0 else np.conj(prop @ np.conj(v))
         return out
 
     def trajectory(self, field, t_end, n_samples):

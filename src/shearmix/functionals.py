@@ -395,8 +395,8 @@ def doeblin_constants(t_star, alpha_star):
     accurate when alpha is tiny.
     """
     _checks.positive(t_star, "t_star")
-    if not 0.0 < alpha_star < 1.0:
-        raise ValueError("minorization mass must lie in (0, 1)")
+    if not 0.0 < _checks.number(alpha_star, "alpha_star") < 1.0:
+        raise ValueError(f"alpha_star must lie in (0, 1), got {alpha_star}")
     c = 1.0 / (1.0 - alpha_star)
     rho = -math.log1p(-alpha_star) / t_star
     return c, rho
@@ -431,6 +431,9 @@ def doeblin_iterate(kernel, t_star_steps, alpha_star, horizon):
     m <= horizon and returns the worst-row total-variation distance to
     uniform at each step.
     """
+    t_star_steps = _checks.count(t_star_steps, "t_star_steps", 1)
+    c, rho = doeblin_constants(float(t_star_steps), alpha_star)
+    horizon = _checks.count(horizon, "horizon", 0)
     p = np.asarray(kernel, dtype=float)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise ValueError("kernel must be a square matrix")
@@ -441,15 +444,14 @@ def doeblin_iterate(kernel, t_star_steps, alpha_star, horizon):
         raise MinorizationError("kernel rows must sum to 1")
     if not np.allclose(p.sum(axis=0), 1.0, atol=1e-9):
         raise MinorizationError("kernel columns must sum to 1 (uniform must be invariant)")
-    pt = np.linalg.matrix_power(p, _checks.count(t_star_steps, "t_star_steps", 1))
+    pt = np.linalg.matrix_power(p, t_star_steps)
     floor = alpha_star / n
     if pt.min() < floor - 1e-12:
-        idx = np.unravel_index(int(np.argmin(pt)), pt.shape)
+        idx = tuple(map(int, np.unravel_index(int(np.argmin(pt)), pt.shape)))
         raise MinorizationError(
             f"entry {idx} of the {t_star_steps}-step kernel is {pt[idx]:.3e} < {floor:.3e}",
             entry=idx,
         )
-    c, rho = doeblin_constants(float(t_star_steps), alpha_star)
     tv = np.empty(horizon)
     bound = np.empty(horizon)
     violation = None
@@ -459,7 +461,7 @@ def doeblin_iterate(kernel, t_star_steps, alpha_star, horizon):
         tv[m - 1] = 0.5 * np.abs(pm - 1.0 / n).sum(axis=1).max()
         bound[m - 1] = max(0.0, 1.0 - c * math.exp(-rho * m)) / n
         if pm.min() < bound[m - 1] - 1e-12 and violation is None:
-            idx = np.unravel_index(int(np.argmin(pm)), pm.shape)
+            idx = tuple(map(int, np.unravel_index(int(np.argmin(pm)), pm.shape)))
             violation = {"step": m, "entry": idx, "value": float(pm.min()),
                          "required": float(bound[m - 1])}
     return DoeblinCheck(tv=tv, bound_mass=bound, c=c, rho=rho, violation=violation)

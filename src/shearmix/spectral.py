@@ -3,12 +3,13 @@
 A ModeOperator is a dense discretization of the operator acting on one
 Fourier mode in the transport direction, with periodic or homogeneous
 Dirichlet boundary conditions, second-order finite differences or a
-collocation (sine / Fourier) basis.  The module computes the resolvent gap
-along the accretivity edge by a minimum-singular-value sweep with local
-refinement, semigroup operator norms, and cached mode propagators for the PDE
-evolution driver.  Sweeps and refinements run on a banded inverse-Lanczos
-engine over each operator's band form, and the dense SVD decides every value
-that a reported gap depends on.  Semigroup norms come from one cached
+collocation (sine / Fourier) basis.  It keeps no dense matrix: laplacian()
+and matrix() build a fresh array at each call.  The module computes the
+resolvent gap along the accretivity edge by a minimum-singular-value sweep
+with local refinement, semigroup operator norms, and cached mode propagators
+for the PDE evolution driver.  Sweeps and refinements run on a banded
+inverse-Lanczos engine over each operator's band form, and the dense SVD
+decides every value that a reported gap depends on.  Semigroup norms come from one cached
 eigendecomposition A = W Lambda W^-1 per operator (route "eig"), within
 16 cond_2(W) max(1, ||tA||_1) eps relative of a dense matrix exponential's;
 where cond_2(W) exceeds EIG_COND_MAX they come from one dense expm per time
@@ -105,9 +106,10 @@ class Eigendecomposition(NamedTuple):
 class ModeOperator:
     """Dense discretization of -d_xx + i * (2 pi k) V on an interval.
 
-    Immutable after construction; the operator matrix, its accretivity edge,
-    its eigendecomposition, and propagators for repeated time steps are cached
-    internally.
+    Immutable after construction.  laplacian() and matrix() build a fresh
+    array at each call, so an operator holds its samples, its nodes, its
+    accretivity edge and eigendecomposition once computed, and the propagators
+    of the requested time steps.
     """
 
     BOUNDARIES = ("periodic", "dirichlet")
@@ -129,8 +131,6 @@ class ModeOperator:
         self.v_samples = v_samples
         self.h, self.nodes = _grid(boundary, self.a, self.b, self.n)
         self.nodes.setflags(write=False)
-        self._matrix = None
-        self._laplacian = None
         self._propagators: dict = {}
 
     @property
@@ -143,9 +143,7 @@ class ModeOperator:
         return 2.0 * math.pi * self.k * self.v_samples
 
     def laplacian(self):
-        """Dense symmetric positive semidefinite -d_xx."""
-        if self._laplacian is not None:
-            return self._laplacian
+        """Dense symmetric positive semidefinite -d_xx, built at each call."""
         n, h = self.n, self.h
         if self.discretization == "fd2":
             lap = (np.diag(np.full(n, 2.0)) - np.diag(np.ones(n - 1), 1)
@@ -163,17 +161,11 @@ class ModeOperator:
             xi = 2.0 * math.pi * np.fft.fftfreq(n, d=h)
             lap = np.fft.ifft(xi[:, None] ** 2 * np.fft.fft(np.eye(n), axis=0), axis=0).real
             lap = 0.5 * (lap + lap.T)
-        lap.setflags(write=False)
-        self._laplacian = lap
         return lap
 
     def matrix(self):
-        """The dense complex operator matrix."""
-        if self._matrix is None:
-            m = self.laplacian().astype(complex) + 1j * np.diag(self.skew_values)
-            m.setflags(write=False)
-            self._matrix = m
-        return self._matrix
+        """The dense complex operator matrix, built at each call."""
+        return self.laplacian().astype(complex) + 1j * np.diag(self.skew_values)
 
     def band_form(self):
         """(M, w): matrix() in a unitary basis where it is nearly banded.
@@ -192,13 +184,17 @@ class ModeOperator:
         SVD, and a whole gap at n = 256 took two thirds of the all-dense
         time.
         """
+        return self._band_form(self.matrix())
+
+    def _band_form(self, mat):
+        """band_form() from `mat`, this operator's matrix()."""
         n = self.n
         if self.boundary == "dirichlet":
-            return self.matrix(), (1 if self.discretization == "fd2" else n - 1)
+            return mat, (1 if self.discretization == "fd2" else n - 1)
         if self.discretization == "fd2":
-            mat, width = self.matrix(), 2
+            width = 2
         else:
-            mat = np.fft.ifft(np.fft.fft(self.matrix(), axis=0), axis=1)
+            mat = np.fft.ifft(np.fft.fft(mat, axis=0), axis=1)
             coefs = np.abs(np.fft.fft(self.v_samples))
             freqs = np.flatnonzero(coefs > 1e-12 * coefs.max())
             width = min(2 * int(np.minimum(freqs, n - freqs).max(initial=0)), n - 1)
@@ -272,7 +268,8 @@ class ModeOperator:
                 for _ in range(j):
                     prop = prop @ prop
             else:
-                prop = sla.expm(-key * mat)
+                mat *= -key  # -dt A in place: expm holds no unscaled copy
+                prop = sla.expm(mat)
             prop.setflags(write=False)
             self._propagators[key] = prop
         return self._propagators[key]
@@ -561,7 +558,7 @@ def resolvent_gap(op, s_points=192):
     grid = np.linspace(lo, hi, s_points)
 
     evals = {"banded": 0, "dense": 0, "dense_fallbacks": 0}
-    engine = _BandedSigma(*op.band_form())
+    engine = _BandedSigma(*op._band_form(mat))
     tol = engine.tolerance(abs(shift) + float(np.abs(grid).max()))
 
     diag = np.arange(op.n)
@@ -658,7 +655,7 @@ def semigroup_norm(op, times):
     for t in times:  # a NaN would reach the SVD below as a numeric failure
         _checks.positive(t, "times", strict=False)
     eig = op.eigendecomposition
-    mat = op.matrix()
+    mat = op.matrix() if eig.route == "expm" else None
     rates = eig.values.real
     cut = math.log(len(rates) / np.finfo(float).eps)
     out = np.empty(len(times))

@@ -533,8 +533,8 @@ class HeavisideField(_StepField):
 
     def __init__(self, high=1.0, low=0.0):
         super().__init__()
-        self.high = _checks.number(float(high), "high")
-        self.low = _checks.number(float(low), "low")
+        self.high = _checks.number(high, "high")
+        self.low = _checks.number(low, "low")
         self._set_cells([0.0, 0.5, 1.0], [self.high, self.low])
 
 
@@ -561,7 +561,7 @@ class BinaryCascadeField(_StepField):
         _checks.positive(c, "c")
         super().__init__()
         self.c = float(c)
-        self.tail_tol = _checks.number(float(tail_tol), "tail_tol")
+        self.tail_tol = _checks.number(tail_tol, "tail_tol")
         coefs = []
         for k in range(1, self.MAX_DEPTH + 2):
             ak = math.exp(-self.c * 4.0**k)
@@ -650,10 +650,10 @@ class SineField(VelocityField):
 
     def __init__(self, amplitude=1.0, frequency=1, phase=0.0):
         super().__init__()
-        self.amplitude = _checks.number(float(amplitude), "amplitude")
+        self.amplitude = _checks.number(amplitude, "amplitude")
         _checks.number(frequency, "frequency")
         self.frequency = int(frequency)
-        self.phase = _checks.number(float(phase), "phase")
+        self.phase = _checks.number(phase, "phase")
         if self.frequency != float(frequency) or self.frequency < 1:
             raise ValueError("frequency must be a positive integer")
 
@@ -684,7 +684,7 @@ class SawtoothField(VelocityField):
 
     def __init__(self, amplitude=1.0):
         super().__init__()
-        self.amplitude = _checks.number(float(amplitude), "amplitude")
+        self.amplitude = _checks.number(amplitude, "amplitude")
 
     def _eval_inside(self, x):
         return self.amplitude * np.asarray(x, dtype=float)
@@ -745,7 +745,7 @@ def field_from_config(config):
         raise ValueError(f"non-finite values for velocity kind {kind!r}: {bad}")
     try:
         return _CONSTRUCTORS[kind](**cfg)
-    except TypeError as err:  # a value of the wrong type, such as null
+    except (TypeError, ValueError) as err:  # a value it refuses, such as null
         raise ValueError(f"bad values for velocity kind {kind!r}: {err}") from err
 
 

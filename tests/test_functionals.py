@@ -192,6 +192,37 @@ class TestDoeblinIterate:
         with pytest.raises(fn.MinorizationError, match="columns"):
             fn.doeblin_iterate(p, 1, 0.1, 5)
 
+    def test_doubly_stochastic_kernel_passes(self):
+        p = random_bistochastic(np.random.default_rng(7), 5)
+        alpha = 0.9 * 5 * np.linalg.matrix_power(p, 2).min()
+        check = fn.doeblin_iterate(p, 2, alpha, horizon=30)
+        assert check.violation is None
+        assert np.all(np.diff(check.tv) <= 1e-15)  # a bi-stochastic kernel contracts TV
+        least = [np.linalg.matrix_power(p, m).min() for m in range(1, 31)]
+        assert np.all(check.bound_mass <= np.array(least) + 1e-12)
+
+    @pytest.mark.parametrize("kernel,match", [
+        ([[1.2, -0.2], [-0.2, 1.2]], "negative"),
+        ([[0.5, 0.4], [0.5, 0.6]], "rows"),
+    ])
+    def test_kernel_preconditions(self, kernel, match):
+        with pytest.raises(fn.MinorizationError, match=match):
+            fn.doeblin_iterate(np.array(kernel), 1, 0.1, 5)
+
+    def test_weak_power_names_its_entry(self):
+        p = np.array([[0.9, 0.1], [0.1, 0.9]])  # p^2 has least entry 0.18 < 0.5 / 2
+        with pytest.raises(fn.MinorizationError, match=r"entry \(0, 1\) of the 2-step") as err:
+            fn.doeblin_iterate(p, 2, 0.5, 5)
+        assert err.value.entry == (0, 1)
+
+    def test_arguments_refused_before_the_kernel(self):
+        # the identity kernel fails its minorization, but the arguments go first
+        for alpha, horizon, name in [(1.5, 5, "alpha_star"), (0.5, -1, "horizon"),
+                                     (0.5, 2.5, "horizon")]:
+            with pytest.raises(ValueError, match=f"^{name} ") as err:
+                fn.doeblin_iterate(np.eye(3), 1, alpha, horizon)
+            assert not isinstance(err.value, fn.MinorizationError)
+
     def test_hundred_random_chains_never_violate(self):
         rng = np.random.default_rng(20240817)
         for _ in range(100):

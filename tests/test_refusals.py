@@ -48,6 +48,7 @@ def not_increasing(lo=-1.0, hi=1.0):
 FIELD = two_plateau()
 OP = spectral.make_operator(FIELD, 1, n=16)
 U0 = evolve.initial_samples("cos_y", 16, 5)
+KERNEL = np.array([[0.75, 0.25], [0.25, 0.75]])
 
 
 def path_config(**bad):
@@ -139,15 +140,24 @@ ROWS = [
      [NAN], NONFINITE),
     ("PiecewiseLinearField", "values", lambda v: PiecewiseLinearField([0.0, 0.5], [v, 1.0]),
      [NAN], NONFINITE),
-    ("SineField", "amplitude", lambda v: SineField(v, 1), [NAN], NONFINITE),
-    ("SineField", "phase", lambda v: SineField(1.0, 1, v), [NAN], NONFINITE),
+    ("SineField", "amplitude", lambda v: SineField(v, 1), [NAN, "2", True, "abc"], NONFINITE),
+    ("SineField", "phase", lambda v: SineField(1.0, 1, v), [NAN, "0.5", False], NONFINITE),
     ("SineField", "frequency", lambda v: SineField(1.0, v),
      [NAN, INF, "2", True, 1.5, 0, 2**53 + 1],
      NOT_INTEGER | below(1)),
-    ("SawtoothField", "amplitude", lambda v: SawtoothField(v), [INF], NONFINITE),
-    ("HeavisideField", "high", lambda v: HeavisideField(v), [NAN], NONFINITE),
-    ("HeavisideField", "low", lambda v: HeavisideField(1.0, v), [NAN], NONFINITE),
-    ("BinaryCascadeField", "tail_tol", lambda v: BinaryCascadeField(1.0, v), [NAN], NONFINITE),
+    ("SawtoothField", "amplitude", lambda v: SawtoothField(v), [INF, "3"], NONFINITE),
+    ("HeavisideField", "high", lambda v: HeavisideField(v), [NAN, "1.5", True], NONFINITE),
+    ("HeavisideField", "low", lambda v: HeavisideField(1.0, v), [NAN, "0"], NONFINITE),
+    ("BinaryCascadeField", "tail_tol", lambda v: BinaryCascadeField(1.0, v), [NAN, "1e-15"],
+     NONFINITE),
+    ("doeblin_iterate", "horizon", lambda v: functionals.doeblin_iterate(KERNEL, 1, 0.5, v),
+     [-1, 2.5], NOT_INTEGER | below(0)),
+    ("doeblin_iterate", "alpha_star", lambda v: functionals.doeblin_iterate(KERNEL, 1, v, 5),
+     [1.5, 0.0, NAN, "0.5"], NONFINITE | st.floats(min_value=1.0) | st.floats(max_value=0.0)),
+    ("doeblin_iterate", "t_star_steps",
+     lambda v: functionals.doeblin_iterate(KERNEL, v, 0.5, 5), [0, 1.5], NOT_INTEGER | below(1)),
+    ("doeblin_constants", "alpha_star", lambda v: functionals.doeblin_constants(1.0, v),
+     [1.0, NAN, "0.5"], NONFINITE | st.floats(min_value=1.0) | st.floats(max_value=0.0)),
     ("run_all", "ids", lambda v: validation.run_all(ids=v), [[99], [], [1, 99]],
      st.lists(st.integers(max_value=0) | st.integers(min_value=12), min_size=1)),
     ("estimate_flatness_constant", "interval",

@@ -8,6 +8,7 @@ from scipy.linalg import lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shearmix import evolve
 from shearmix import functionals as fn
 from shearmix import spectral
 from shearmix.spectral import (
@@ -145,6 +146,67 @@ class TestPropagator:
         squared = d * abs(np.trace(op.matrix())) / n >= spectral.THETA_13
         assert len(calls) == (0 if squared else 1)
         assert np.array_equal(got, sla.expm(-(2**j * d) * op.matrix()))
+
+
+def _arrays(value):
+    """Every numpy array reachable from `value` through tuples, lists and dicts."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _arrays(item)
+
+
+class TestOperatorsKeepNoMatrix:
+    """laplacian() and matrix() are built when called; no operator keeps them."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls, matrix = [], ModeOperator.matrix
+
+        def counted(op):
+            calls.append(op)
+            return matrix(op)
+
+        monkeypatch.setattr(ModeOperator, "matrix", counted)
+        return calls
+
+    def test_evolution_holds_only_propagators(self, builds):
+        field = two_plateau()
+        evo = evolve.Evolution(field)
+        u0 = evolve.initial_samples("random", 64, 9, seed=1)
+        evolve.relax_trace(u0, field, 0.05, n_samples=3, correlation_grid=32, evolution=evo)
+        assert len(evo._ops) == 5 and len(builds) == 5  # one build per |k|, for its expm
+        for op in evo._ops.values():
+            big = [a for a in _arrays(vars(op)) if a.size >= op.n ** 2]
+            props = list(op._propagators.values())
+            assert len(big) == len(props) == 1
+            assert all(any(a is p for p in props) for a in big)
+
+    @pytest.mark.parametrize("boundary,disc", [
+        ("periodic", "fd2"), ("periodic", "spectral"), ("dirichlet", "fd2"),
+    ])
+    def test_gap_builds_the_matrix_once(self, builds, boundary, disc):
+        op = make_operator(COS, k=1, boundary=boundary, n=32, discretization=disc)
+        resolvent_gap(op, s_points=64)
+        assert builds == [op]
+
+    def test_semigroup_norm_builds_only_for_the_eigendecomposition(self, builds):
+        op = make_operator(two_plateau(), k=1, n=32)
+        semigroup_norm(op, [0.0, 0.01, 0.1])
+        assert op.eigendecomposition.route == "eig" and len(builds) == 1
+        semigroup_norm(op, [0.2])
+        assert len(builds) == 1
+
+    def test_expm_route_builds_once_per_call(self, builds, monkeypatch):
+        monkeypatch.setattr(spectral, "EIG_COND_MAX", 0.0)
+        op = make_operator(two_plateau(), k=1, n=32)
+        norms = semigroup_norm(op, [0.01, 0.1])
+        assert op.eigendecomposition.route == "expm" and len(builds) == 2
+        assert np.array_equal(norms, _expm_norms(op, [0.01, 0.1]))
 
 
 class TestSemigroupNorm:
