@@ -11,16 +11,12 @@ uniform kernel lower bound into exponential total-variation decay.
 from __future__ import annotations
 
 import functools
-import importlib.machinery
-import importlib.util
 import math
-import os
-import sys
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from . import _checks
+from . import _checks, _extension
 from .velocity import VelocityField, _flatness_from_table, estimate_flatness_constant
 
 __all__ = [
@@ -166,41 +162,9 @@ def _lp_pattern(n, periodic):
     return pattern
 
 
-_HIGHS = "scipy.optimize._highspy._core"
-
-
 def _highs():
-    """The HiGHS binding that scipy ships, loaded without `scipy.optimize`.
-
-    Returns the module in `sys.modules` when there is one, so scipy's own
-    import (and a test's monkeypatch of it) is the module used.  Otherwise
-    loads the extension from scipy's `optimize/_highspy` directory and
-    registers it under its own name before executing it, as an import does:
-    a later `import scipy.optimize` then finds it there and reuses it rather
-    than loading the extension a second time.  The parent packages stay
-    unloaded, which saves the start-up of `scipy.optimize` and
-    `scipy.sparse`; `from scipy.optimize._highspy import _core` still gives
-    this module once they load.
-    """
-    module = sys.modules.get(_HIGHS)
-    if module is not None:
-        return module
-    import scipy
-
-    directory = os.path.join(scipy.__path__[0], "optimize", "_highspy")
-    finder = importlib.machinery.FileFinder(
-        directory, (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
-    spec = finder.find_spec(_HIGHS)
-    if spec is None:
-        raise ImportError(f"no HiGHS extension _core in {directory}", name=_HIGHS)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[_HIGHS] = module
-    try:
-        spec.loader.exec_module(module)
-    except BaseException:
-        del sys.modules[_HIGHS]
-        raise
-    return module
+    """The HiGHS binding that scipy ships, loaded without `scipy.optimize` or `scipy.sparse`."""
+    return _extension.load("optimize._highspy", "_core")
 
 
 def lipschitz_correlation(field, boundary="periodic", interval=None, grid_n=256):

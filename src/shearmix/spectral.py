@@ -16,6 +16,11 @@ where cond_2(W) exceeds EIG_COND_MAX they come from one dense expm per time
 (route "expm").  A propagator exp(-dt A) is a dense expm, or, when a cached
 step d has dt = 2^j d and |tr(d A)| / n >= THETA_13, the cached exp(-d A)
 squared j times, bit for bit the expm result (see ModeOperator.propagator).
+Accretivity edges and resolvent gaps call LAPACK through scipy's extension
+`scipy.linalg._flapack`, loaded by itself, with the arguments that
+scipy.linalg's eigvalsh and svdvals pass, so they keep those functions' bits
+and a `spectrum` run loads no scipy.linalg package; eigendecompositions,
+semigroup norms and propagators import scipy.linalg.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _checks
+from . import _checks, _extension
 
 __all__ = [
     "ModeOperator",
@@ -72,6 +77,55 @@ def laplace_eigs(boundary, interval=(0.0, 1.0), n=256):
         e1 = math.sqrt(2.0 / length) * np.sin(math.pi * (x - a) / length)
     e1 = e1 / math.sqrt(h * float(np.dot(e1, e1)))
     return lam1, (2.0 * math.pi / length) ** 2, e1
+
+
+def _lapack():
+    """scipy's LAPACK extension `scipy.linalg._flapack`, loaded without `scipy.linalg`."""
+    return _extension.load("linalg", "_flapack")
+
+
+def _check_info(info, routine, failure=None):
+    """Raise LinAlgError for a negative LAPACK `info`, an illegal argument.
+
+    A positive info raises too when `failure` names what it means.
+    """
+    if info < 0:
+        raise np.linalg.LinAlgError(f"illegal value in argument {-info} of {routine}")
+    if info > 0 and failure:
+        raise np.linalg.LinAlgError(f"{routine} {failure} (info {info})")
+
+
+def _sigma_min(a, overwrite_a=False):
+    """scipy.linalg.svdvals(a, overwrite_a)[-1] of a complex matrix, bit for bit.
+
+    The zgesdd call of scipy 1.17.1's svdvals: the finite check, the lwork of
+    zgesdd_lwork (on which gesdd's blocking depends), no singular vectors.
+    """
+    lapack = _lapack()
+    a = np.asarray_chkfinite(a)
+    work, info = lapack.zgesdd_lwork(*a.shape, compute_uv=0, full_matrices=True)
+    _check_info(info, "zgesdd_lwork", "failed")
+    _, s, _, info = lapack.zgesdd(a, compute_uv=0, lwork=int(work.real), full_matrices=True,
+                                  overwrite_a=overwrite_a)
+    _check_info(info, "zgesdd", "did not converge")
+    return float(s[-1])
+
+
+def _lambda_min(a):
+    """scipy.linalg.eigvalsh(a)[0] of a real symmetric matrix, bit for bit.
+
+    The dsyevr call of scipy 1.17.1's eigvalsh (its default driver "evr"): the
+    finite check, the lower triangle, the lwork and liwork of dsyevr_lwork, no
+    eigenvectors.
+    """
+    lapack = _lapack()
+    a = np.asarray_chkfinite(a)
+    work, iwork, info = lapack.dsyevr_lwork(n=len(a), lower=True)
+    _check_info(info, "dsyevr_lwork", "failed")
+    w, _, _, _, info = lapack.dsyevr(a=a, overwrite_a=False, lower=True, compute_v=0,
+                                     lwork=int(work.real), liwork=int(iwork.real))
+    _check_info(info, "dsyevr", "did not converge")
+    return float(w[0])
 
 
 # cond_2(W) above which semigroup_norm leaves the eigenvector route for expm.
@@ -210,9 +264,7 @@ class ModeOperator:
         This is the accretivity edge of the matrix: the numerical range of
         matrix() - lambda1_discrete lies in the closed right half-plane.
         """
-        import scipy.linalg as sla
-
-        return float(sla.eigvalsh(self.laplacian())[0])
+        return _lambda_min(self.laplacian())
 
     @functools.cached_property
     def eigendecomposition(self):
@@ -355,7 +407,8 @@ class _BandedSigma:
     batched eigh of the tridiagonals; a shift that has stopped leaves the
     stacked factor.  A chunk with a singular block is evaluated one shift at
     a time.  A shift's value is None when its factor is singular or its
-    Lanczos has not converged.
+    Lanczos has not converged; a negative LAPACK info, an illegal argument,
+    raises LinAlgError.
     """
 
     # bound on |banded - dense sigma_min| in units of eps ||M - zI||_1, beyond
@@ -397,14 +450,13 @@ class _BandedSigma:
         return values
 
     def _chunk(self, shifts):
-        from scipy.linalg import lapack
-
         n, w = len(self.start), self.width
         # the stacked bands, F-ordered: block b holds columns b n .. b n + n - 1
         stacked = np.tile(self.band.T, (len(shifts), 1)).T
         stacked[2 * w] -= np.repeat(shifts, n)
-        lu, piv, info = lapack.zgbtrf(stacked, w, w, overwrite_ab=True)
-        if info != 0:
+        lu, piv, info = _lapack().zgbtrf(stacked, w, w, overwrite_ab=True)
+        _check_info(info, "zgbtrf")
+        if info > 0:
             if len(shifts) == 1:
                 return [None]
             return [self._chunk(shifts[b:b + 1])[0] for b in range(len(shifts))]
@@ -412,8 +464,7 @@ class _BandedSigma:
 
     def _lanczos(self, lu, piv, shifts):
         """Inverse Lanczos in lockstep on the stacked factor (lu, piv) of a chunk."""
-        from scipy.linalg import lapack
-
+        lapack = _lapack()
         n, w = len(self.start), self.width
         values = [None] * len(shifts)
         live = np.arange(len(shifts))  # chunk position of each block still running
@@ -424,8 +475,10 @@ class _BandedSigma:
         alpha = np.empty((len(shifts), self.steps))
         beta = np.zeros((len(shifts), self.steps))
         for m in range(self.steps):
-            x, _ = lapack.zgbtrs(lu, w, w, basis[:, m].reshape(-1, 1), piv, trans=2)
-            x, _ = lapack.zgbtrs(lu, w, w, x, piv, overwrite_b=True)
+            x, info = lapack.zgbtrs(lu, w, w, basis[:, m].reshape(-1, 1), piv, trans=2)
+            _check_info(info, "zgbtrs")
+            x, info = lapack.zgbtrs(lu, w, w, x, piv, overwrite_b=True)
+            _check_info(info, "zgbtrs")
             x = x.reshape(len(live), n, 1)
             done = basis[:, :m + 1]
             coef = 0.0
@@ -545,8 +598,6 @@ def resolvent_gap(op, s_points=192):
     SVDs among them that replaced a failed banded evaluation, over the sweep
     and the refinement.
     """
-    import scipy.linalg as sla
-
     s_points = _checks.count(s_points, "s_points", 64)
     shift = op.lambda1_discrete
     mat = op.matrix()
@@ -567,7 +618,7 @@ def resolvent_gap(op, s_points=192):
         evals["dense"] += 1
         shifted = np.array(mat, order="F")
         shifted[diag, diag] -= shift + 1j * s
-        return float(sla.svdvals(shifted, overwrite_a=True)[-1])
+        return _sigma_min(shifted, overwrite_a=True)
 
     def densify(point):
         if point[2]:

@@ -4,7 +4,6 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from scipy.linalg import lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -414,6 +413,7 @@ class TestGapGolden:
         name, k, boundary, n, s_points, _, r, s, ext, warned = self.CASES[0]
         op = make_operator(GOLDEN_FIELDS[name](), k, boundary=boundary, n=n)
         chunked = resolvent_gap(op, s_points=s_points)
+        lapack = spectral._lapack()
         factor, sizes = lapack.zgbtrf, []
 
         def singular_chunks(ab, kl, ku, **options):
@@ -687,3 +687,66 @@ class TestCollocationBand:
             assert abs(banded - dense) <= engine.tolerance(abs(z))
             worst = max(worst, abs(banded - dense) / (engine.tolerance(abs(z)) - engine.dropped))
         assert worst > 1.0
+
+
+class TestLapackWrappers:
+    """The dense sigma_min and lambda_min call scipy's LAPACK extension as
+    scipy.linalg's svdvals and eigvalsh do, so their values are scipy's bit for
+    bit; a scipy release that changes those calls fails here."""
+
+    @staticmethod
+    def _check_sigma_min(a):
+        assert spectral._sigma_min(a) == sla.svdvals(a)[-1]
+        # resolvent_gap's call: an F-ordered copy, overwritten
+        assert spectral._sigma_min(np.array(a, order="F"), overwrite_a=True) == \
+            sla.svdvals(np.array(a, order="F"), overwrite_a=True)[-1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 40), n=st.integers(1, 40),
+           scale=st.sampled_from([1e-8, 1.0, 1e6]))
+    def test_random_matrices(self, seed, m, n, scale):
+        rng = np.random.default_rng(seed)
+        a = scale * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
+        self._check_sigma_min(a)
+        b = scale * rng.standard_normal((m, m))
+        b = b + b.T
+        assert spectral._lambda_min(b) == sla.eigvalsh(b)[0]
+
+    @settings(max_examples=30, deadline=None)
+    @given(name=st.sampled_from(sorted(GOLDEN_FIELDS)),
+           boundary=st.sampled_from(["periodic", "dirichlet"]),
+           disc=st.sampled_from(["fd2", "spectral"]), k=st.sampled_from([1, 3]),
+           n=st.sampled_from([16, 33, 64, 128, 256]), fraction=st.floats(0.0, 1.0))
+    def test_battery_operators(self, name, boundary, disc, k, n, fraction):
+        op = make_operator(GOLDEN_FIELDS[name](), k, boundary=boundary, n=n, discretization=disc)
+        lap = op.laplacian()
+        assert op.lambda1_discrete == spectral._lambda_min(lap) == sla.eigvalsh(lap)[0]
+        w = op.skew_values
+        spread = float(w.max() - w.min())
+        s = w.min() - 3.0 * spread - 1.0 + fraction * (8.0 * spread + 2.0)
+        self._check_sigma_min(op.matrix() - (op.lambda1_discrete + 1j * s) * np.eye(n))
+
+    def test_non_finite_matrix_is_refused(self):
+        a = np.eye(4, dtype=complex)
+        a[1, 2] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            spectral._sigma_min(a)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            spectral._lambda_min(np.full((4, 4), np.inf))
+
+    @pytest.mark.parametrize("routine", ["zgbtrf", "zgbtrs", "zgesdd", "dsyevr"])
+    def test_negative_info_raises(self, monkeypatch, routine):
+        # an illegal argument is a fault, never a singular factor or a fallback
+        lapack = spectral._lapack()
+        call = getattr(lapack, routine)
+
+        def illegal(*args, **kwargs):
+            return call(*args, **kwargs)[:-1] + (-1,)
+
+        op = make_operator(two_plateau(0.0, 1.0), 1, boundary="periodic", n=32)
+        monkeypatch.setattr(lapack, routine, illegal)
+        with pytest.raises(np.linalg.LinAlgError, match=f"argument 1 of {routine}"):
+            if routine == "dsyevr":
+                spectral._lambda_min(op.laplacian())
+            else:
+                resolvent_gap(op, s_points=64)
