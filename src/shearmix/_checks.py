@@ -60,6 +60,13 @@ def interval(value, name, a=-math.inf, b=math.inf):
     return float(lo), float(hi)
 
 
+def torus_field(field, name):
+    """`field`, if a velocity field on the unit torus."""
+    if not field.periodic:
+        raise ValueError(f"{name} must be a torus velocity field")
+    return field
+
+
 def seed(value, name="seed"):
     """`value` as an int, if in [0, 2**64): one word of a Philox key."""
     number = count(value, name, 0)

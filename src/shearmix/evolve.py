@@ -230,9 +230,9 @@ def relax_trace(u0, field_v, t_end, n_samples=32, k_max=None, correlation_grid=2
     index.  `evolution`, an Evolution(field_v) that keeps its operators,
     propagators and rate for later calls, defaults to a fresh one.
     """
+    _checks.torus_field(field_v, "field_v")  # the envelope's rate holds on the unit torus
     u0 = np.asarray(u0, dtype=float)
-    fld = field_from_samples(u0, k_max=k_max, boundary="periodic",
-                             interval=(field_v.a, field_v.b))
+    fld = field_from_samples(u0, k_max=k_max)
     evo = Evolution(field_v) if evolution is None else evolution
     if evo.field_v is not field_v:
         raise ValueError("the evolution steps another velocity field")

@@ -536,8 +536,7 @@ def compute_bounds_report(field, *, grid_n=512, eps_grid=DEFAULT_EPS_GRID,
     """Assemble the full bounds report for a torus velocity field."""
     if not isinstance(field, VelocityField):
         raise TypeError("expected a VelocityField")
-    if not field.periodic:
-        raise ValueError("bounds reports are defined for torus fields")
+    _checks.torus_field(field, "field")
     if not len(eps_grid):
         raise ValueError("eps_grid must not be empty")
     half = 0.5 * field.length

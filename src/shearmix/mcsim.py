@@ -5,6 +5,12 @@ V(X_s) ds (mod 1).  X is stepped by exact Gaussian increments, so its law
 carries no time-discretization error at any step size; the Y integral uses a
 disclosed quadrature (left endpoint by default, optional trapezoid).
 
+One loop steps every path block.  The block's per-step rules are picked once
+from the geometry, the y integrator and the kill interval: the left rule
+reads V at the pre-move x; after x moves, the torus wrap, the trapezoid rule
+and killing run in that order.  Each rule owns its buffers, and the loop
+tests none of them, so a further per-step statistic is one more rule.
+
 Randomness comes from counter-based Philox streams keyed by (seed xor
 start-tag, block index) over fixed-size path blocks.  The blocks of every
 start of one call run on one pool of `workers` threads; since a block's bits
@@ -155,30 +161,48 @@ def _simulate_block(block_index, lo, hi, start, vfun, cfg, snapshot_steps, obser
     `observe` gets the positions of the surviving paths, in buffers that the
     next step overwrites, so it copies what it keeps.
 
-    Each step updates preallocated buffers in place.  The updates keep the
-    arithmetic of x + sqrt(2 dt) Z, y + dt V(x) and y + dt/2 (V(x) + V(x'))
-    operation for operation, and x - floor(x) rounds exactly as x mod 1, so
-    the bits do not depend on the buffering.  The trapezoid rule keeps V(x')
-    as the next step's V(x), so it evaluates V once per step.
+    The block's rules are picked once, from cfg.geometry, cfg.y_integrator
+    and `kill_interval`, and the step loop tests none of them: each step runs
+    the "before" rules on the pre-move x (the left rule), adds sqrt(2 dt) Z
+    to x, and runs the "after" rules in order (the torus wrap, the trapezoid
+    rule, killing).  Each rule owns its preallocated buffers and updates them
+    in place with the arithmetic of y + dt V(x), x - floor(x) (which rounds
+    exactly as x mod 1), y + dt/2 (V(x) + V(x')) and alive &= lo <= x <= hi,
+    operation for operation, so the bits do not depend on the buffering.
+    The trapezoid rule keeps V(x') as the next step's V(x), so it evaluates
+    V once per step.
     """
     m = hi - lo
     n_steps, dt = _steps_for(cfg)
-    wrap = cfg.geometry == "torus2"
     key = np.array([cfg.seed ^ _start_tag(start), block_index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     x0, y0 = float(start[0]), float(start[1])
-    if wrap:
+    before, after = [], []
+    if cfg.geometry == "torus2":
         x0, y0 = x0 % 1.0, y0 % 1.0  # the velocity is only read on [0, 1]
+        floor = np.empty(m)
+        after.append(lambda: np.subtract(x, np.floor(x, out=floor), out=x))
     x = np.full(m, x0)
     y = np.full(m, y0)
-    tmp = np.empty(m)
-    v_sum = np.empty(m)
-    trapezoid = cfg.y_integrator == "trapezoid"
-    if trapezoid:
+    if cfg.y_integrator == "left":
+        v_dt = np.empty(m)
+        before.append(lambda: np.add(y, np.multiply(vfun(x), dt, out=v_dt), out=y))
+    else:
         v_prev = np.array(vfun(x))  # a copy: vfun may return x itself, as for V(x) = x
-    alive = np.ones(m, dtype=bool) if kill_interval is not None else None
+        v_sum = np.empty(m)
+
+        def trapezoid():
+            v_new = vfun(x)
+            np.add(v_prev, v_new, out=v_sum)
+            np.copyto(v_prev, v_new)
+            np.add(y, np.multiply(v_sum, dt * 0.5, out=v_sum), out=y)
+        after.append(trapezoid)
+    alive = slice(None)  # x[alive] is every path
+    if kill_interval is not None:
+        alive = np.ones(m, dtype=bool)
+        k_lo, k_hi = kill_interval
+        after.append(lambda: np.bitwise_and(alive, (x >= k_lo) & (x <= k_hi), out=alive))
     root2dt = math.sqrt(2.0 * dt)
-    half_dt = dt * 0.5
     snapshots = {}
     step = 0
     last = min(n_steps, max(snapshot_steps))
@@ -189,21 +213,13 @@ def _simulate_block(block_index, lo, hi, start, vfun, cfg, snapshot_steps, obser
         chunk *= root2dt
         for dx in chunk:
             step += 1
-            if not trapezoid:
-                y += np.multiply(vfun(x), dt, out=tmp)
+            for rule in before:
+                rule()
             x += dx
-            if wrap:
-                x -= np.floor(x, out=tmp)
-            if trapezoid:
-                v_new = vfun(x)
-                np.add(v_prev, v_new, out=v_sum)
-                np.copyto(v_prev, v_new)
-                y += np.multiply(v_sum, half_dt, out=v_sum)
-            if alive is not None:
-                alive &= (x >= kill_interval[0]) & (x <= kill_interval[1])
+            for rule in after:
+                rule()
             if step in snapshot_steps:
-                snapshots[step] = (observe(x[alive], y[alive]) if alive is not None
-                                   else observe(x, y))
+                snapshots[step] = observe(x[alive], y[alive])
     return snapshots
 
 
@@ -236,9 +252,8 @@ def _run(starts, vfun, cfg, snapshot_steps, observe, kill_interval=None):
 
 
 def _torus_vfun(field):
-    if not field.periodic:
-        raise ValueError("torus simulation needs a torus velocity field")
-    return field._eval_inside  # engine keeps x wrapped, so skip the public wrap
+    # the engine keeps x wrapped, so it skips the public wrap
+    return _checks.torus_field(field, "field")._eval_inside
 
 
 def simulate(start, field, cfg, kill_interval=None):

@@ -560,7 +560,9 @@ def resolvent_gap(op, s_points=192):
     w_hi - w_lo, computes sigma_min(matrix() - lambda1 - i s), and refines
     every competitive local minimum by trisection down to REFINE_TOL bracket
     width.  The shift lambda1 is the discrete accretivity edge so the
-    returned gap feeds the explicit semigroup bound exactly.
+    returned gap feeds the explicit semigroup bound exactly; it is read from
+    the real part of the same matrix() (laplacian() bit for bit) and cached
+    as op.lambda1_discrete.
 
     The window holds the global minimum (numerical-range bounds: Trefethen
     and Embree, Spectra and Pseudospectra, 2005, ch. 17).  With L =
@@ -599,8 +601,10 @@ def resolvent_gap(op, s_points=192):
     and the refinement.
     """
     s_points = _checks.count(s_points, "s_points", 64)
-    shift = op.lambda1_discrete
     mat = op.matrix()
+    if "lambda1_discrete" not in vars(op):  # mat.real is laplacian() bit for bit
+        op.lambda1_discrete = _lambda_min(mat.real)
+    shift = op.lambda1_discrete
     w = op.skew_values
     w_lo, w_hi = float(w.min()), float(w.max())
     spread = w_hi - w_lo

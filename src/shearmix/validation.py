@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from . import evolve, functionals as fn, kernels, mcsim
+from . import _checks, evolve, functionals as fn, kernels, mcsim
 from .spectral import make_operator, resolvent_gap, semigroup_norm
 from .velocity import (
     BinaryCascadeField,
@@ -474,18 +474,23 @@ _MONTE_CARLO = (8, 9, 10)
 
 def run_all(ids=None, progress=None, workers=2):
     """Run the requested criteria (all by default), in id order, and return
-    their timed CriterionResults; `progress` gets each result's line.  Unknown
-    ids and an empty list are refused.
+    their timed CriterionResults; `progress` gets each result's line.  An id
+    that is not an integer (booleans and floats are not) or names no
+    criterion, an empty list and a `workers` below 1 are refused before any
+    criterion runs.
 
     `workers` is the Monte Carlo worker count of criteria 8, 9 and 10; their
     results do not depend on it (criterion 11 checks that for a histogram).
     The spectral summaries that criteria 4 and 5 share are computed once per
     process.
     """
-    ids = [c[0] for c in CRITERIA] if ids is None else list(ids)
+    known = [cid for cid, _, _ in CRITERIA]
+    ids = known if ids is None else list(ids)
+    if not ids or not all(_checks.count(i, "ids") in known for i in ids):
+        raise ValueError(f"ids must be a non-empty list of criterion ids from {known}, "
+                         f"got {ids!r}")
+    _checks.count(workers, "workers", 1)
     todo = [c for c in CRITERIA if c[0] in ids]
-    if not todo or len(todo) < len(set(ids)):
-        raise ValueError(f"ids must be a non-empty list of known criterion ids, got {ids!r}")
     results = []
     for cid, name, func in todo:
         start = time.time()

@@ -102,7 +102,7 @@ class TestConfigValidation:
         (TWO_PLATEAU, {"eps_grid": [0.0]}, "eps_grid entries must lie in (0, 0.5]"),
         (TWO_PLATEAU, {"eps_grid": [-0.1]}, "eps_grid entries must lie in (0, 0.5]"),
         ({"kind": "grid", "samples": [0.0, 1.0], "domain": [0.0, 0.5]}, {},
-         "defined for torus fields"),
+         "field must be a torus velocity field"),
         (TWO_PLATEAU, {"grid_n": 4}, "grid_n must be at least 8"),
         (TWO_PLATEAU, {"j_points": 1}, "j_points must be at least 2"),
         (TWO_PLATEAU, {"flatness_interval": [0.5]}, "flatness_interval must be a pair"),
@@ -196,7 +196,7 @@ class TestConfigValidation:
         (TWO_PLATEAU, {"n_paths": 0}, "n_paths must be at least 1, got 0"),
         (TWO_PLATEAU, {"start": [0.5]}, "start must be a pair of numbers"),
         (TWO_PLATEAU, {"kill_interval": [0.5]}, "kill_interval must be a pair of numbers"),
-        (HALF_DOMAIN, {}, "needs a torus velocity field"),
+        (HALF_DOMAIN, {}, "field must be a torus velocity field"),
         (TWO_PLATEAU, {"n_paths": 1.7}, "n_paths must be an integer, got 1.7"),
         (TWO_PLATEAU, {"bins": True}, "bins must be an integer, got True"),
         (TWO_PLATEAU, {"dt": "0.01"}, "dt must be a finite number, got '0.01'"),
@@ -245,15 +245,21 @@ class TestConfigValidation:
                                                  "ny": 5}})
         status = cli.main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")])
         assert status == cli.EXIT_CONFIG
-        assert "evolve needs a torus velocity field" in capsys.readouterr().err
+        assert "field_v must be a torus velocity field" in capsys.readouterr().err
         assert not (tmp_path / "o" / "manifest.json").exists()
 
-    @pytest.mark.parametrize("criteria", [[99], [], "1", ["1"], [1, 2.5], {"1": 1}])
+    @pytest.mark.parametrize("criteria", [[99], [], "1", ["1"], [1, 2.5], {"1": 1}, [True]])
     def test_bad_validate_criteria(self, tmp_path, capsys, criteria):
+        # the config's JSON type refuses what is not a non-empty list, and the
+        # task hands the list to validation.run_all, which refuses its bad ids
         cfg = write_config(tmp_path, {"task": "validate", "params": {"criteria": criteria}})
         status = cli.main(["validate", "--config", cfg, "--out", str(tmp_path / "o")])
         assert status == cli.EXIT_CONFIG
-        assert "criteria must be a non-empty list of ids" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if isinstance(criteria, list) and criteria:
+            assert "ids must be " in err and repr(criteria[-1]) in err
+        else:
+            assert f"criteria must be a non-empty list of numbers, got {criteria!r}" in err
         assert not (tmp_path / "o" / "manifest.json").exists()
 
     @pytest.mark.parametrize("task,owner,name,params", [

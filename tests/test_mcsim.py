@@ -175,8 +175,9 @@ class TestGoldenHistograms:
 
     The runs cross several draw chunks, blocks and both workers, and cover
     the dyadic-table fields, the binary-search fields, a smooth field under
-    the trapezoid rule, absorption, and plane shear V(x) = x, whose velocity
-    is the position array itself.
+    the trapezoid rule, absorption under either y rule, and plane shear
+    V(x) = x, whose velocity is the position array itself.  Absorption reads
+    x alone, so both killed runs absorb the same paths.
     """
 
     @staticmethod
@@ -199,7 +200,10 @@ class TestGoldenHistograms:
          ["5def7fc44369e019", "a41d73b294e6cddd"], [0, 0]),
         (TWO, "left", (0.2, 0.8), [0.02, 0.05],
          ["c5707d1d2e69a936", "0b819e9f3f75d8cf"], [629, 1820]),
-    ], ids=["grid16", "grid10", "uneven", "cascade", "sine-trapezoid", "killed"])
+        (SineField(amplitude=1.0, frequency=2), "trapezoid", (0.2, 0.8), [0.02, 0.05],
+         ["e7b0d48160ade1d7", "cfa70204b9d1155a"], [629, 1820]),
+    ], ids=["grid16", "grid10", "uneven", "cascade", "sine-trapezoid", "killed",
+            "killed-trapezoid"])
     def test_torus(self, field, rule, kill, times, digests, absorbed):
         hists = mcsim.simulate_snapshots((0.5, 0.125), field, self.cfg(y_integrator=rule),
                                          times, kill_interval=kill)

@@ -7,7 +7,8 @@ returned value fails the row, and so does a call that runs past a one-second
 alarm, so that a regression to a hang fails instead of stalling the suite.
 The drawn values are NaN and infinities, integers beyond the largest float,
 numbers out of range, reversed, empty or too long intervals, non-integral
-floats and booleans where a count belongs, and unknown criterion ids.
+floats and booleans where a count belongs, unknown criterion ids, and
+velocity fields off the unit torus where a torus field belongs.
 """
 
 import math
@@ -49,6 +50,10 @@ FIELD = two_plateau()
 OP = spectral.make_operator(FIELD, 1, n=16)
 U0 = evolve.initial_samples("cos_y", 16, 5)
 KERNEL = np.array([[0.75, 0.25], [0.25, 0.75]])
+# velocity fields on an interval, where a field on the unit torus belongs
+OFF_TORUS = [PiecewiseLinearField([0.0, 1.0, 2.0], [0.0, 1.0, 0.0], domain=(0.0, 2.0)),
+             PiecewiseLinearField([0.0, 8.0], [1.0, -1.0], domain=(0.0, 8.0)),
+             GridField([0.0, 1.0], domain=(0.0, 0.5))]
 
 
 def path_config(**bad):
@@ -96,6 +101,10 @@ ROWS = [
      NOT_POSITIVE),
     ("relax_trace", "n_samples", lambda v: evolve.relax_trace(U0, FIELD, 1.0, n_samples=v),
      [2.5], NOT_INTEGER | below(1)),
+    ("relax_trace", "field_v", lambda v: evolve.relax_trace(U0, v, 1.0, n_samples=3),
+     OFF_TORUS[:2], st.sampled_from(OFF_TORUS)),
+    ("simulate", "field", lambda v: mcsim.simulate((0.5, 0.5), v, path_config()),
+     OFF_TORUS[:1], st.sampled_from(OFF_TORUS)),
     ("make_operator", "interval",
      lambda v: spectral.make_operator(FIELD, 1, boundary="dirichlet", interval=v, n=16),
      [(0.7, 0.2)], not_increasing(0.0, 1.0)),
@@ -107,6 +116,9 @@ ROWS = [
      NOT_INTEGER),
     ("resolvent_gap", "s_points", lambda v: spectral.resolvent_gap(OP, s_points=v), [64.5],
      NOT_INTEGER | below(64)),
+    ("compute_bounds_report", "field",
+     lambda v: functionals.compute_bounds_report(v, grid_n=16), OFF_TORUS[:1],
+     st.sampled_from(OFF_TORUS)),
     ("compute_bounds_report", "j_points",
      lambda v: functionals.compute_bounds_report(FIELD, grid_n=16, j_points=v), [2.5],
      NOT_INTEGER | below(2)),
@@ -158,8 +170,12 @@ ROWS = [
      lambda v: functionals.doeblin_iterate(KERNEL, v, 0.5, 5), [0, 1.5], NOT_INTEGER | below(1)),
     ("doeblin_constants", "alpha_star", lambda v: functionals.doeblin_constants(1.0, v),
      [1.0, NAN, "0.5"], NONFINITE | st.floats(min_value=1.0) | st.floats(max_value=0.0)),
-    ("run_all", "ids", lambda v: validation.run_all(ids=v), [[99], [], [1, 99]],
-     st.lists(st.integers(max_value=0) | st.integers(min_value=12), min_size=1)),
+    ("run_all", "ids", lambda v: validation.run_all(ids=v),
+     [[99], [], [1, 99], [True], [1.0], [1, True], ["1"]],
+     st.lists(st.integers(max_value=0) | st.integers(min_value=12) | st.booleans()
+              | st.floats(), min_size=1)),
+    ("run_all", "workers", lambda v: validation.run_all(workers=v), [0, 1.5, True],
+     NOT_INTEGER | below(1)),
     ("estimate_flatness_constant", "interval",
      lambda v: estimate_flatness_constant(SineField(), v, [0.05], j_points=9),
      [(0.5, 1.5), (0.6, 0.6)], not_increasing(0.0, 1.0)),
@@ -195,3 +211,10 @@ def test_refused_by_name(name, call, probed, more, data):
     for value in [*probed, data.draw(more, label=name)]:
         message = str(_refused(call, value))
         assert message.startswith(f"{name} "), (value, message)
+
+
+def test_run_all_refuses_workers_before_the_first_criterion():
+    lines = []
+    with pytest.raises(ValueError, match="^workers "):
+        validation.run_all(ids=[1, 8], progress=lines.append, workers=0)
+    assert lines == []

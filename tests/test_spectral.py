@@ -188,10 +188,16 @@ class TestOperatorsKeepNoMatrix:
     @pytest.mark.parametrize("boundary,disc", [
         ("periodic", "fd2"), ("periodic", "spectral"), ("dirichlet", "fd2"),
     ])
-    def test_gap_builds_the_matrix_once(self, builds, boundary, disc):
+    def test_gap_builds_the_matrix_once(self, builds, monkeypatch, boundary, disc):
+        laplacians, laplacian = [], ModeOperator.laplacian
+        monkeypatch.setattr(ModeOperator, "laplacian",
+                            lambda op: laplacians.append(op) or laplacian(op))
         op = make_operator(COS, k=1, boundary=boundary, n=32, discretization=disc)
         resolvent_gap(op, s_points=64)
         assert builds == [op]
+        assert laplacians == [op]  # the accretivity edge is read from the gap's matrix
+        edge = op.lambda1_discrete  # and cached for later readers
+        assert laplacians == [op] and edge == spectral._lambda_min(laplacian(op))
 
     def test_semigroup_norm_builds_only_for_the_eigendecomposition(self, builds):
         op = make_operator(two_plateau(), k=1, n=32)
