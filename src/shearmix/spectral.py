@@ -8,8 +8,10 @@ and matrix() build a fresh array at each call.  The module computes the
 resolvent gap along the accretivity edge by a minimum-singular-value sweep
 with local refinement, semigroup operator norms, and cached mode propagators
 for the PDE evolution driver.  Sweeps and refinements run on a banded
-inverse-Lanczos engine over each operator's band form, and the dense SVD
-decides every value that a reported gap depends on.  Semigroup norms come from one cached
+inverse-Lanczos engine over each operator's band form, which band_form()
+builds in LAPACK band storage from the samples (Dirichlet collocation, a
+full band, from matrix()), and the dense SVD decides every value that a
+reported gap depends on.  Semigroup norms come from one cached
 eigendecomposition A = W Lambda W^-1 per operator (route "eig"), within
 16 cond_2(W) max(1, ||tA||_1) eps relative of a dense matrix exponential's;
 where cond_2(W) exceeds EIG_COND_MAX they come from one dense expm per time
@@ -173,9 +175,12 @@ class ModeOperator:
         if discretization not in self.DISCRETIZATIONS:
             raise ValueError(f"discretization must be one of {self.DISCRETIZATIONS}, "
                              f"got {discretization!r}")
-        v_samples = np.array(v_samples, dtype=float)
-        if v_samples.ndim != 1 or len(v_samples) < 16:
-            raise ValueError("need at least 16 velocity samples")
+        # as Python objects, so that strings and booleans are refused, not converted
+        values = np.asarray(v_samples, dtype=object)
+        if values.ndim != 1 or len(values) < 16:
+            raise ValueError(f"v_samples must be a sequence of at least 16 numbers, "
+                             f"got shape {values.shape}")
+        v_samples = np.array(_checks.finite_all(values.tolist(), "v_samples"), dtype=float)
         self.boundary = boundary
         self.a, self.b = _checks.interval(interval, "interval")
         self.n = len(v_samples)
@@ -222,40 +227,55 @@ class ModeOperator:
         return self.laplacian().astype(complex) + 1j * np.diag(self.skew_values)
 
     def band_form(self):
-        """(M, w): matrix() in a unitary basis where it is nearly banded.
+        """(band, w, dropped): a band M of width w, in LAPACK band storage, unitarily
+        similar to matrix() up to entries of Frobenius norm at most `dropped`.
 
-        fd2 is tridiagonal (w = 1).  The periodic operators are folded by the
-        order 0, n-1, 1, n-2, ..., a permutation that turns a circulant of
-        offsets up to f into a band of width 2f: the periodic fd2 ring
-        (w = 2), and the collocation operator in the unitary DFT basis,
-        diag(xi^2) plus 2 pi k i times the circulant of V's Fourier
-        coefficients, with f the largest frequency whose coefficient is above
-        1e-12 of the largest.  M is computed from matrix(), so its entries
-        outside the band are rounding (and any coefficient below that cut);
-        _BandedSigma bounds their effect by their Frobenius norm.  Dirichlet
-        collocation is matrix() itself at the full width n - 1: on it the
-        banded engine measured within 0.19 eps (||M||_1 + |z|) of the dense
-        SVD, and a whole gap at n = 256 took two thirds of the all-dense
-        time.
+        M[i, j] is at band[2w + i - j, j], F-ordered; rows 0..w-1 are zero, room
+        for the fill-in of a banded LU.  fd2 is the ring circulant (-1, 2,
+        -1)/h^2 plus the diagonal 2 pi k i V, bit for bit matrix()'s entries;
+        on the Dirichlet boundary it stays in node order at w = 1, where the
+        ring's corner pair, not part of that operator, falls outside the band,
+        so dropped is 0.  Periodic collocation in the unitary DFT basis is
+        diag(xi^2) plus i times the circulant of c = fft(2 pi k V) / n, its
+        entry (i, j) being c[i - j mod n]; f is the largest frequency whose
+        coefficient is above 1e-12 of the largest.  The periodic operators
+        are folded by the order 0, n-1, 1, n-2, ..., which turns a circulant
+        of offsets up to f into a band of width 2f: w = 2 for the fd2 ring and
+        min(2f, n - 1) for collocation, whose entries outside the band are
+        coefficients beyond f, each in n entries, so dropped is sqrt(n) times
+        their 2-norm.  Dirichlet collocation is matrix() itself at the full
+        width n - 1: on it the banded engine measured within 0.19 eps
+        (||M||_1 + |z|) of the dense SVD, and a whole gap at n = 256 took two
+        thirds of the all-dense time.
         """
-        return self._band_form(self.matrix())
-
-    def _band_form(self, mat):
-        """band_form() from `mat`, this operator's matrix()."""
         n = self.n
-        if self.boundary == "dirichlet":
-            return mat, (1 if self.discretization == "fd2" else n - 1)
+        if self.discretization == "spectral" and self.boundary == "dirichlet":
+            mat = self.matrix()
+            return _band_storage(n, n - 1, lambda d: np.diagonal(mat, -d)), n - 1, 0.0
         if self.discretization == "fd2":
-            width = 2
+            diagonal = 2.0 / self.h**2 + 1j * self.skew_values  # matrix()'s operations
+            circulant = np.zeros(n, dtype=complex)
+            circulant[[1, -1]] = -1.0 / self.h**2
+            width, dropped = (2 if self.boundary == "periodic" else 1), 0.0
         else:
-            mat = np.fft.ifft(np.fft.fft(mat, axis=0), axis=1)
-            coefs = np.abs(np.fft.fft(self.v_samples))
-            freqs = np.flatnonzero(coefs > 1e-12 * coefs.max())
-            width = min(2 * int(np.minimum(freqs, n - freqs).max(initial=0)), n - 1)
-        order = np.empty(n, dtype=int)
-        order[0::2] = np.arange((n + 1) // 2)
-        order[1::2] = np.arange(n - 1, (n - 1) // 2, -1)
-        return mat[np.ix_(order, order)], width
+            coefs = np.fft.fft(self.skew_values) / n
+            freqs = np.minimum(np.arange(n), n - np.arange(n))
+            size = np.abs(coefs)
+            f = int(freqs[size > 1e-12 * size.max()].max(initial=0))
+            width = min(2 * f, n - 1)
+            dropped = math.sqrt(n) * float(np.linalg.norm(coefs[freqs > f]))
+            diagonal = (2.0 * math.pi * np.fft.fftfreq(n, d=self.h)) ** 2 + 1j * coefs[0]
+            circulant = 1j * coefs
+        p = np.arange(n)
+        order = np.where(p % 2, n - 1 - p // 2, p // 2) if self.boundary == "periodic" else p
+
+        def entries(d):  # M[p, q] = A[order[p], order[q]] for p - q = d
+            if d == 0:
+                return diagonal[order]
+            q = np.arange(max(0, -d), n - max(0, d))
+            return circulant[(order[q + d] - order[q]) % n]
+
+        return _band_storage(n, width, entries), width, dropped
 
     @functools.cached_property
     def lambda1_discrete(self):
@@ -327,6 +347,15 @@ class ModeOperator:
         return self._propagators[key]
 
 
+def _band_storage(n, width, entries):
+    """LAPACK band storage, F-ordered, of the n x n matrix whose diagonal of offset
+    d = i - j is entries(d), ordered by column, for |d| <= width."""
+    band = np.zeros((3 * width + 1, n), dtype=complex, order="F")
+    for d in range(-width, width + 1):
+        band[2 * width + d, max(0, -d):n - max(0, d)] = entries(d)
+    return band
+
+
 def make_operator(field, k, boundary="periodic", interval=None, n=256, discretization=None):
     """Build the mode-k operator for a velocity field.
 
@@ -383,11 +412,13 @@ def _candidates(vals, slack):
 
 
 class _BandedSigma:
-    """sigma_min(A - zI) from a band form (M, w) of A, by banded LU and inverse Lanczos.
+    """sigma_min(A - zI) from a band form (band, w, dropped) of A, by banded LU and
+    inverse Lanczos.
 
-    M has the singular values of A (see ModeOperator.band_form); its band of
-    width w is kept and the rest is dropped, which moves every singular value
-    by at most the dropped part's Frobenius norm.  Lanczos with full
+    The band M, of width w in LAPACK band storage, is unitarily similar to A
+    up to entries of Frobenius norm at most `dropped` (see
+    ModeOperator.band_form), which move every singular value by at most
+    that much; ||M||_1 is taken from the band's column sums.  Lanczos with full
     reorthogonalization on (M-zI)^-1 (M-zI)^-H converges to its largest
     eigenvalue theta = sigma_min^-2 (Wright and Trefethen, SIAM J. Sci.
     Comput. 23, 2001).  Lanczos stops once the residual bound puts sigma
@@ -422,16 +453,10 @@ class _BandedSigma:
     CHUNK = 16
     CHUNK_BYTES = 1 << 20
 
-    def __init__(self, mat, width):
-        n = len(mat)
-        self.width = w = width
-        # LAPACK band storage: M[i, j] at row 2w + i - j, rows 0..w-1 hold fill-in
-        inside = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= w
-        i, j = np.nonzero(inside)
-        self.band = np.zeros((3 * w + 1, n), dtype=complex, order="F")
-        self.band[2 * w + i - j, j] = mat[i, j]
-        self.dropped = float(np.linalg.norm(mat[~inside]))
-        self.norm1 = float(np.abs(mat).sum(axis=0).max())
+    def __init__(self, band, width, dropped):
+        n = band.shape[1]
+        self.band, self.width, self.dropped = band, width, float(dropped)
+        self.norm1 = float(np.abs(band).sum(axis=0).max())
         self.steps = min(n, self.MAX_STEPS)
         self.chunk = int(np.clip(self.CHUNK_BYTES // self.band.nbytes, 1, self.CHUNK))
         start = np.random.default_rng(20011).standard_normal(n)
@@ -613,7 +638,7 @@ def resolvent_gap(op, s_points=192):
     grid = np.linspace(lo, hi, s_points)
 
     evals = {"banded": 0, "dense": 0, "dense_fallbacks": 0}
-    engine = _BandedSigma(*op._band_form(mat))
+    engine = _BandedSigma(*op.band_form())
     tol = engine.tolerance(abs(shift) + float(np.abs(grid).max()))
 
     diag = np.arange(op.n)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -474,10 +475,10 @@ _MONTE_CARLO = (8, 9, 10)
 
 def run_all(ids=None, progress=None, workers=2):
     """Run the requested criteria (all by default), in id order, and return
-    their timed CriterionResults; `progress` gets each result's line.  An id
-    that is not an integer (booleans and floats are not) or names no
-    criterion, an empty list and a `workers` below 1 are refused before any
-    criterion runs.
+    their timed CriterionResults; `progress` gets each result's line.  An
+    `ids` that is no iterable or is empty, an id that is not an integer
+    (booleans and floats are not) or names no criterion, and a `workers`
+    below 1 are refused before any criterion runs.
 
     `workers` is the Monte Carlo worker count of criteria 8, 9 and 10; their
     results do not depend on it (criterion 11 checks that for a histogram).
@@ -485,12 +486,12 @@ def run_all(ids=None, progress=None, workers=2):
     process.
     """
     known = [cid for cid, _, _ in CRITERIA]
-    ids = known if ids is None else list(ids)
-    if not ids or not all(_checks.count(i, "ids") in known for i in ids):
+    wanted = known if ids is None else list(ids) if isinstance(ids, Iterable) else []
+    if not wanted or not all(_checks.count(i, "ids") in known for i in wanted):
         raise ValueError(f"ids must be a non-empty list of criterion ids from {known}, "
-                         f"got {ids!r}")
+                         f"got {wanted or ids!r}")
     _checks.count(workers, "workers", 1)
-    todo = [c for c in CRITERIA if c[0] in ids]
+    todo = [c for c in CRITERIA if c[0] in wanted]
     results = []
     for cid, name, func in todo:
         start = time.time()

@@ -7,8 +7,9 @@ returned value fails the row, and so does a call that runs past a one-second
 alarm, so that a regression to a hang fails instead of stalling the suite.
 The drawn values are NaN and infinities, integers beyond the largest float,
 numbers out of range, reversed, empty or too long intervals, non-integral
-floats and booleans where a count belongs, unknown criterion ids, and
-velocity fields off the unit torus where a torus field belongs.
+floats and booleans where a count belongs, unknown criterion ids, too few
+velocity samples, and velocity fields off the unit torus where a torus field
+belongs.
 """
 
 import math
@@ -114,6 +115,11 @@ ROWS = [
     ("ModeOperator", "k",
      lambda v: spectral.ModeOperator("periodic", (0.0, 1.0), np.zeros(16), v), [1.5],
      NOT_INTEGER),
+    ("ModeOperator", "v_samples", lambda v: spectral.ModeOperator("periodic", (0.0, 1.0), v, 1),
+     [[NAN] * 16, ["1"] * 16, [0.0] * 15 + [True], np.zeros(8), 0.5],
+     st.lists(st.floats(-1.0, 1.0), max_size=15)
+     | st.tuples(st.lists(st.floats(-1.0, 1.0), min_size=15, max_size=40), NONFINITE).map(
+         lambda p: [*p[0], p[1]])),
     ("resolvent_gap", "s_points", lambda v: spectral.resolvent_gap(OP, s_points=v), [64.5],
      NOT_INTEGER | below(64)),
     ("compute_bounds_report", "field",
@@ -171,7 +177,7 @@ ROWS = [
     ("doeblin_constants", "alpha_star", lambda v: functionals.doeblin_constants(1.0, v),
      [1.0, NAN, "0.5"], NONFINITE | st.floats(min_value=1.0) | st.floats(max_value=0.0)),
     ("run_all", "ids", lambda v: validation.run_all(ids=v),
-     [[99], [], [1, 99], [True], [1.0], [1, True], ["1"]],
+     [[99], [], [1, 99], [True], [1.0], [1, True], ["1"], 5],
      st.lists(st.integers(max_value=0) | st.integers(min_value=12) | st.booleans()
               | st.floats(), min_size=1)),
     ("run_all", "workers", lambda v: validation.run_all(workers=v), [0, 1.5, True],

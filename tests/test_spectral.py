@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -187,6 +188,7 @@ class TestOperatorsKeepNoMatrix:
 
     @pytest.mark.parametrize("boundary,disc", [
         ("periodic", "fd2"), ("periodic", "spectral"), ("dirichlet", "fd2"),
+        ("dirichlet", "spectral"),
     ])
     def test_gap_builds_the_matrix_once(self, builds, monkeypatch, boundary, disc):
         laplacians, laplacian = [], ModeOperator.laplacian
@@ -194,10 +196,14 @@ class TestOperatorsKeepNoMatrix:
                             lambda op: laplacians.append(op) or laplacian(op))
         op = make_operator(COS, k=1, boundary=boundary, n=32, discretization=disc)
         resolvent_gap(op, s_points=64)
-        assert builds == [op]
-        assert laplacians == [op]  # the accretivity edge is read from the gap's matrix
+        # the band forms are built from the samples, except Dirichlet
+        # collocation's, which is a second matrix() at the full width
+        count = 2 if (boundary, disc) == ("dirichlet", "spectral") else 1
+        assert builds == [op] * count
+        # the accretivity edge is read from the gap's matrix
+        assert laplacians == [op] * count
         edge = op.lambda1_discrete  # and cached for later readers
-        assert laplacians == [op] and edge == spectral._lambda_min(laplacian(op))
+        assert laplacians == [op] * count and edge == spectral._lambda_min(laplacian(op))
 
     def test_semigroup_norm_builds_only_for_the_eigendecomposition(self, builds):
         op = make_operator(two_plateau(), k=1, n=32)
@@ -644,6 +650,96 @@ class TestBandedSigma:
         assert engine.sigma_min([op.lambda1_discrete + 3.0j]) == [None]
 
 
+def _folded(mat):
+    """mat in the node order 0, n-1, 1, n-2, ..."""
+    n = len(mat)
+    order = np.empty(n, dtype=int)
+    order[0::2] = np.arange((n + 1) // 2)
+    order[1::2] = np.arange(n - 1, (n - 1) // 2, -1)
+    return mat[np.ix_(order, order)]
+
+
+def _reference_band(mat, width):
+    """The band of width w of a dense mat in LAPACK band storage, and the
+    Frobenius norm of the entries outside it."""
+    n = len(mat)
+    inside = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= width
+    i, j = np.nonzero(inside)
+    band = np.zeros((3 * width + 1, n), dtype=complex, order="F")
+    band[2 * width + i - j, j] = mat[i, j]
+    return band, float(np.linalg.norm(mat[~inside]))
+
+
+def _unfolded(band, width):
+    """The dense matrix that a band storage holds."""
+    n = band.shape[1]
+    i, j = np.nonzero(np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= width)
+    mat = np.zeros((n, n), dtype=complex)
+    mat[i, j] = band[2 * width + i - j, j]
+    return mat
+
+
+class TestBandForm:
+    """band_form() builds LAPACK band storage from the samples: against dense
+    references, and without an n x n array."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), cells=st.integers(1, 16),
+           boundary=st.sampled_from(["periodic", "dirichlet"]), k=st.integers(0, 3),
+           n=st.integers(16, 64))
+    def test_fd2_is_the_folded_matrix(self, seed, cells, boundary, k, n):
+        field = GridField(np.random.default_rng(seed).uniform(-1.0, 1.0, cells))
+        op = make_operator(field, k, boundary=boundary, n=n)
+        band, width, dropped = op.band_form()
+        mat = _folded(op.matrix()) if boundary == "periodic" else op.matrix()
+        reference, outside = _reference_band(mat, width)
+        assert width == (2 if boundary == "periodic" else 1)
+        assert band.flags.f_contiguous
+        assert band.tobytes() == reference.tobytes()  # bit for bit, signed zeros too
+        assert dropped == outside == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(frequency=st.integers(1, 3), amplitude=st.floats(0.5, 2.0),
+           below_cut=st.floats(0.3e-12, 0.9e-12), n=st.integers(16, 48), data=st.data())
+    def test_collocation_bounds_the_dense_transform(self, frequency, amplitude, below_cut, n,
+                                                    data):
+        # frequencies whose coefficients are below the 1e-12 cut; k is large,
+        # so that they, not the reference's rounding, fill its entries
+        # outside the band
+        extra = data.draw(st.sets(st.integers(frequency + 1, (n - 1) // 2), min_size=1),
+                          label="extra")
+        x = np.arange(n) / n
+        v = amplitude * (np.sin(2.0 * math.pi * frequency * x + 0.3) + below_cut * sum(
+            np.sin(2.0 * math.pi * m * x + m) for m in extra))
+        op = ModeOperator("periodic", (0.0, 1.0), v, 1024, "spectral")
+        band, width, dropped = op.band_form()
+        assert width == 2 * frequency
+        # today's dense transform: matrix() in the unitary DFT basis, folded
+        transform = _folded(np.fft.ifft(np.fft.fft(op.matrix(), axis=0), axis=1))
+        reference, outside = _reference_band(transform, width)
+        # the bound holds, and is not far above (measured 0.79-0.98 of it):
+        # the band holds only a few entries of each coefficient beyond the cut
+        assert 0.5 * dropped <= outside <= dropped
+        norm1 = np.abs(band).sum(axis=0).max()
+        assert np.abs(band - reference).max() <= 8.0 * np.finfo(float).eps * norm1
+
+    @pytest.mark.parametrize("field,discretization", [
+        (two_plateau(), "fd2"), (COS, "spectral"),
+    ], ids=["fd2", "collocation"])
+    def test_engine_set_up_holds_no_dense_matrix(self, field, discretization):
+        # a dense n x n complex array at n = 2048 is 64 MiB
+        op = make_operator(field, 1, boundary="periodic", n=2048,
+                           discretization=discretization)
+        tracemalloc.start()
+        try:
+            engine = spectral._BandedSigma(*op.band_form())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert engine.band.shape == (7, 2048)
+        assert peak < 4 * 2**20
+
+
 class TestCollocationBand:
     """The banded engine on band forms with entries outside the band (the
     periodic collocation operator in the DFT basis, and a ring cut short on
@@ -657,9 +753,9 @@ class TestCollocationBand:
         field = SineField(amplitude, frequency, phase)
         op = make_operator(field, k, boundary="periodic", n=n)
         assert op.discretization == "spectral"
-        mat, width = op.band_form()
+        band, width, dropped = op.band_form()
         assert width == min(2 * frequency, n - 1)
-        engine = spectral._BandedSigma(mat, width)
+        engine = spectral._BandedSigma(band, width, dropped)
         w = op.skew_values
         spread = float(w.max() - w.min())
         s = w.min() - 3.0 * spread - 1.0 + fraction * (8.0 * spread + 2.0)
@@ -671,20 +767,21 @@ class TestCollocationBand:
 
     def test_band_form_is_unitarily_similar(self):
         op = make_operator(SineField(1.0, 2, 0.4), 3, boundary="periodic", n=24)
-        mat, width = op.band_form()
-        np.testing.assert_allclose(sla.svdvals(mat), sla.svdvals(op.matrix()),
-                                   rtol=1e-12, atol=1e-9)
-        offsets = np.abs(np.subtract.outer(np.arange(24), np.arange(24)))
-        engine = spectral._BandedSigma(mat, width)
-        assert engine.dropped == np.linalg.norm(mat[offsets > width])
-        assert engine.dropped < 1e-9
+        band, width, dropped = op.band_form()
+        np.testing.assert_allclose(sla.svdvals(_unfolded(band, width)),
+                                   sla.svdvals(op.matrix()), rtol=1e-12, atol=1e-9)
+        # the coefficients beyond frequency 2 are rounding
+        assert 0.0 < dropped < 1e-12
 
     def test_dropped_part_is_in_the_tolerance(self):
         # the folded periodic fd2 ring needs width 2; width 1 drops 1/h^2 entries
         op = make_operator(two_plateau(0.0, 1.0), 1, boundary="periodic", n=32,
                            discretization="fd2")
-        mat, _ = op.band_form()
-        engine = spectral._BandedSigma(mat, 1)
+        band, width, _ = op.band_form()
+        assert width == 2
+        cut = np.zeros((4, op.n), dtype=complex, order="F")
+        cut[1:] = band[3:6]  # offsets -1, 0, 1
+        engine = spectral._BandedSigma(cut, 1, np.linalg.norm(band[[2, 6]]))
         assert engine.dropped > 0.0
         worst = 0.0
         shifts = op.lambda1_discrete + 1j * np.linspace(-10.0, 16.0, 27)
