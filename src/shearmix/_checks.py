@@ -13,8 +13,6 @@ import sys
 
 def finite(value):
     """Whether `value` is a finite real number: not a bool, nor an int past the floats."""
-    if type(value) is float:  # the common case, without the slower abstract-class check
-        return math.isfinite(value)
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and abs(value) <= sys.float_info.max)
 

@@ -243,7 +243,12 @@ class ModeOperator:
         of offsets up to f into a band of width 2f: w = 2 for the fd2 ring and
         min(2f, n - 1) for collocation, whose entries outside the band are
         coefficients beyond f, each in n entries, so dropped is sqrt(n) times
-        their 2-norm.  Dirichlet collocation is matrix() itself at the full
+        their 2-norm.  That form is exact, while matrix() carries the rounding
+        of its Laplacian's FFT construction, which dropped does not count:
+        its 2-norm, which bounds how far it moves any singular value,
+        measured 0.09-0.11 of _BandedSigma's 16 eps ||M||_1 at n = 64-2048
+        (against an extended-precision Laplacian), and the engine's tolerance
+        takes it inside that term.  Dirichlet collocation is matrix() itself at the full
         width n - 1: on it the banded engine measured within 0.19 eps
         (||M||_1 + |z|) of the dense SVD, and a whole gap at n = 256 took two
         thirds of the all-dense time.
@@ -418,7 +423,10 @@ class _BandedSigma:
     The band M, of width w in LAPACK band storage, is unitarily similar to A
     up to entries of Frobenius norm at most `dropped` (see
     ModeOperator.band_form), which move every singular value by at most
-    that much; ||M||_1 is taken from the band's column sums.  Lanczos with full
+    that much; ||M||_1 is taken from the band's column sums.  On periodic
+    collocation M is the exact DFT form, and the rounding of A = matrix()'s
+    Laplacian, of 2-norm about 1.5 eps ||M||_1 at n = 64-2048, is taken
+    inside the TOLERANCE term.  Lanczos with full
     reorthogonalization on (M-zI)^-1 (M-zI)^-H converges to its largest
     eigenvalue theta = sigma_min^-2 (Wright and Trefethen, SIAM J. Sci.
     Comput. 23, 2001).  Lanczos stops once the residual bound puts sigma
@@ -444,7 +452,9 @@ class _BandedSigma:
 
     # bound on |banded - dense sigma_min| in units of eps ||M - zI||_1, beyond
     # the dropped part: about 30 times the largest difference measured on fd2,
-    # and 45 times (0.35) on periodic sine collocation with nothing dropped
+    # and 45 times (0.35) on periodic sine collocation with nothing dropped;
+    # on collocation at n = 256 and 1024, with matrix()'s rounding in the
+    # dense value, the difference measured at most 0.008 of the tolerance
     TOLERANCE = 16.0
     MAX_STEPS = 48
     # chunk 16 and 32 timed the same on battery sweeps at n = 128 and 256, 8
