@@ -248,10 +248,10 @@ class ModeOperator:
         its 2-norm, which bounds how far it moves any singular value,
         measured 0.09-0.11 of _BandedSigma's 16 eps ||M||_1 at n = 64-2048
         (against an extended-precision Laplacian), and the engine's tolerance
-        takes it inside that term.  Dirichlet collocation is matrix() itself at the full
-        width n - 1: on it the banded engine measured within 0.19 eps
-        (||M||_1 + |z|) of the dense SVD, and a whole gap at n = 256 took two
-        thirds of the all-dense time.
+        takes it inside that term.  Dirichlet collocation is matrix() itself
+        at the full width n - 1: on it the banded engine measured within
+        0.19 eps (||M||_1 + |z|) of the dense SVD, and a whole gap at n = 256
+        took two thirds of the all-dense time.
         """
         n = self.n
         if self.discretization == "spectral" and self.boundary == "dirichlet":
@@ -425,9 +425,9 @@ class _BandedSigma:
     ModeOperator.band_form), which move every singular value by at most
     that much; ||M||_1 is taken from the band's column sums.  On periodic
     collocation M is the exact DFT form, and the rounding of A = matrix()'s
-    Laplacian, of 2-norm about 1.5 eps ||M||_1 at n = 64-2048, is taken
-    inside the TOLERANCE term.  Lanczos with full
-    reorthogonalization on (M-zI)^-1 (M-zI)^-H converges to its largest
+    Laplacian, of 2-norm 1.4-1.8 eps ||M||_1 at n = 64-2048, is taken
+    inside the TOLERANCE term.  Lanczos with full reorthogonalization on
+    (M-zI)^-1 (M-zI)^-H converges to its largest
     eigenvalue theta = sigma_min^-2 (Wright and Trefethen, SIAM J. Sci.
     Comput. 23, 2001).  Lanczos stops once the residual bound puts sigma
     within min(1e-12 sigma, eps ||M - zI||_1) of its limit; the start vector
