@@ -3,18 +3,29 @@
 An entry point refuses an argument that it cannot use before any work, with a
 ValueError whose message starts with the parameter's name, so that no bad
 argument turns into a number, a hang or an error from inside numpy.  Each
-check runs once per call, outside every loop.  Standard library only.
+check runs once per call, outside every loop.
+
+An array argument goes through `finite_array`, which knows two kinds of
+input.  A numeric ndarray (dtype kind f, i or u) cannot hold a string or a
+boolean, so it is checked whole with np.isfinite.  Any other input, a list,
+a tuple, a scalar or an ndarray of another dtype, is first read value by
+value with `finite`: numpy's promotion turns [0.0, True] or ["1", 2.0] into
+floats before a test of the whole array could see them.
 """
 
 import math
 import numbers
 import sys
 
+import numpy as np
+
 
 def finite(value):
     """Whether `value` is a finite real number: not a bool, nor an int past the floats."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
+    if isinstance(value, numbers.Integral):  # a Python int compares exactly
+        return not isinstance(value, bool) and -sys.float_info.max <= value <= sys.float_info.max
+    # math.isfinite reads a numpy float32 as the float it is, with no cast of the bound
+    return isinstance(value, numbers.Real) and math.isfinite(value)
 
 
 def number(value, name):
@@ -24,12 +35,16 @@ def number(value, name):
     return float(value)
 
 
-def finite_all(values, name):
-    """`values`, if each of them is a finite number."""
-    for value in values:
-        if not finite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-    return values
+def finite_array(values, name):
+    """`values` as a new float64 array, if each of its entries is a finite number."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiu"):
+        for value in np.ravel(np.array(values, dtype=object)):
+            if not finite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+    out = np.array(values, dtype=float)
+    if not np.isfinite(out).all():
+        raise ValueError(f"{name} must be finite, got {out[~np.isfinite(out)][0]}")
+    return out
 
 
 def positive(value, name, strict=True):

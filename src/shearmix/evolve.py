@@ -99,9 +99,9 @@ def field_from_samples(u0, k_max=None, boundary="periodic", interval=(0.0, 1.0))
     convention (periodic nodes, or interior nodes for a Dirichlet strip).
     Requires ny >= 2*k_max + 1 so the retained modes are alias-free.
     """
-    u0 = np.asarray(u0)
+    u0 = _checks.finite_array(u0, "u0")
     if u0.ndim != 2:
-        raise ValueError("samples must be a 2D array (x by y)")
+        raise ValueError("u0 must be a 2D array (x by y)")
     ny = u0.shape[1]
     k_max = (ny - 1) // 2 if k_max is None else _checks.count(k_max, "k_max", 0)
     if ny < 2 * k_max + 1:
@@ -231,7 +231,6 @@ def relax_trace(u0, field_v, t_end, n_samples=32, k_max=None, correlation_grid=2
     propagators and rate for later calls, defaults to a fresh one.
     """
     _checks.torus_field(field_v, "field_v")  # the envelope's rate holds on the unit torus
-    u0 = np.asarray(u0, dtype=float)
     fld = field_from_samples(u0, k_max=k_max)
     evo = Evolution(field_v) if evolution is None else evolution
     if evo.field_v is not field_v:
@@ -267,10 +266,11 @@ def strip_trace(nu0, field_v, interval, t_end, n_samples=16):
     ground-state envelope kappa0 e^{-pi^2 t / L^2} sin(pi (x-a)/L), where
     kappa0 is the initial floor of the y-averaged data.
     """
-    nu0 = np.asarray(nu0, dtype=float)
     a, b = _checks.interval(interval, "interval")
     length = b - a
-    fld = field_from_samples(nu0, boundary="dirichlet", interval=(a, b))
+    # checked here too, so that a refusal names nu0 and not field_from_samples' u0
+    fld = field_from_samples(_checks.finite_array(nu0, "nu0"), boundary="dirichlet",
+                             interval=(a, b))
     nodes = _grid("dirichlet", a, b, fld.nx)[1]
     shape = np.sin(math.pi * (nodes - a) / length)
     kappa0 = float(np.min(np.real(fld.mode(0))))

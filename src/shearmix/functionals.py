@@ -398,7 +398,7 @@ def doeblin_iterate(kernel, t_star_steps, alpha_star, horizon):
     t_star_steps = _checks.count(t_star_steps, "t_star_steps", 1)
     c, rho = doeblin_constants(float(t_star_steps), alpha_star)
     horizon = _checks.count(horizon, "horizon", 0)
-    p = np.asarray(kernel, dtype=float)
+    p = _checks.finite_array(kernel, "kernel")
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise ValueError("kernel must be a square matrix")
     n = p.shape[0]
@@ -537,11 +537,13 @@ def compute_bounds_report(field, *, grid_n=512, eps_grid=DEFAULT_EPS_GRID,
     if not isinstance(field, VelocityField):
         raise TypeError("expected a VelocityField")
     _checks.torus_field(field, "field")
-    if not len(eps_grid):
+    eps_grid = _checks.finite_array(eps_grid, "eps_grid")
+    if eps_grid.ndim != 1 or not len(eps_grid):
         raise ValueError("eps_grid must not be empty")
     half = 0.5 * field.length
-    if not all(_checks.finite(e) and 0.0 < e <= half for e in eps_grid):
-        raise ValueError(f"eps_grid entries must lie in (0, {half:g}], got {eps_grid!r}")
+    if not ((eps_grid > 0.0) & (eps_grid <= half)).all():
+        raise ValueError(f"eps_grid entries must lie in (0, {half:g}], got {eps_grid.tolist()}")
+    eps_grid = eps_grid.tolist()  # floats, as the report's table keys
     domain = (field.a, field.b)
     interval = (domain if flatness_interval is None
                 else _checks.interval(flatness_interval, "flatness_interval", *domain))

@@ -5,8 +5,9 @@ series tails (below 1e-14, with no cap on the term count: the torus image
 count grows like sqrt(t) and the sine series like 1/sqrt(t)).  The plane
 kernel of the equation du/dt = dxx u - x dy u is built from the quadratic cost
 of its minimum-energy control problem and normalized to unit mass.  A time t
-that is not finite and positive, a point that is not finite and a torus cell
-that is reversed or longer than 1 are refused before any series is summed.
+that is not finite and positive, a point or start that is not a finite number
+and a torus cell that is reversed or longer than 1 are refused before any
+series is summed.
 """
 
 from __future__ import annotations
@@ -36,17 +37,10 @@ TAIL_TOL = 1e-14
 SERIES_CHUNK = 1 << 16
 
 
-def _points(x, name):
-    """`x` as a float array, if each of its points is finite."""
-    x = np.asarray(x, dtype=float)
-    _checks.finite_all(x.ravel().tolist(), name)
-    return x
-
-
 def heat_line(x, t):
     """Heat kernel on the line, (4 pi t)^{-1/2} exp(-x^2 / 4t)."""
     _checks.positive(t, "t")
-    x = _points(x, "x")
+    x = _checks.finite_array(x, "x")
     out = np.exp(-x * x / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
     return out if out.shape else float(out)
 
@@ -85,7 +79,7 @@ def heat_torus(x, xp=0.0, t=0.125):
     uniform density 1 as t grows.
     """
     m = _torus_images(t)
-    d = _points(x, "x") - _points(xp, "xp")
+    d = _checks.finite_array(x, "x") - _checks.finite_array(xp, "xp")
     d = d - np.round(d)  # wrap to [-1/2, 1/2]
     out = np.zeros_like(d, dtype=float)
     for j in range(-m, m + 1):
@@ -122,9 +116,10 @@ def heat_dirichlet(x, xp, interval=(0.0, 1.0), t=0.125):
         return (2.0 / length) * 0.5 * math.sqrt(math.pi / q) * float(erfc(m * math.sqrt(q)))
 
     m = _term_count(tail)
-    x, xp = _points(x, "x"), _points(xp, "xp")
-    if np.any((x < a - 1e-12) | (x > b + 1e-12) | (xp < a - 1e-12) | (xp > b + 1e-12)):
-        raise ValueError("points must lie inside the interval")
+    x, xp = _checks.finite_array(x, "x"), _checks.finite_array(xp, "xp")
+    for points, name in ((x, "x"), (xp, "xp")):
+        if np.any((points < a - 1e-12) | (points > b + 1e-12)):
+            raise ValueError(f"{name} must lie inside the interval [{a:g}, {b:g}]")
     out = np.zeros(np.broadcast(x, xp).shape, dtype=float)
     u = math.pi * (x - a) / length
     v = math.pi * (xp - a) / length
@@ -177,8 +172,8 @@ class ControlSolution:
 def kolmogorov_cost(t, x, y, x0=0.0, y0=0.0):
     """Quadratic action (x-x0)^2/(4t) + 3 (y - y0 - (x+x0) t / 2)^2 / t^3."""
     _checks.positive(t, "t")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _checks.finite_array(x, "x"), _checks.finite_array(y, "y")
+    x0, y0 = _checks.number(x0, "x0"), _checks.number(y0, "y0")
     straight = y - y0 - 0.5 * (x + x0) * t
     out = (x - x0) ** 2 / (4.0 * t) + 3.0 * straight**2 / t**3
     return out if out.shape else float(out)
@@ -202,6 +197,6 @@ def kolmogorov_control(state):
 
 def kolmogorov_kernel(t, x, y, x0=0.0, y0=0.0):
     """Unit-mass fundamental solution of du/dt = dxx u - x dy u on the plane."""
-    cost = kolmogorov_cost(t, x, y, x0, y0)  # refuses a bad t
+    cost = kolmogorov_cost(t, x, y, x0, y0)  # refuses a bad t, point or start
     out = np.asarray(KOLMOGOROV_NORMALIZATION / t**2 * np.exp(-cost))
     return out if out.shape else float(out)

@@ -282,7 +282,8 @@ def simulate_starts(starts, field, cfg, times, kill_interval=None):
     """
     if cfg.geometry != "torus2":
         raise ValueError("histogram simulation lives on the torus")
-    _checks.finite_all([c for start in starts for c in start], "starts")
+    if _checks.finite_array(starts, "starts").shape[1:] != (2,):  # all of a start keys its stream
+        raise ValueError(f"starts must be (x, y) pairs, got {list(starts)!r}")
     if kill_interval is not None:
         _checks.interval(kill_interval, "kill_interval")
     n_steps, dt = _steps_for(cfg)
@@ -383,7 +384,7 @@ def tv_decay(field, start1, start2, times, cfg):
     carries an upward bias at equality of roughly M(pi n)^{-1/2}; a normal
     approximation of that floor is reported per time.
     """
-    times = sorted(float(t) for t in times)
+    times = np.sort(_checks.finite_array(times, "times")).tolist()
     run_cfg = cfg.replace(t_end=max(times))
     h1, h2 = simulate_starts([start1, start2], field, run_cfg, times)
     tv = np.empty(len(times))

@@ -175,12 +175,10 @@ class ModeOperator:
         if discretization not in self.DISCRETIZATIONS:
             raise ValueError(f"discretization must be one of {self.DISCRETIZATIONS}, "
                              f"got {discretization!r}")
-        # as Python objects, so that strings and booleans are refused, not converted
-        values = np.asarray(v_samples, dtype=object)
-        if values.ndim != 1 or len(values) < 16:
+        v_samples = _checks.finite_array(v_samples, "v_samples")
+        if v_samples.ndim != 1 or len(v_samples) < 16:
             raise ValueError(f"v_samples must be a sequence of at least 16 numbers, "
-                             f"got shape {values.shape}")
-        v_samples = np.array(_checks.finite_all(values.tolist(), "v_samples"), dtype=float)
+                             f"got shape {v_samples.shape}")
         self.boundary = boundary
         self.a, self.b = _checks.interval(interval, "interval")
         self.n = len(v_samples)
@@ -741,9 +739,9 @@ def semigroup_norm(op, times):
     """
     import scipy.linalg as sla
 
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    for t in times:  # a NaN would reach the SVD below as a numeric failure
-        _checks.positive(t, "times", strict=False)
+    times = np.atleast_1d(_checks.finite_array(times, "times"))
+    if (times < 0.0).any():
+        raise ValueError(f"times must be nonnegative, got {times.min()}")
     eig = op.eigendecomposition
     mat = op.matrix() if eig.route == "expm" else None
     rates = eig.values.real

@@ -165,7 +165,7 @@ class Primitive:
         raise NotImplementedError
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
+        x = _checks.finite_array(x, "x")
         if self.periodic:
             span = self.b - self.a
             wraps = np.floor((x - self.a) / span)
@@ -354,7 +354,7 @@ class VelocityField:
         return self.b - self.a
 
     def _wrap(self, x):
-        x = np.asarray(x, dtype=float)
+        x = _checks.finite_array(x, "x")
         if self.periodic:
             return self.a + np.mod(x - self.a, self.length)
         if np.any(x < self.a - 1e-12) or np.any(x > self.b + 1e-12):
@@ -503,11 +503,10 @@ class PiecewiseConstantField(_StepField):
 
     def __init__(self, breakpoints, values, domain=None):
         super().__init__(domain)
-        breakpoints = _checks.finite_all(list(map(float, breakpoints)), "breakpoints")
-        if not breakpoints or abs(breakpoints[0] - self.a) > 1e-12:
+        breakpoints = _checks.finite_array(breakpoints, "breakpoints")
+        if breakpoints.ndim != 1 or not len(breakpoints) or abs(breakpoints[0] - self.a) > 1e-12:
             raise DomainError("first breakpoint must coincide with the domain start")
-        self._set_cells(breakpoints + [self.b], values)
-        _checks.finite_all(self.values.tolist(), "values")
+        self._set_cells(np.append(breakpoints, self.b), _checks.finite_array(values, "values"))
         self.breakpoints = self.edges[:-1]
 
 
@@ -518,10 +517,9 @@ class GridField(_StepField):
 
     def __init__(self, samples, domain=None):
         super().__init__(domain)
-        samples = np.asarray(samples, dtype=float)
+        samples = _checks.finite_array(samples, "samples")
         if samples.ndim != 1 or len(samples) < 1:
             raise ValueError("samples must be a nonempty 1D sequence")
-        _checks.finite_all(samples.tolist(), "samples")
         self._set_cells(np.linspace(self.a, self.b, len(samples) + 1), samples)
         self.samples = self.values
 
@@ -599,12 +597,10 @@ class PiecewiseLinearField(VelocityField):
 
     def __init__(self, knots, values, domain=None):
         super().__init__(domain)
-        knots = np.asarray(knots, dtype=float)
-        values = np.asarray(values, dtype=float)
+        knots = _checks.finite_array(knots, "knots")
+        values = _checks.finite_array(values, "values")
         if len(knots) != len(values) or len(knots) < (1 if self.periodic else 2):
             raise ValueError("knots and values must match and be nonempty")
-        _checks.finite_all(knots.tolist(), "knots")
-        _checks.finite_all(values.tolist(), "values")
         if np.any(np.diff(knots) <= 0):
             raise ValueError("knots must be strictly increasing")
         if abs(knots[0] - self.a) > 1e-12:
@@ -769,10 +765,9 @@ def estimate_flatness_constant(field, interval, eps_grid, j_points=65):
     The result is a finite-grid estimate of the true constant, not a proof.
     """
     lo, hi = _checks.interval(interval, "interval", field.a, field.b)
-    eps_grid = sorted(float(e) for e in eps_grid)
-    # every value is checked: a NaN sorts anywhere and fails each comparison
-    if not eps_grid or not all(0.0 < e < hi - lo for e in eps_grid):
-        raise ValueError("eps values must lie strictly between 0 and the interval length")
+    eps_grid = np.sort(_checks.finite_array(eps_grid, "eps_grid")).tolist()
+    if not (eps_grid and 0.0 < eps_grid[0] and eps_grid[-1] < hi - lo):  # sorted
+        raise ValueError("eps_grid values must lie strictly between 0 and the interval length")
     table = field.primitive(base=lo).window_table(lo, hi, j_points, eps_grid[0])
     return _flatness_from_table(table, eps_grid)
 

@@ -109,8 +109,8 @@ class TestConfigValidation:
         (TWO_PLATEAU, {"flatness_interval": [0.6, 0.4]}, "flatness_interval must be increasing"),
         ({"kind": "piecewise_linear", "knots": [0.0, 0.5], "values": [1.0, -1.0]},
          {"flatness_interval": [0.5, 1.5]}, "flatness_interval must lie in [0, 1]"),
-        (TWO_PLATEAU, {"eps_grid": ["0.1"]}, "eps_grid entries must lie in (0, 0.5]"),
-        (TWO_PLATEAU, {"eps_grid": [True]}, "eps_grid entries must lie in (0, 0.5]"),
+        (TWO_PLATEAU, {"eps_grid": ["0.1"]}, "eps_grid must be finite, got '0.1'"),
+        (TWO_PLATEAU, {"eps_grid": [True]}, "eps_grid must be finite, got True"),
         (TWO_PLATEAU, {"eps_grid": 0.1}, "eps_grid must be a non-empty list of numbers, got 0.1"),
         (TWO_PLATEAU, {"eps_grid": []}, "eps_grid must be a non-empty list of numbers, got []"),
     ])

@@ -5,11 +5,15 @@ Every probed value, and one value drawn from the row's strategy, must raise a
 ValueError or TypeError whose message starts with the parameter's name.  A
 returned value fails the row, and so does a call that runs past a one-second
 alarm, so that a regression to a hang fails instead of stalling the suite.
+Every test here runs with warnings as errors, so a refusal that goes through
+a numpy warning (a cast that overflows, a NaN in a comparison) fails too.
 The drawn values are NaN and infinities, integers beyond the largest float,
 numbers out of range, reversed, empty or too long intervals, non-integral
 floats and booleans where a count belongs, unknown criterion ids, too few
 velocity samples, and velocity fields off the unit torus where a torus field
-belongs.
+belongs.  Every array row probes a string, a boolean, a list mixing a boolean
+with numbers and a NaN or an infinity: an array argument goes through
+`_checks.finite_array`, whose own contract is tested at the end.
 """
 
 import math
@@ -20,13 +24,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shearmix import evolve, functionals, kernels, mcsim, spectral, validation
+from shearmix import _checks, evolve, functionals, kernels, mcsim, spectral, validation
 from shearmix.velocity import (BinaryCascadeField, GridField, HeavisideField,
                                PiecewiseConstantField, PiecewiseLinearField, SawtoothField,
                                SineField, estimate_flatness_constant, two_plateau)
 
+pytestmark = pytest.mark.filterwarnings("error")
+
 NAN, INF = math.nan, math.inf
 NONFINITE = st.sampled_from([NAN, INF, -INF])
+# an array entry that is not a finite number: numpy would convert the others
+NOT_AN_ENTRY = NONFINITE | st.booleans() | st.text(max_size=4)
 # integers that no float holds
 BEYOND_FLOATS = st.integers(min_value=2**1024) | st.integers(max_value=-2**1024)
 # a number that is not a finite positive one
@@ -61,6 +69,13 @@ def path_config(**bad):
     return mcsim.PathConfig(**dict(dict(dt=0.1, n_paths=10, t_end=1.0), **bad))
 
 
+def with_entry(samples, value):
+    """`samples` as nested lists, with `value` in place of the first entry."""
+    rows = samples.tolist()
+    rows[0][0] = value
+    return rows
+
+
 # (entry point, parameter, call with the bad value, probed values, more bad values)
 ROWS = [
     ("PathConfig", "dt", lambda v: path_config(dt=v), [NAN], NOT_POSITIVE),
@@ -74,19 +89,22 @@ ROWS = [
     ("ModeOperator.propagator", "dt", lambda v: OP.propagator(v), [10**400, -10**400],
      BEYOND_FLOATS | NOT_POSITIVE),
     ("heat_line", "t", lambda v: kernels.heat_line(0.1, v), [NAN, INF], NOT_POSITIVE),
-    ("heat_line", "x", lambda v: kernels.heat_line([0.0, v], 0.1), [NAN], NONFINITE),
-    ("heat_torus", "x", lambda v: kernels.heat_torus(v, 0.0, 0.1), [NAN], NONFINITE),
-    ("heat_torus", "xp", lambda v: kernels.heat_torus(0.1, v, 0.1), [INF], NONFINITE),
+    ("heat_line", "x", lambda v: kernels.heat_line([0.0, v], 0.1), [NAN, "0.5", True],
+     NONFINITE),
+    ("heat_torus", "x", lambda v: kernels.heat_torus(v, 0.0, 0.1),
+     [NAN, "0.1", ["0.1"], True, [0.1, True]], NONFINITE),
+    ("heat_torus", "xp", lambda v: kernels.heat_torus(0.1, v, 0.1),
+     [INF, "0.1", True, [0.1, True]], NONFINITE),
     ("heat_torus_cell_mass", "x0", lambda v: kernels.heat_torus_cell_mass(v, 0.0, 0.5, 0.1),
      [NAN], NONFINITE),
     ("heat_torus_cell_mass", "cell", lambda v: kernels.heat_torus_cell_mass(0.5, *v, 0.1),
      [(0.5, 0.2), (0.1, 2.5), (NAN, 0.5)],
      not_increasing() | st.tuples(st.floats(-1.0, 1.0), st.floats(1.01, 3.0)).map(
          lambda p: (p[0], p[0] + p[1]))),
-    ("heat_dirichlet", "x", lambda v: kernels.heat_dirichlet(v, 0.5, (0.0, 1.0), 0.1), [NAN],
-     NONFINITE),
+    ("heat_dirichlet", "x", lambda v: kernels.heat_dirichlet(v, 0.5, (0.0, 1.0), 0.1),
+     [NAN, "0.3", True, [0.3, True], 1.5], NONFINITE),
     ("heat_dirichlet", "xp", lambda v: kernels.heat_dirichlet(0.5, [0.2, v], (0.0, 1.0), 0.1),
-     [NAN], NONFINITE),
+     [NAN, "0.5", True, -0.5], NONFINITE),
     ("heat_torus", "t", lambda v: kernels.heat_torus(0.1, 0.0, v), [NAN, INF], NOT_POSITIVE),
     ("heat_torus_cell_mass", "t", lambda v: kernels.heat_torus_cell_mass(0.1, 0.0, 0.5, v),
      [NAN, INF], NOT_POSITIVE),
@@ -96,8 +114,20 @@ ROWS = [
      NOT_POSITIVE),
     ("kolmogorov_cost", "t", lambda v: kernels.kolmogorov_cost(v, 0.1, 0.2), [NAN, 0.0],
      NOT_POSITIVE),
-    ("semigroup_norm", "times", lambda v: spectral.semigroup_norm(OP, [0.5, v]), [NAN],
-     NONFINITE | st.floats(max_value=-1e-300, allow_nan=False)),
+    ("kolmogorov_cost", "x", lambda v: kernels.kolmogorov_cost(1.0, v, 0.2),
+     [NAN, "0.1", True, [0.1, True]], NOT_AN_ENTRY),
+    ("kolmogorov_cost", "y", lambda v: kernels.kolmogorov_cost(1.0, 0.1, [0.2, v]),
+     [INF, "0.2", True], NOT_AN_ENTRY),
+    ("kolmogorov_cost", "x0", lambda v: kernels.kolmogorov_cost(1.0, 0.1, 0.2, x0=v),
+     [NAN, "1", True, [0.1, True]], NOT_AN_ENTRY),
+    ("kolmogorov_cost", "y0", lambda v: kernels.kolmogorov_cost(1.0, 0.1, 0.2, y0=v),
+     [-INF, "0", False], NOT_AN_ENTRY),
+    ("kolmogorov_kernel", "x", lambda v: kernels.kolmogorov_kernel(1.0, [0.1, v], 0.2),
+     [NAN, "0.1", True], NOT_AN_ENTRY),
+    ("kolmogorov_kernel", "y0", lambda v: kernels.kolmogorov_kernel(1.0, 0.1, 0.2, y0=v),
+     [NAN, "0", True], NOT_AN_ENTRY),
+    ("semigroup_norm", "times", lambda v: spectral.semigroup_norm(OP, [0.5, v]),
+     [NAN, "0.5", True], NONFINITE | st.floats(max_value=-1e-300, allow_nan=False)),
     ("relax_trace", "t_end", lambda v: evolve.relax_trace(U0, FIELD, v, n_samples=3), [NAN],
      NOT_POSITIVE),
     ("relax_trace", "n_samples", lambda v: evolve.relax_trace(U0, FIELD, 1.0, n_samples=v),
@@ -106,6 +136,22 @@ ROWS = [
      OFF_TORUS[:2], st.sampled_from(OFF_TORUS)),
     ("simulate", "field", lambda v: mcsim.simulate((0.5, 0.5), v, path_config()),
      OFF_TORUS[:1], st.sampled_from(OFF_TORUS)),
+    # every start is one (x, y) pair: all of a start enters its stream key
+    ("simulate", "starts", lambda v: mcsim.simulate(v, FIELD, path_config()),
+     [(0.1, 0.2, 0.3), (0.1,), (NAN, 0.5), ("0.1", 0.5), (True, 0.5), 0.5],
+     st.tuples(NOT_AN_ENTRY, st.floats(0.0, 1.0))
+     | st.lists(st.floats(0.0, 1.0), max_size=5).filter(lambda p: len(p) != 2)),
+    ("tv_decay", "times",
+     lambda v: mcsim.tv_decay(FIELD, (0.1, 0.2), (0.3, 0.4), [0.5, v], path_config()),
+     [NAN, "0.5", True], NOT_AN_ENTRY),
+    ("field_from_samples", "u0", lambda v: evolve.field_from_samples(with_entry(U0, v)),
+     [NAN, "0.5", True], NOT_AN_ENTRY),
+    ("relax_trace", "u0",
+     lambda v: evolve.relax_trace(with_entry(U0, v), FIELD, 1.0, n_samples=3),
+     [NAN, "0.5", True], NOT_AN_ENTRY),
+    ("strip_trace", "nu0",
+     lambda v: evolve.strip_trace(with_entry(U0, v), FIELD, (0.0, 1.0), 1.0, n_samples=3),
+     [NAN, "0.5", True], NOT_AN_ENTRY),
     ("make_operator", "interval",
      lambda v: spectral.make_operator(FIELD, 1, boundary="dirichlet", interval=v, n=16),
      [(0.7, 0.2)], not_increasing(0.0, 1.0)),
@@ -116,7 +162,8 @@ ROWS = [
      lambda v: spectral.ModeOperator("periodic", (0.0, 1.0), np.zeros(16), v), [1.5],
      NOT_INTEGER),
     ("ModeOperator", "v_samples", lambda v: spectral.ModeOperator("periodic", (0.0, 1.0), v, 1),
-     [[NAN] * 16, ["1"] * 16, [0.0] * 15 + [True], np.zeros(8), 0.5],
+     [[NAN] * 16, ["1"] * 16, [0.0] * 15 + [True], np.zeros(8), 0.5,
+      [0.0] * 15 + [np.float32(NAN)]],
      st.lists(st.floats(-1.0, 1.0), max_size=15)
      | st.tuples(st.lists(st.floats(-1.0, 1.0), min_size=15, max_size=40), NONFINITE).map(
          lambda p: [*p[0], p[1]])),
@@ -133,7 +180,8 @@ ROWS = [
      [(0.6, 0.4), (0.5, 0.5), (0.5, 1.5)], not_increasing(0.0, 1.0)),
     ("compute_bounds_report", "eps_grid",
      lambda v: functionals.compute_bounds_report(FIELD, grid_n=16, eps_grid=[0.1, v]),
-     [NAN, 0.6, "0.1", True], NOT_POSITIVE | st.floats(min_value=0.5, exclude_min=True)),
+     [NAN, 0.6, "0.1", True, np.float32(NAN)],
+     NOT_POSITIVE | st.floats(min_value=0.5, exclude_min=True)),
     ("lipschitz_correlation", "interval",
      lambda v: functionals.lipschitz_correlation(FIELD, "dirichlet", v, grid_n=16),
      [(0.6, 0.2), (NAN, 0.5)], not_increasing()),
@@ -149,16 +197,22 @@ ROWS = [
      NOT_INTEGER | below(1)),
     ("initial_samples", "seed", lambda v: evolve.initial_samples("random", 16, 5, v),
      [-1, 2**64], NOT_INTEGER),
-    ("GridField", "samples", lambda v: GridField([0.0, v, 1.0]), [NAN, INF], NONFINITE),
+    ("GridField", "samples", lambda v: GridField([0.0, v, 1.0]), [NAN, INF, "0.5", True],
+     NONFINITE),
     ("PiecewiseConstantField", "breakpoints",
-     lambda v: PiecewiseConstantField([0.0, v], [0.0, 1.0]), [NAN], NONFINITE),
+     lambda v: PiecewiseConstantField([0.0, v], [0.0, 1.0]), [NAN, "0.5", True], NONFINITE),
     ("PiecewiseConstantField", "values",
-     lambda v: PiecewiseConstantField([0.0, 0.5], [v, 1.0]), [NAN], NONFINITE),
+     lambda v: PiecewiseConstantField([0.0, 0.5], [v, 1.0]), [NAN, "0.5", True], NONFINITE),
     ("PiecewiseLinearField", "knots", lambda v: PiecewiseLinearField([0.0, v], [0.0, 1.0]),
-     [NAN], NONFINITE),
+     [NAN, "0.5", True], NONFINITE),
     ("PiecewiseLinearField", "values", lambda v: PiecewiseLinearField([0.0, 0.5], [v, 1.0]),
-     [NAN], NONFINITE),
-    ("SineField", "amplitude", lambda v: SineField(v, 1), [NAN, "2", True, "abc"], NONFINITE),
+     [NAN, "0.5", True], NONFINITE),
+    ("VelocityField.__call__", "x", lambda v: FIELD(v), [NAN, "0.5", True, [0.5, True]],
+     NOT_AN_ENTRY),
+    ("Primitive.__call__", "x", lambda v: FIELD.primitive()(v),
+     [NAN, "0.5", True, [0.5, True]], NOT_AN_ENTRY),
+    ("SineField", "amplitude", lambda v: SineField(v, 1),
+     [NAN, "2", True, "abc", np.float32(NAN)], NONFINITE),
     ("SineField", "phase", lambda v: SineField(1.0, 1, v), [NAN, "0.5", False], NONFINITE),
     ("SineField", "frequency", lambda v: SineField(1.0, v),
      [NAN, INF, "2", True, 1.5, 0, 2**53 + 1],
@@ -168,6 +222,9 @@ ROWS = [
     ("HeavisideField", "low", lambda v: HeavisideField(1.0, v), [NAN, "0"], NONFINITE),
     ("BinaryCascadeField", "tail_tol", lambda v: BinaryCascadeField(1.0, v), [NAN, "1e-15"],
      NONFINITE),
+    ("doeblin_iterate", "kernel",
+     lambda v: functionals.doeblin_iterate([[0.75, v], [0.25, 0.75]], 1, 0.5, 5),
+     [NAN, "0.25", True], NOT_AN_ENTRY),
     ("doeblin_iterate", "horizon", lambda v: functionals.doeblin_iterate(KERNEL, 1, 0.5, v),
      [-1, 2.5], NOT_INTEGER | below(0)),
     ("doeblin_iterate", "alpha_star", lambda v: functionals.doeblin_iterate(KERNEL, 1, v, 5),
@@ -185,6 +242,9 @@ ROWS = [
     ("estimate_flatness_constant", "interval",
      lambda v: estimate_flatness_constant(SineField(), v, [0.05], j_points=9),
      [(0.5, 1.5), (0.6, 0.6)], not_increasing(0.0, 1.0)),
+    ("estimate_flatness_constant", "eps_grid",
+     lambda v: estimate_flatness_constant(SineField(), (0.0, 1.0), [0.05, v], j_points=9),
+     [NAN, "0.1", True, 0.0, 1.0], NOT_AN_ENTRY | st.floats(min_value=1.0)),
 ]
 
 
@@ -224,3 +284,46 @@ def test_run_all_refuses_workers_before_the_first_criterion():
     with pytest.raises(ValueError, match="^workers "):
         validation.run_all(ids=[1, 8], progress=lines.append, workers=0)
     assert lines == []
+
+
+def test_float32_scalars_are_accepted_without_a_warning():
+    # comparing a float32 with the float64 maximum would cast the maximum to float32, an overflow
+    assert SineField(np.float32(1.0), 1).amplitude == 1.0
+    assert kernels.heat_line(np.float32(0.5), 0.1) == kernels.heat_line(0.5, 0.1)
+
+
+# finite numeric input of the kinds callers pass, 1-D and 2-D: each kind's
+# entries, and how a list of them becomes that kind
+KINDS = {
+    "list": (st.floats(-1e300, 1e300) | st.integers(-2**80, 2**80), list),
+    "tuple": (st.floats(-1e300, 1e300) | st.integers(-2**80, 2**80), tuple),
+    "int64": (st.integers(-2**63, 2**63 - 1), lambda v: np.array(v, dtype=np.int64)),
+    "float32": (st.floats(width=32, allow_nan=False, allow_infinity=False),
+                lambda v: np.array(v, dtype=np.float32)),
+    "float64": (st.floats(allow_nan=False, allow_infinity=False), np.array),
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), kind=st.sampled_from(sorted(KINDS)),
+       shape=st.sampled_from([(0,), (1,), (7,), (3, 4)]))
+def test_finite_array_equals_numpys_conversion(data, kind, shape):
+    entries, make = KINDS[kind]
+    values = data.draw(st.lists(entries, min_size=math.prod(shape), max_size=math.prod(shape)))
+    if len(shape) == 2:
+        values = [make(values[i:i + shape[1]]) for i in range(0, len(values), shape[1])]
+    given_ = make(values)
+    out = _checks.finite_array(given_, "values")
+    reference = np.asarray(given_, dtype=float)
+    assert out.dtype == np.float64 and out.shape == reference.shape
+    assert out.tobytes() == reference.tobytes()
+    assert out is not given_ and not np.shares_memory(out, reference)
+
+
+def test_mode_operator_reads_no_sample_one_by_one(monkeypatch):
+    """A float64 ndarray of samples is checked whole: `finite` sees only the interval's ends."""
+    seen = []
+    real = _checks.finite
+    monkeypatch.setattr(_checks, "finite", lambda value: seen.append(value) or real(value))
+    op = spectral.ModeOperator("periodic", (0.0, 1.0), np.linspace(2.0, 3.0, 4096), 1)
+    assert op.n == 4096 and seen == [0.0, 1.0]

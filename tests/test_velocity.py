@@ -575,8 +575,8 @@ class TestFlatnessEstimate:
     def test_nan_scale_is_refused(self, eps_grid):
         # a NaN sorts anywhere, so checking only the sorted ends let it through:
         # [0.1, nan] dropped the NaN scale from the table, and the others
-        # refused with "no admissible subintervals"
-        with pytest.raises(ValueError, match="eps values must lie strictly between"):
+        # refused with "no admissible subintervals"; it is refused before the sort
+        with pytest.raises(ValueError, match="^eps_grid must be finite, got nan"):
             estimate_flatness_constant(SineField(), (0.0, 1.0), eps_grid, j_points=9)
 
     def test_cascade_infeasible_at_fine_scales(self):
@@ -689,6 +689,21 @@ class TestConfig:
     def test_breakpoints_increasing(self):
         with pytest.raises(ValueError):
             PiecewiseConstantField([0.0, 0.5, 0.5], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("build,arrays", [
+        (lambda a: GridField(a[0]), [[0.0, 1.0]]),
+        (lambda a: PiecewiseConstantField(a[0], a[1]), [[0.0, 0.5], [0.0, 1.0]]),
+        (lambda a: PiecewiseLinearField(a[0], a[1]), [[0.0, 0.5], [0.0, 1.0]]),
+    ], ids=["grid", "piecewise_constant", "piecewise_linear"])
+    def test_a_field_keeps_its_own_copy(self, build, arrays):
+        # the caller's float64 arrays, changed after construction
+        arrays = [np.array(a) for a in arrays]
+        field = build(arrays)
+        before = (field.range(), field.to_config(), field(np.array([0.25, 0.75])).tolist())
+        for a in arrays:
+            a += 0.125
+        assert (field.range(), field.to_config(),
+                field(np.array([0.25, 0.75])).tolist()) == before
 
 
 class TestCascadeValues:
