@@ -10,7 +10,9 @@ input.  A numeric ndarray (dtype kind f, i or u) cannot hold a string or a
 boolean, so it is checked whole with np.isfinite.  Any other input, a list,
 a tuple, a scalar or an ndarray of another dtype, is first read value by
 value with `finite`: numpy's promotion turns [0.0, True] or ["1", 2.0] into
-floats before a test of the whole array could see them.
+floats before a test of the whole array could see them.  An entry that is
+itself a sequence means a ragged input, which is refused as not rectangular.
+A named choice, such as a boundary or a task, goes through `choice`.
 """
 
 import math
@@ -39,12 +41,20 @@ def finite_array(values, name):
     """`values` as a new float64 array, if each of its entries is a finite number."""
     if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiu"):
         for value in np.ravel(np.array(values, dtype=object)):
-            if not finite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+            if not finite(value):  # or a row of a ragged input, which numpy keeps whole
+                what = "a rectangular array, got the row" if np.ndim(value) else "finite, got"
+                raise ValueError(f"{name} must be {what} {value!r}")
     out = np.array(values, dtype=float)
     if not np.isfinite(out).all():
         raise ValueError(f"{name} must be finite, got {out[~np.isfinite(out)][0]}")
     return out
+
+
+def choice(value, name, options):
+    """`value`, if a string among the tuple `options` (compared, never hashed)."""
+    if not (isinstance(value, str) and value in options):
+        raise ValueError(f"{name} must be one of {options}, got {value!r}")
+    return value
 
 
 def positive(value, name, strict=True):

@@ -21,13 +21,16 @@ Velocity kinds and their parameters:
     piecewise_constant: breakpoints [x0=domain start, ...], values, domain?
     piecewise_linear:   knots, values, domain?
     grid:               samples, domain?
-    sine:               amplitude, frequency, phase?
-    sawtooth:           amplitude
+    sine:               amplitude?, frequency?, phase?
+    sawtooth:           amplitude?
     heaviside:          high?, low?
-    binary_cascade:     c, tail_tol?
+    binary_cascade:     c?, tail_tol?
 
-`domain` is "torus" (default) or [a, b].  Only `spectrum` takes a field on
-[a, b]; `bounds`, `evolve` and `simulate` need a torus field.
+A `?` marks an optional parameter, which takes its constructor's default.
+The constructor decides the keys and the values: an unknown or missing key,
+or a value it refuses, is a config error.  `domain` is "torus" (default) or
+[a, b].  Only `spectrum` takes a field on [a, b]; `bounds`, `evolve` and
+`simulate` need a torus field.
 
 Task parameter blocks (all optional, with defaults):
 
@@ -94,9 +97,7 @@ def load_config(path):
     extra = set(raw) - allowed
     if extra:
         raise ValueError(f"unknown config keys: {sorted(extra)}")
-    task = raw.get("task")
-    if task not in _TASKS:
-        raise ValueError(f"task must be one of {tuple(_TASKS)}, got {task!r}")
+    task = _checks.choice(raw.get("task"), "task", tuple(_TASKS))
     _, types, takes_field = _TASKS[task]
     params = raw.get("params", {})
     if not isinstance(params, dict):

@@ -48,8 +48,9 @@ class ModeField:
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if self.coeffs.shape[0] != 2 * self.k_max + 1:
-            raise ValueError("coefficient block must have 2*k_max+1 rows")
+        if self.coeffs.ndim != 2 or len(self.coeffs) != 2 * self.k_max + 1:
+            raise ValueError(f"coeffs must have {2 * self.k_max + 1} rows, got shape "
+                             f"{self.coeffs.shape}")
 
     @property
     def nx(self):
@@ -105,7 +106,7 @@ def field_from_samples(u0, k_max=None, boundary="periodic", interval=(0.0, 1.0))
     ny = u0.shape[1]
     k_max = (ny - 1) // 2 if k_max is None else _checks.count(k_max, "k_max", 0)
     if ny < 2 * k_max + 1:
-        raise ValueError(f"ny = {ny} aliases modes up to k_max = {k_max}")
+        raise ValueError(f"k_max must be at most {(ny - 1) // 2}, got {k_max}: ny = {ny} aliases")
     spectrum = np.fft.fft(u0, axis=1) / ny
     coeffs = spectrum.T[np.arange(-k_max, k_max + 1) % ny]
     return ModeField(coeffs, k_max, boundary, tuple(interval))
@@ -119,31 +120,31 @@ def field_to_samples(field, ny):
     return np.fft.ifft(spectrum * ny, axis=1).real
 
 
-def initial_samples(kind, nx, ny, seed=0):
+def initial_samples(initial, nx, ny, seed=0):
     """Initial data u0[x_i, y_j] on the grid (i/nx, j/ny) of the torus.
 
-    `cos_y` is cos(2 pi y) and `cos_xy` is cos(2 pi x) cos(2 pi y); `random`
-    sums ten modes cos(2 pi (m x + k y) + phase), k = 1, 2 and m = -2..2, with
-    N(0, 1/4) amplitudes and uniform phases drawn from `seed`; nx >= 16.
+    `initial` names the data: `cos_y` is cos(2 pi y) and `cos_xy` is
+    cos(2 pi x) cos(2 pi y); `random` sums ten modes cos(2 pi (m x + k y) +
+    phase), k = 1, 2 and m = -2..2, with N(0, 1/4) amplitudes and uniform
+    phases drawn from `seed`; nx >= 16.
     """
+    _checks.choice(initial, "initial", ("cos_y", "cos_xy", "random"))
     nx, ny = _checks.count(nx, "nx", 16), _checks.count(ny, "ny", 1)
     _checks.seed(seed)
     x = np.arange(nx) / nx
     y = np.arange(ny) / ny
     xx, yy = np.meshgrid(x, y, indexing="ij")
-    if kind == "cos_y":
+    if initial == "cos_y":
         return np.cos(2 * np.pi * yy)
-    if kind == "cos_xy":
+    if initial == "cos_xy":
         return np.cos(2 * np.pi * xx) * np.cos(2 * np.pi * yy)
-    if kind == "random":
-        rng = np.random.default_rng(seed)
-        out = np.zeros((nx, ny))
-        for k in range(1, 3):
-            for m in range(-2, 3):
-                out += rng.normal(scale=0.5) * np.cos(
-                    2 * np.pi * (m * xx + k * yy) + rng.uniform(0, 2 * np.pi))
-        return out
-    raise ValueError(f"initial must be 'cos_y', 'cos_xy' or 'random', got {kind!r}")
+    rng = np.random.default_rng(seed)
+    out = np.zeros((nx, ny))
+    for k in range(1, 3):
+        for m in range(-2, 3):
+            out += rng.normal(scale=0.5) * np.cos(
+                2 * np.pi * (m * xx + k * yy) + rng.uniform(0, 2 * np.pi))
+    return out
 
 
 class Evolution:
@@ -234,7 +235,7 @@ def relax_trace(u0, field_v, t_end, n_samples=32, k_max=None, correlation_grid=2
     fld = field_from_samples(u0, k_max=k_max)
     evo = Evolution(field_v) if evolution is None else evolution
     if evo.field_v is not field_v:
-        raise ValueError("the evolution steps another velocity field")
+        raise ValueError("evolution must step field_v, not another velocity field")
     states = evo.trajectory(fld, t_end, n_samples)  # checked before the LP
     rate = evo._envelope_rate(correlation_grid)
     samples = [(t, state.deviation()) for t, state in states]

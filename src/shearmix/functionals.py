@@ -17,6 +17,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import _checks, _extension
+from .spectral import BOUNDARIES
 from .velocity import VelocityField, _flatness_from_table, estimate_flatness_constant
 
 __all__ = [
@@ -99,7 +100,7 @@ def gap_bound_from_correlation(correlation, oscillation, length, periodic_improv
     _checks.positive(length, "length")
     if periodic_improved:
         if abs(length - 1.0) > 1e-12:
-            raise ValueError("improved bound applies to the unit torus only")
+            raise ValueError(f"length must be 1 for the improved bound on the torus, got {length}")
         return improved
     denom = math.pi**2 / length**2 + length**2 / math.pi**2 * oscillation**2
     return correlation**2 / 18.0 / denom
@@ -126,12 +127,10 @@ def _lp_weights(boundary, a, b, n):
     length = b - a
     h = length / n
     x = a + (np.arange(n) + 0.5) * h
-    if boundary == "periodic":
+    if _checks.choice(boundary, "boundary", BOUNDARIES) == "periodic":
         w = np.full(n, h / length)
-    elif boundary == "dirichlet":
-        w = (2.0 / length) * np.sin(np.pi * (x - a) / length) ** 2 * h
     else:
-        raise ValueError(f"unknown boundary: {boundary!r}")
+        w = (2.0 / length) * np.sin(np.pi * (x - a) / length) ** 2 * h
     return x, w, h
 
 
@@ -306,8 +305,8 @@ def plateau_constants(ell, dv):
     mass (8 pi e)^{-3/2} exp(-pi^2/4) ell^2 exp(-pi^2/(ell^2 dv)); the latter
     is also returned in log form since it underflows easily.
     """
-    if not 0.0 < ell <= 0.5:
-        raise ValueError("plateau length must lie in (0, 1/2]")
+    if not 0.0 < _checks.number(ell, "ell") <= 0.5:
+        raise ValueError(f"ell must lie in (0, 1/2], got {ell}")
     _checks.positive(dv, "dv")
     time = 1.0 / dv + (3.0 + 2.0 * ell**2) / 8.0
     log_mass = (
@@ -337,13 +336,13 @@ def flatness_constants(length, oscillation, correlation, k_const):
     The mass is astronomically small for realistic inputs, so the log value
     is the meaningful output; the direct value underflows to 0.0.
     """
-    if not 0.0 < length <= 1.0:
-        raise ValueError("interval length must lie in (0, 1]")
+    if not 0.0 < _checks.number(length, "length") <= 1.0:
+        raise ValueError(f"length must lie in (0, 1], got {length}")
     _checks.positive(oscillation, "oscillation", strict=False)
     if not correlation > 0.0:
         raise ArithmeticError("correlation must be positive; the bound is undefined otherwise")
-    if not k_const >= 1.0:
-        raise ValueError("non-flatness constant must be at least 1")
+    if not _checks.number(k_const, "k_const") >= 1.0:
+        raise ValueError(f"k_const must be at least 1, got {k_const}")
     growth = 1.0 + 2.0 * math.pi * oscillation * length**2
     time = (10.0 * growth / (length * correlation)) ** 2 * (
         1.0 + math.log(growth) + k_const / length**2
@@ -535,7 +534,7 @@ def compute_bounds_report(field, *, grid_n=512, eps_grid=DEFAULT_EPS_GRID,
                           flatness_interval=None, j_points=65):
     """Assemble the full bounds report for a torus velocity field."""
     if not isinstance(field, VelocityField):
-        raise TypeError("expected a VelocityField")
+        raise TypeError(f"field must be a VelocityField, got {type(field).__name__}")
     _checks.torus_field(field, "field")
     eps_grid = _checks.finite_array(eps_grid, "eps_grid")
     if eps_grid.ndim != 1 or not len(eps_grid):

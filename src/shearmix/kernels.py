@@ -157,6 +157,8 @@ class KolmogorovState:
     t: float
 
     def __post_init__(self):
+        for name in ("x0", "y0", "x", "y"):
+            _checks.number(getattr(self, name), name)
         _checks.positive(self.t, "t")
 
 

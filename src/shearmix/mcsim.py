@@ -73,10 +73,8 @@ class PathConfig:
         for name in ("n_paths", "bins", "block_size", "workers"):
             _checks.count(getattr(self, name), name, 1)
         _checks.seed(self.seed)
-        if self.y_integrator not in ("left", "trapezoid"):
-            raise ValueError(f"unknown y integrator: {self.y_integrator!r}")
-        if self.geometry not in ("torus2", "plane"):
-            raise ValueError(f"unknown geometry: {self.geometry!r}")
+        _checks.choice(self.y_integrator, "y_integrator", ("left", "trapezoid"))
+        _checks.choice(self.geometry, "geometry", ("torus2", "plane"))
 
     replace = dataclasses.replace
 
@@ -281,9 +279,10 @@ def simulate_starts(starts, field, cfg, times, kill_interval=None):
     interval is legal: paths are checked against it after every step.
     """
     if cfg.geometry != "torus2":
-        raise ValueError("histogram simulation lives on the torus")
-    if _checks.finite_array(starts, "starts").shape[1:] != (2,):  # all of a start keys its stream
-        raise ValueError(f"starts must be (x, y) pairs, got {list(starts)!r}")
+        raise ValueError(f"cfg must be a torus config (geometry 'torus2'), got {cfg.geometry!r}")
+    shape = _checks.finite_array(starts, "starts").shape  # all of a start keys its stream
+    if shape[1:] != (2,) or not shape[0]:
+        raise ValueError(f"starts must be one or more (x, y) pairs, got {starts!r}")
     if kill_interval is not None:
         _checks.interval(kill_interval, "kill_interval")
     n_steps, dt = _steps_for(cfg)
@@ -291,7 +290,7 @@ def simulate_starts(starts, field, cfg, times, kill_interval=None):
     for t in times:
         s = int(round(_checks.positive(t, "times") / dt))
         if not 1 <= s <= n_steps:
-            raise ValueError(f"snapshot time {t} outside the simulated horizon")
+            raise ValueError(f"times must lie in the simulated horizon (0, {cfg.t_end}], got {t}")
         step_of[t] = s
     m = cfg.bins
 
@@ -349,8 +348,6 @@ def doeblin_estimate(field, t_star, starts, cfg):
     the same way.  Any empty cell is reported with its index and forces
     alpha_hat = 0.
     """
-    if not starts:
-        raise ValueError("need at least one starting point")
     run_cfg = cfg.replace(t_end=t_star)
     per_start = []
     empty = []
@@ -423,7 +420,7 @@ def arcsine_experiment(cfg):
     distribution.  The left-endpoint rule biases Z by O(sqrt(dt)).
     """
     if cfg.geometry != "plane":
-        raise ValueError("the occupation-time experiment runs on the plane")
+        raise ValueError(f"cfg must be a plane config (geometry 'plane'), got {cfg.geometry!r}")
     n_steps, dt = _steps_for(cfg)
 
     def indicator(x):
@@ -465,11 +462,10 @@ def kolmogorov_experiment(cfg, bins=24):
     the exactly-Gaussian X marginal, and checks the Y moments against the
     kernel's own quadrature moments.
     """
-    from scipy import special
-
     if cfg.geometry != "plane":
-        raise ValueError("the free-space comparison runs on the plane")
+        raise ValueError(f"cfg must be a plane config (geometry 'plane'), got {cfg.geometry!r}")
     _checks.count(bins, "bins", 1)
+    from scipy import special
     n_steps, dt = _steps_for(cfg)
     blocks = _run([(0.0, 0.0)], lambda x: x, cfg, {n_steps}, _positions)[0][n_steps]
     x, y = map(np.concatenate, zip(*blocks))

@@ -35,6 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _checks, _extension
+from .velocity import SineField
 
 __all__ = [
     "ModeOperator",
@@ -45,6 +46,8 @@ __all__ = [
     "semigroup_norm",
 ]
 
+BOUNDARIES = ("periodic", "dirichlet")
+
 
 def _grid(boundary, a, b, n):
     """Spacing and nodes of the n-point grid on [a, b].
@@ -52,13 +55,11 @@ def _grid(boundary, a, b, n):
     Periodic nodes are a + h i for i = 0..n-1 with h = (b - a) / n; Dirichlet
     nodes are the interior a + h i for i = 1..n with h = (b - a) / (n + 1).
     """
-    if boundary == "periodic":
+    if _checks.choice(boundary, "boundary", BOUNDARIES) == "periodic":
         h = (b - a) / n
         return h, a + h * np.arange(n)
-    if boundary == "dirichlet":
-        h = (b - a) / (n + 1)
-        return h, a + h * np.arange(1, n + 1)
-    raise ValueError(f"boundary must be one of {ModeOperator.BOUNDARIES}, got {boundary!r}")
+    h = (b - a) / (n + 1)
+    return h, a + h * np.arange(1, n + 1)
 
 
 def laplace_eigs(boundary, interval=(0.0, 1.0), n=256):
@@ -168,13 +169,10 @@ class ModeOperator:
     of the requested time steps.
     """
 
-    BOUNDARIES = ("periodic", "dirichlet")
     DISCRETIZATIONS = ("fd2", "spectral")
 
     def __init__(self, boundary, interval, v_samples, k, discretization="fd2"):
-        if discretization not in self.DISCRETIZATIONS:
-            raise ValueError(f"discretization must be one of {self.DISCRETIZATIONS}, "
-                             f"got {discretization!r}")
+        _checks.choice(discretization, "discretization", self.DISCRETIZATIONS)
         v_samples = _checks.finite_array(v_samples, "v_samples")
         if v_samples.ndim != 1 or len(v_samples) < 16:
             raise ValueError(f"v_samples must be a sequence of at least 16 numbers, "
@@ -367,10 +365,10 @@ def make_operator(field, k, boundary="periodic", interval=None, n=256, discretiz
     it is exact to machine precision.
     """
     interval = _checks.interval((field.a, field.b) if interval is None else interval, "interval")
-    if discretization is None:
-        smooth = getattr(field, "kind", None) == "sine"
-        discretization = "spectral" if (boundary == "periodic" and smooth) else "fd2"
     _, nodes = _grid(boundary, *interval, _checks.count(n, "n", 16))
+    if discretization is None:
+        smooth = boundary == "periodic" and isinstance(field, SineField)
+        discretization = "spectral" if smooth else "fd2"
     return ModeOperator(boundary, interval, field(nodes), k, discretization)
 
 

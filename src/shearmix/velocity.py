@@ -421,17 +421,12 @@ class VelocityField:
 
 class _StepField(VelocityField):
     """Shared machinery for representations that are step functions; a
-    subclass sets its domain, then its cells with `_set_cells`."""
+    subclass sets its domain, then its cells with `_set_cells`: increasing
+    edges that tile the domain, and one value per cell."""
 
     def _set_cells(self, edges, values):
         edges = np.asarray(edges, dtype=float)
         values = np.asarray(values, dtype=float)
-        if len(edges) != len(values) + 1:
-            raise ValueError("need one more edge than cell values")
-        if np.any(np.diff(edges) <= 0):
-            raise ValueError("cell edges must be strictly increasing")
-        if not (abs(edges[0] - self.a) < 1e-12 and abs(edges[-1] - self.b) < 1e-12):
-            raise DomainError("cells must tile the domain exactly")
         self.edges = edges
         self.values = values
         self._table = _dyadic_table(edges, values)
@@ -505,8 +500,14 @@ class PiecewiseConstantField(_StepField):
         super().__init__(domain)
         breakpoints = _checks.finite_array(breakpoints, "breakpoints")
         if breakpoints.ndim != 1 or not len(breakpoints) or abs(breakpoints[0] - self.a) > 1e-12:
-            raise DomainError("first breakpoint must coincide with the domain start")
-        self._set_cells(np.append(breakpoints, self.b), _checks.finite_array(values, "values"))
+            raise DomainError(f"breakpoints must be a sequence from the domain start {self.a:g}")
+        values = _checks.finite_array(values, "values")
+        if values.shape != breakpoints.shape:
+            raise ValueError(f"values must have the shape {breakpoints.shape}, got {values.shape}")
+        edges = np.append(breakpoints, self.b)
+        if np.any(np.diff(edges) <= 0):
+            raise ValueError(f"breakpoints must increase strictly below the domain end {self.b:g}")
+        self._set_cells(edges, values)
         self.breakpoints = self.edges[:-1]
 
 
@@ -599,20 +600,23 @@ class PiecewiseLinearField(VelocityField):
         super().__init__(domain)
         knots = _checks.finite_array(knots, "knots")
         values = _checks.finite_array(values, "values")
-        if len(knots) != len(values) or len(knots) < (1 if self.periodic else 2):
-            raise ValueError("knots and values must match and be nonempty")
+        least = 1 if self.periodic else 2
+        if knots.ndim != 1 or len(knots) < least:
+            raise ValueError(f"knots must be a sequence of at least {least} numbers")
+        if values.shape != knots.shape:
+            raise ValueError(f"values must have the shape {knots.shape}, got {values.shape}")
         if np.any(np.diff(knots) <= 0):
             raise ValueError("knots must be strictly increasing")
         if abs(knots[0] - self.a) > 1e-12:
-            raise DomainError("first knot must coincide with the domain start")
+            raise DomainError(f"knots must start at the domain start {self.a:g}, got {knots[0]}")
         if self.periodic:
             if knots[-1] >= self.b:
-                raise DomainError("torus knots must lie in [0, 1)")
+                raise DomainError(f"knots must lie in [0, 1) on the torus, got {knots[-1]}")
             self._x = np.concatenate([knots, [self.b]])
             self._v = np.concatenate([values, [values[0]]])
         else:
             if abs(knots[-1] - self.b) > 1e-12:
-                raise DomainError("last knot must coincide with the domain end")
+                raise DomainError(f"knots must end at the domain end {self.b:g}, got {knots[-1]}")
             self._x = knots
             self._v = values
         self.knots = knots
@@ -701,15 +705,9 @@ def two_plateau(low=0.0, high=1.0, split=0.5):
     return PiecewiseConstantField([0.0, split], [low, high])
 
 
-_CONSTRUCTORS = {
-    "piecewise_constant": PiecewiseConstantField,
-    "piecewise_linear": PiecewiseLinearField,
-    "grid": GridField,
-    "sine": SineField,
-    "sawtooth": SawtoothField,
-    "heaviside": HeavisideField,
-    "binary_cascade": BinaryCascadeField,
-}
+_CONSTRUCTORS = {cls.kind: cls for cls in (
+    PiecewiseConstantField, PiecewiseLinearField, GridField, SineField, SawtoothField,
+    HeavisideField, BinaryCascadeField)}
 
 
 def field_from_config(config):
@@ -717,32 +715,21 @@ def field_from_config(config):
 
     The schema is {"kind": <name>, ...parameters}, the parameters being the
     kind's constructor's, as `VelocityField.to_config` writes them; the CLI
-    documentation lists them for each kind.  Unknown
-    kinds, unknown or missing keys, non-finite numbers (JSON's NaN and
-    Infinity) and values the constructor cannot take raise a ValueError.
+    documentation lists them for each kind.  The config itself must be a
+    mapping with a known kind; the constructor decides the keys and the
+    values.  Binding its signature refuses an unknown or missing key, and the
+    constructor refuses each value that it cannot take (a NaN or an
+    infinity, such as JSON's NaN and Infinity, a string, a boolean, null) by
+    its parameter's name.  Every refusal is a ValueError.
     """
     if not isinstance(config, dict):
         raise ValueError("velocity config must be a mapping")
     cfg = dict(config)
-    kind = cfg.pop("kind", None)
-    if kind not in _CONSTRUCTORS:
-        raise ValueError(f"unknown velocity kind: {kind!r}")
-    params = inspect.signature(_CONSTRUCTORS[kind]).parameters
-    extra = set(cfg) - set(params)
-    if extra:
-        raise ValueError(f"unknown keys for velocity kind {kind!r}: {sorted(extra)}")
-    missing = [name for name, p in params.items() if p.default is p.empty and name not in cfg]
-    if missing:
-        raise ValueError(f"missing keys for velocity kind {kind!r}: {missing}")
-    bad = sorted(name for name, value in cfg.items()
-                 if any(isinstance(v, float) and not math.isfinite(v)
-                        for v in (value if isinstance(value, list) else [value])))
-    if bad:
-        raise ValueError(f"non-finite values for velocity kind {kind!r}: {bad}")
+    kind = _checks.choice(cfg.pop("kind", None), "kind", tuple(_CONSTRUCTORS))
     try:
         return _CONSTRUCTORS[kind](**cfg)
-    except (TypeError, ValueError) as err:  # a value it refuses, such as null
-        raise ValueError(f"bad values for velocity kind {kind!r}: {err}") from err
+    except TypeError as err:  # a key the signature cannot bind, or a value of no usable type
+        raise ValueError(f"velocity kind {kind!r}: {err}") from err
 
 
 # ---------------------------------------------------------------------------

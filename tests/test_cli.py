@@ -46,20 +46,30 @@ class TestConfigValidation:
                                       "params": {"grid_m": 9}})
         assert cli.main(["bounds", "--config", cfg]) == cli.EXIT_CONFIG
 
+    # the constructor's own refusals; an id names the fault, in the words of the
+    # config layer's former checks, so that the test names stay stable
     @pytest.mark.parametrize("velocity,message", [
-        ({"kind": "mystery"}, "unknown velocity kind"),
-        ({"kind": "grid"}, "missing keys for velocity kind 'grid'"),
+        pytest.param({"kind": "mystery"},
+                     "bad velocity description: kind must be one of ('piecewise_constant', ",
+                     id="velocity0-unknown velocity kind"),
+        pytest.param({"kind": "grid"}, "missing 1 required positional argument: 'samples'",
+                     id="velocity1-missing keys for velocity kind 'grid'"),
         ({"kind": "sine", "amplitude": 1.0, "frequency": 1.5},
          "frequency must be a positive integer"),
-        ({"kind": "sine", "amplitude": None, "frequency": 1},
-         "bad velocity description: bad values for velocity kind 'sine'"),
+        pytest.param({"kind": "sine", "amplitude": None, "frequency": 1},
+                     "bad velocity description: amplitude must be a finite number, got None",
+                     id="velocity3-bad velocity description: bad values for velocity kind 'sine'"),
         # JSON's NaN and Infinity
-        ({"kind": "grid", "samples": [0.0, float("nan")]},
-         "bad velocity description: non-finite values for velocity kind 'grid': ['samples']"),
-        ({"kind": "sine", "amplitude": float("inf"), "frequency": 1},
-         "non-finite values for velocity kind 'sine': ['amplitude']"),
-        ({"kind": "grid", "samples": [0.0, 1.0], "domain": [0.0, float("-inf")]},
-         "non-finite values for velocity kind 'grid': ['domain']"),
+        pytest.param({"kind": "grid", "samples": [0.0, float("nan")]},
+                     "bad velocity description: samples must be finite, got nan",
+                     id="velocity4-bad velocity description: non-finite values for velocity "
+                        "kind 'grid': ['samples']"),
+        pytest.param({"kind": "sine", "amplitude": float("inf"), "frequency": 1},
+                     "amplitude must be a finite number, got inf",
+                     id="velocity5-non-finite values for velocity kind 'sine': ['amplitude']"),
+        pytest.param({"kind": "grid", "samples": [0.0, 1.0], "domain": [0.0, float("-inf")]},
+                     "domain must be increasing and finite, got [0.0, -inf]",
+                     id="velocity6-non-finite values for velocity kind 'grid': ['domain']"),
     ])
     def test_bad_velocity(self, tmp_path, capsys, velocity, message):
         cfg = write_config(tmp_path, {"task": "bounds", "velocity": velocity})
@@ -67,6 +77,20 @@ class TestConfigValidation:
         assert status == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and message in err
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    # a name is compared with the known ones, never hashed, so a list is refused by name
+    @pytest.mark.parametrize("config,message", [
+        ({"task": ["bounds"], "velocity": TWO_PLATEAU}, "task must be one of"),
+        ({"task": "bounds", "velocity": {"kind": ["sine"]}},
+         "bad velocity description: kind must be one of"),
+    ], ids=["task", "kind"])
+    def test_a_list_valued_name_is_a_config_error(self, tmp_path, capsys, config, message):
+        cfg = write_config(tmp_path, config)
+        status = cli.main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert status == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err and "Traceback" not in err
         assert not (tmp_path / "o" / "manifest.json").exists()
 
     def test_task_mismatch(self, tmp_path):
@@ -191,7 +215,9 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("velocity,params,message", [
         (TWO_PLATEAU, {"geometry": "plane"}, "unknown params"),
-        (TWO_PLATEAU, {"y_integrator": "midpoint"}, "unknown y integrator"),
+        pytest.param(TWO_PLATEAU, {"y_integrator": "midpoint"},
+                     "y_integrator must be one of ('left', 'trapezoid'), got 'midpoint'",
+                     id="velocity1-params1-unknown y integrator"),
         (TWO_PLATEAU, {"dt": 0}, "dt must be positive, got 0.0"),
         (TWO_PLATEAU, {"n_paths": 0}, "n_paths must be at least 1, got 0"),
         (TWO_PLATEAU, {"start": [0.5]}, "start must be a pair of numbers"),
@@ -220,7 +246,8 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("params,message", [
         ({"nx": 8}, "nx must be at least 16"),
-        ({"ny": 5, "k_max": 3}, "aliases modes"),
+        pytest.param({"ny": 5, "k_max": 3}, "k_max must be at most 2, got 3: ny = 5 aliases",
+                     id="params1-aliases modes"),
         ({"t_end": 0}, "t_end must be positive"),
         ({"samples": 0}, "samples must be at least 1"),
         # the snapshot count is the n_samples of Evolution.trajectory
@@ -325,18 +352,24 @@ def _doc_block(header):
     return entries
 
 
-def _doc_names(items):
-    """First identifier of each comma-separated item at bracket depth 0; `(` and
-    `[` open and `)` and `]` close, as interval notation such as (0, 1] mixes them."""
+def _doc_items(items):
+    """First identifier of each comma-separated item at bracket depth 0, with its
+    `?` if it has one; `(` and `[` open and `)` and `]` close, as interval
+    notation such as (0, 1] mixes them."""
     if items.startswith("(none"):
         return set()
     names, depth, start = set(), 0, 0
     for i, char in enumerate(items + ","):
         depth += (char in "([") - (char in ")]")
         if char == "," and depth == 0:
-            names.add(re.match(r"\s*([A-Za-z_]\w*)", items[start:i])[1])
+            names.add(re.match(r"\s*([A-Za-z_]\w*\??)", items[start:i])[1])
             start = i + 1
     return names
+
+
+def _doc_names(items):
+    """The names of `_doc_items`, without their `?`."""
+    return {name.rstrip("?") for name in _doc_items(items)}
 
 
 class TestDocumentedSchema:
@@ -348,6 +381,13 @@ class TestDocumentedSchema:
         for kind, items in doc.items():
             params = inspect.signature(velocity._CONSTRUCTORS[kind]).parameters
             assert _doc_names(items) == set(params), kind
+
+    @pytest.mark.parametrize("kind", sorted(velocity._CONSTRUCTORS))
+    def test_velocity_kinds_mark_the_defaults(self, kind):
+        # `?` on exactly the parameters that the constructor gives a default
+        items = _doc_block("Velocity kinds and their parameters:")[kind]
+        params = inspect.signature(velocity._CONSTRUCTORS[kind]).parameters.values()
+        assert _doc_items(items) == {p.name + "?" * (p.default is not p.empty) for p in params}
 
     def test_task_params(self):
         doc = _doc_block("Task parameter blocks (all optional, with defaults):")

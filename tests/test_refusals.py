@@ -10,10 +10,12 @@ a numpy warning (a cast that overflows, a NaN in a comparison) fails too.
 The drawn values are NaN and infinities, integers beyond the largest float,
 numbers out of range, reversed, empty or too long intervals, non-integral
 floats and booleans where a count belongs, unknown criterion ids, too few
-velocity samples, and velocity fields off the unit torus where a torus field
-belongs.  Every array row probes a string, a boolean, a list mixing a boolean
-with numbers and a NaN or an infinity: an array argument goes through
-`_checks.finite_array`, whose own contract is tested at the end.
+velocity samples, velocity fields off the unit torus where a torus field
+belongs, breakpoints and knots out of order, and names that are unknown or
+not strings (a list, an array of names, None).  Every array row probes a
+string, a boolean, a list mixing a boolean with numbers and a NaN or an
+infinity: an array argument goes through `_checks.finite_array`, whose own
+contract is tested at the end.
 """
 
 import math
@@ -27,7 +29,8 @@ from hypothesis import strategies as st
 from shearmix import _checks, evolve, functionals, kernels, mcsim, spectral, validation
 from shearmix.velocity import (BinaryCascadeField, GridField, HeavisideField,
                                PiecewiseConstantField, PiecewiseLinearField, SawtoothField,
-                               SineField, estimate_flatness_constant, two_plateau)
+                               SineField, estimate_flatness_constant, field_from_config,
+                               two_plateau)
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -76,7 +79,18 @@ def with_entry(samples, value):
     return rows
 
 
-# (entry point, parameter, call with the bad value, probed values, more bad values)
+# a name that is not a string: each must be refused by name, not hashed or compared elementwise
+NOT_A_NAME = st.sampled_from([None, 1, ["periodic"], np.array(["periodic", "dirichlet"])])
+# a second point of [0, 1] that does not lie strictly between 0 and 1
+OFF_UNIT = st.floats(-10.0, 10.0).filter(lambda v: not 0.0 < v < 1.0)
+
+
+def kolmogorov_state(**bad):
+    return kernels.KolmogorovState(**dict(dict(x0=0.0, y0=0.0, x=1.0, y=0.0, t=1.0), **bad))
+
+
+# (entry point, parameter, call with the bad value, probed values, more bad values); an
+# entry point's label carries a qualifier where it has two rows for one parameter
 ROWS = [
     ("PathConfig", "dt", lambda v: path_config(dt=v), [NAN], NOT_POSITIVE),
     ("PathConfig", "t_end", lambda v: path_config(t_end=v), [INF], NOT_POSITIVE),
@@ -245,6 +259,74 @@ ROWS = [
     ("estimate_flatness_constant", "eps_grid",
      lambda v: estimate_flatness_constant(SineField(), (0.0, 1.0), [0.05, v], j_points=9),
      [NAN, "0.1", True, 0.0, 1.0], NOT_AN_ENTRY | st.floats(min_value=1.0)),
+    *[("KolmogorovState", name, lambda v, name=name: kolmogorov_state(**{name: v}),
+       [NAN, INF, True, "1"], NOT_AN_ENTRY) for name in ("x0", "y0", "x", "y")],
+    ("plateau_constants", "ell", lambda v: functionals.plateau_constants(v, 1.0),
+     ["0.3", True, NAN, 0.75, 0.0], NOT_AN_ENTRY | st.floats(min_value=0.5, exclude_min=True)),
+    ("flatness_constants", "length", lambda v: functionals.flatness_constants(v, 1.0, 0.1, 2.0),
+     ["0.5", True, NAN, 1.5], NOT_AN_ENTRY | st.floats(min_value=1.0, exclude_min=True)),
+    ("flatness_constants", "k_const", lambda v: functionals.flatness_constants(1.0, 1.0, 0.1, v),
+     ["2", True, NAN, 0.5], NOT_AN_ENTRY | st.floats(max_value=1.0, exclude_max=True)),
+    ("gap_bound_from_correlation", "length",
+     lambda v: functionals.gap_bound_from_correlation(1.0, 1.0, v, periodic_improved=True),
+     [0.5, 2.0, "1"], st.floats(1e-3, 100.0).filter(lambda v: abs(v - 1.0) > 1e-9)),
+    ("simulate", "cfg", lambda v: mcsim.simulate((0.5, 0.5), FIELD, v),
+     [path_config(geometry="plane")], st.just(path_config(geometry="plane"))),
+    ("arcsine_experiment", "cfg", mcsim.arcsine_experiment, [path_config()],
+     st.just(path_config())),
+    ("kolmogorov_experiment", "cfg", mcsim.kolmogorov_experiment, [path_config()],
+     st.just(path_config())),
+    ("doeblin_estimate", "starts",
+     lambda v: mcsim.doeblin_estimate(FIELD, 0.5, v, path_config()),
+     [[], (), np.zeros((0, 2))], st.sampled_from([[], ()])),
+    ("simulate_snapshots", "times",
+     lambda v: mcsim.simulate_snapshots((0.5, 0.5), FIELD, path_config(), [0.5, v]),
+     [2.0, 1.5], st.floats(1.1, 1e6)),
+    ("field_from_samples", "k_max", lambda v: evolve.field_from_samples(U0, k_max=v), [3, 10],
+     st.integers(3, 1000)),
+    ("ModeField", "coeffs", lambda v: evolve.ModeField(v, 1),
+     [np.zeros((2, 4)), np.zeros((4, 4)), np.zeros(3)],
+     st.integers(0, 9).filter(lambda r: r != 3).map(lambda r: np.zeros((r, 4)))),
+    ("relax_trace", "evolution",
+     lambda v: evolve.relax_trace(U0, FIELD, 1.0, n_samples=3, evolution=v),
+     [evolve.Evolution(SawtoothField(1.0))], st.just(evolve.Evolution(two_plateau()))),
+    ("compute_bounds_report(type)", "field",
+     lambda v: functionals.compute_bounds_report(v, grid_n=16), [None, "two_plateau", 1.0],
+     st.none() | st.text(max_size=4) | st.floats()),
+    ("PiecewiseConstantField(layout)", "breakpoints",
+     lambda v: PiecewiseConstantField(v, [0.0, 1.0]),
+     [[0.1, 0.5], [0.0, 0.0], [0.0, 1.5], [[0.0, 0.5]]], OFF_UNIT.map(lambda v: [0.0, v])),
+    ("PiecewiseConstantField(layout)", "values",
+     lambda v: PiecewiseConstantField([0.0, 0.5], v), [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]],
+     st.lists(st.floats(-1.0, 1.0), max_size=6).filter(lambda v: len(v) != 2)),
+    ("PiecewiseLinearField(layout)", "knots", lambda v: PiecewiseLinearField(v, [0.0, 1.0]),
+     [[0.1, 0.5], [0.0, 1.0], [0.5, 0.2], [], [[0.0, 0.5]]], OFF_UNIT.map(lambda v: [0.0, v])),
+    ("PiecewiseLinearField(interval)", "knots",
+     lambda v: PiecewiseLinearField(v, [0.0, 1.0], domain=(0.0, 2.0)), [[0.0, 1.0], [0.5, 2.0]],
+     st.floats(0.01, 1.99).map(lambda v: [0.0, v])),
+    ("PiecewiseLinearField(layout)", "values", lambda v: PiecewiseLinearField([0.0, 0.5], v),
+     [[1.0], [1.0, 2.0, 3.0]],
+     st.lists(st.floats(-1.0, 1.0), max_size=6).filter(lambda v: len(v) != 2)),
+    # every named choice: unknown names (no known name is 3 characters or shorter), and
+    # values that are no name
+    ("make_operator", "boundary",
+     lambda v: spectral.make_operator(FIELD, 1, boundary=v, n=16),
+     ["neumann", np.array(["periodic", "dirichlet"]), ["periodic"], None, 1],
+     NOT_A_NAME | st.text(max_size=3)),
+    ("ModeOperator", "discretization",
+     lambda v: spectral.ModeOperator("periodic", (0.0, 1.0), np.zeros(16), 1, v),
+     ["chebyshev", np.array(["fd2", "spectral"]), ["fd2"], None], NOT_A_NAME),
+    ("lipschitz_correlation", "boundary",
+     lambda v: functionals.lipschitz_correlation(FIELD, v, grid_n=16),
+     ["x", np.array(["periodic", "dirichlet"]), ["periodic"]], NOT_A_NAME),
+    ("PathConfig", "y_integrator", lambda v: path_config(y_integrator=v),
+     ["midpoint", ["left"], None], NOT_A_NAME | st.text(max_size=3)),
+    ("PathConfig", "geometry", lambda v: path_config(geometry=v), ["torus", ["plane"], 2],
+     NOT_A_NAME | st.text(max_size=3)),
+    ("initial_samples", "initial", lambda v: evolve.initial_samples(v, 16, 5),
+     ["bogus", np.array(["cos_y"]), ["cos_y"], None], NOT_A_NAME | st.text(max_size=3)),
+    ("field_from_config", "kind", lambda v: field_from_config({"kind": v}),
+     ["fourier", ["sine"], None, np.array(["sine"])], NOT_A_NAME | st.text(max_size=3)),
 ]
 
 
@@ -284,6 +366,17 @@ def test_run_all_refuses_workers_before_the_first_criterion():
     with pytest.raises(ValueError, match="^workers "):
         validation.run_all(ids=[1, 8], progress=lines.append, workers=0)
     assert lines == []
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: mcsim.simulate_starts(v, FIELD, path_config(), [0.5]),
+    lambda v: _checks.finite_array(v, "starts"),
+], ids=["simulate_starts", "finite_array"])
+def test_a_ragged_array_is_refused_as_not_rectangular(call):
+    # numpy keeps the rows of a ragged input whole: the fault is the shape, not a value
+    for ragged in ([(0.1, 0.2), (0.3,)], [[0.1, 0.2], [0.3, 0.4, 0.5]], [0.1, (0.2, 0.3)]):
+        with pytest.raises(ValueError, match=r"^starts must be a rectangular array, got the row"):
+            call(ragged)
 
 
 def test_float32_scalars_are_accepted_without_a_warning():
