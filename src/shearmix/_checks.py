@@ -13,6 +13,14 @@ value with `finite`: numpy's promotion turns [0.0, True] or ["1", 2.0] into
 floats before a test of the whole array could see them.  An entry that is
 itself a sequence means a ragged input, which is refused as not rectangular.
 A named choice, such as a boundary or a task, goes through `choice`.
+
+Two rules read ranges.  Every pair, an interval, a domain, a cell or a
+window, goes through `interval`: a tuple, a list or a 1-D array of two
+finite numbers with lo < hi, so a scalar, a triple, a dict, a set or a
+string is refused by name before it is unpacked.  Every point set and
+window that must lie in a domain [a, b] goes through `inside`, which
+allows 1e-12 of slack at each end and raises `DomainError`, a ValueError
+whose message starts with the parameter's name too.
 """
 
 import math
@@ -20,6 +28,10 @@ import numbers
 import sys
 
 import numpy as np
+
+
+class DomainError(ValueError):
+    """Raised when a point or a window lies outside a field's domain."""
 
 
 def finite(value):
@@ -76,13 +88,26 @@ def count(value, name, least=-math.inf):
 
 
 def interval(value, name, a=-math.inf, b=math.inf):
-    """`value` as floats (lo, hi), if finite with a <= lo < hi <= b."""
+    """`value` as floats (lo, hi), if a pair of finite numbers with a <= lo < hi <= b."""
+    # a dict, a set or a string has a length too, but holds no (lo, hi) in order
+    pair = isinstance(value, (tuple, list)) or isinstance(value, np.ndarray) and value.ndim == 1
+    if not (pair and len(value) == 2):
+        raise ValueError(f"{name} must be a pair (lo, hi), got {value!r}")
     lo, hi = value
     if not (finite(lo) and finite(hi) and lo < hi):
         raise ValueError(f"{name} must be increasing and finite, got {value!r}")
     if lo < a or hi > b:
         raise ValueError(f"{name} must lie in [{a:g}, {b:g}], got {value!r}")
     return float(lo), float(hi)
+
+
+def inside(values, name, a, b):
+    """`values` clipped to [a, b], if each lies within 1e-12 of it."""
+    values = np.asarray(values)
+    outside = (values < a - 1e-12) | (values > b + 1e-12)
+    if outside.any():
+        raise DomainError(f"{name} must lie within [{a:g}, {b:g}], got {values[outside][0]}")
+    return np.clip(values, a, b)
 
 
 def torus_field(field, name):

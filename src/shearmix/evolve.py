@@ -101,6 +101,7 @@ def field_from_samples(u0, k_max=None, boundary="periodic", interval=(0.0, 1.0))
     Requires ny >= 2*k_max + 1 so the retained modes are alias-free.
     """
     u0 = _checks.finite_array(u0, "u0")
+    interval = _checks.interval(interval, "interval")
     if u0.ndim != 2:
         raise ValueError("u0 must be a 2D array (x by y)")
     ny = u0.shape[1]
@@ -109,7 +110,7 @@ def field_from_samples(u0, k_max=None, boundary="periodic", interval=(0.0, 1.0))
         raise ValueError(f"k_max must be at most {(ny - 1) // 2}, got {k_max}: ny = {ny} aliases")
     spectrum = np.fft.fft(u0, axis=1) / ny
     coeffs = spectrum.T[np.arange(-k_max, k_max + 1) % ny]
-    return ModeField(coeffs, k_max, boundary, tuple(interval))
+    return ModeField(coeffs, k_max, boundary, interval)
 
 
 def field_to_samples(field, ny):
@@ -153,22 +154,12 @@ class Evolution:
     Each stepped field supplies the grid (nx, boundary, interval); operators
     are cached per (|k|, grid), and a negative mode's vector v is stepped by
     the positive mode's propagator P as conj(P conj(v)), with no conjugate
-    copy of P.  The envelope rate of `relax_trace` is cached per correlation
-    grid, so its LP is solved once per field.
+    copy of P.
     """
 
     def __init__(self, field_v):
         self.field_v = field_v
         self._ops: dict = {}
-        self._rates: dict = {}
-
-    def _envelope_rate(self, correlation_grid):
-        """Mixing rate from the field's correlation LP on `correlation_grid` points."""
-        if correlation_grid not in self._rates:
-            corr = functionals.lipschitz_correlation(self.field_v, grid_n=correlation_grid)
-            self._rates[correlation_grid] = functionals.mixing_rate(corr,
-                                                                    self.field_v.oscillation())
-        return self._rates[correlation_grid]
 
     def step(self, field, dt):
         """Advance every stored mode by one exact exponential step."""
@@ -228,8 +219,9 @@ def relax_trace(u0, field_v, t_end, n_samples=32, k_max=None, correlation_grid=2
     The envelope is exp(pi/2 - rate * t) times the initial deviation, with
     the rate computed from the correlation LP of the velocity field.  No
     violation is expected; any sample exceeding the envelope is reported by
-    index.  `evolution`, an Evolution(field_v) that keeps its operators,
-    propagators and rate for later calls, defaults to a fresh one.
+    index.  `evolution`, an Evolution(field_v) that keeps its operators and
+    propagators for later calls, defaults to a fresh one; the rate's LP is
+    solved on each call.
     """
     _checks.torus_field(field_v, "field_v")  # the envelope's rate holds on the unit torus
     fld = field_from_samples(u0, k_max=k_max)
@@ -237,7 +229,8 @@ def relax_trace(u0, field_v, t_end, n_samples=32, k_max=None, correlation_grid=2
     if evo.field_v is not field_v:
         raise ValueError("evolution must step field_v, not another velocity field")
     states = evo.trajectory(fld, t_end, n_samples)  # checked before the LP
-    rate = evo._envelope_rate(correlation_grid)
+    corr = functionals.lipschitz_correlation(field_v, grid_n=correlation_grid)
+    rate = functionals.mixing_rate(corr, field_v.oscillation())
     samples = [(t, state.deviation()) for t, state in states]
     times, dev = (np.array(column) for column in zip(*samples))
     envelope = math.e ** (math.pi / 2.0 - rate * times) * dev[0]

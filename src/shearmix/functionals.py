@@ -339,7 +339,7 @@ def flatness_constants(length, oscillation, correlation, k_const):
     if not 0.0 < _checks.number(length, "length") <= 1.0:
         raise ValueError(f"length must lie in (0, 1], got {length}")
     _checks.positive(oscillation, "oscillation", strict=False)
-    if not correlation > 0.0:
+    if not _checks.number(correlation, "correlation") > 0.0:
         raise ArithmeticError("correlation must be positive; the bound is undefined otherwise")
     if not _checks.number(k_const, "k_const") >= 1.0:
         raise ValueError(f"k_const must be at least 1, got {k_const}")

@@ -103,7 +103,12 @@ def heat_torus_cell_mass(x0, lo, hi, t):
 
 
 def heat_dirichlet(x, xp, interval=(0.0, 1.0), t=0.125):
-    """Heat kernel on an interval with absorbing endpoints (sine series)."""
+    """Heat kernel on an interval with absorbing endpoints (sine series).
+
+    `interval` is a pair a < b, and the points x and xp must lie in [a, b]
+    up to 1e-12; a point outside is a DomainError (a ValueError) that names
+    it.
+    """
     from scipy.special import erfc
 
     _checks.positive(t, "t")
@@ -117,9 +122,9 @@ def heat_dirichlet(x, xp, interval=(0.0, 1.0), t=0.125):
 
     m = _term_count(tail)
     x, xp = _checks.finite_array(x, "x"), _checks.finite_array(xp, "xp")
-    for points, name in ((x, "x"), (xp, "xp")):
-        if np.any((points < a - 1e-12) | (points > b + 1e-12)):
-            raise ValueError(f"{name} must lie inside the interval [{a:g}, {b:g}]")
+    # the points are summed as given, not clipped to [a, b]
+    _checks.inside(x, "x", a, b)
+    _checks.inside(xp, "xp", a, b)
     out = np.zeros(np.broadcast(x, xp).shape, dtype=float)
     u = math.pi * (x - a) / length
     v = math.pi * (xp - a) / length

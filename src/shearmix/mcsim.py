@@ -283,8 +283,7 @@ def simulate_starts(starts, field, cfg, times, kill_interval=None):
     shape = _checks.finite_array(starts, "starts").shape  # all of a start keys its stream
     if shape[1:] != (2,) or not shape[0]:
         raise ValueError(f"starts must be one or more (x, y) pairs, got {starts!r}")
-    if kill_interval is not None:
-        _checks.interval(kill_interval, "kill_interval")
+    kill = None if kill_interval is None else _checks.interval(kill_interval, "kill_interval")
     n_steps, dt = _steps_for(cfg)
     step_of = {}
     for t in times:
@@ -300,7 +299,7 @@ def simulate_starts(starts, field, cfg, times, kill_interval=None):
         return np.bincount(ix * m + iy, minlength=m * m).reshape(m, m)
 
     runs = _run(starts, _torus_vfun(field), cfg, set(step_of.values()), cell_counts,
-                kill_interval=kill_interval)
+                kill_interval=kill)
     meta = {
         "seed": cfg.seed,
         "dt": dt,

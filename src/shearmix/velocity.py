@@ -25,6 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _checks
+from ._checks import DomainError
 
 __all__ = [
     "DomainError",
@@ -44,10 +45,6 @@ __all__ = [
     "two_plateau",
     "estimate_flatness_constant",
 ]
-
-
-class DomainError(ValueError):
-    """Raised when a point lies outside a field's domain."""
 
 
 class Plateau(NamedTuple):
@@ -121,9 +118,12 @@ _BATCH_NODES = 1 << 15  # quadrature nodes per PV evaluation of a window scan
 
 
 class Primitive:
-    """Antiderivative PV of a velocity field with PV(base) = 0.
+    """Antiderivative PV of a velocity field, zero at the base point that the
+    field's `primitive(base)` chose.
 
-    PV is Lipschitz with constant sup|V|.  A subclass evaluates PV
+    PV is Lipschitz with constant sup|V|.  A point, and a window [alpha,
+    beta], must lie in the domain [a, b] up to 1e-12 (`_checks.inside`); a
+    torus primitive wraps a point but not a window.  A subclass evaluates PV
     (`_eval_inside`) and gives its panel rule for windows [alpha, beta] as
     array expressions over many windows at once: `_counts(alphas, betas)`,
     each window's panel count, and `_lefts(alphas, betas, counts, k)`, the
@@ -144,11 +144,9 @@ class Primitive:
     so each window keeps the bits of fitting it alone (`affine_residual`).
     """
 
-    def __init__(self, a, b, base, lipschitz, periodic, full_integral):
+    def __init__(self, a, b, periodic, full_integral):
         self.a = float(a)
         self.b = float(b)
-        self.base = float(base)
-        self.lipschitz = float(lipschitz)
         self.periodic = bool(periodic)
         self.full_integral = float(full_integral)
 
@@ -172,9 +170,7 @@ class Primitive:
             inside = x - wraps * span
             out = self._eval_inside(inside) + wraps * self.full_integral
         else:
-            if np.any(x < self.a - 1e-12) or np.any(x > self.b + 1e-12):
-                raise DomainError("point outside the primitive's domain")
-            out = self._eval_inside(np.clip(x, self.a, self.b))
+            out = self._eval_inside(_checks.inside(x, "x", self.a, self.b))
         return out if out.shape else float(out)
 
     def _panels(self, alphas, betas):
@@ -224,17 +220,13 @@ class Primitive:
             table[rows, 4] = np.matmul(w, y[:, :, None])[:, 0, 0]
         return table
 
-    def _check_window(self, alpha, beta):
-        # a window past [a, b] would fit the end segments extended, not the torus wrap
-        if alpha < self.a - 1e-12 or beta > self.b + 1e-12:
-            raise DomainError(f"window [{alpha}, {beta}] outside the primitive's domain "
-                              f"[{self.a}, {self.b}]")
-
     def affine_residual(self, alpha, beta):
         """inf over (p, q) of the integral of |PV - p x - q|^2 over [alpha, beta],
         a window inside [a, b]."""
-        self._check_window(alpha, beta)
-        return float(self._fit(np.array([float(alpha)]), np.array([float(beta)]))[0, 4])
+        alpha, beta = _checks.interval((alpha, beta), "window")
+        # past b the fit would read the end segments extended, not the torus wrap
+        _checks.inside((alpha, beta), "window", self.a, self.b)
+        return float(self._fit(np.array([alpha]), np.array([beta]))[0, 4])
 
     def window_table(self, lo, hi, points, min_len):
         """(count, 5) array of (left, right, p, q, residual) lines for the windows
@@ -242,7 +234,8 @@ class Primitive:
         in lattice order; [lo, hi] must lie in [a, b].  The lattice needs at
         least 2 points, so [lo, hi] is a window of the table when min_len allows."""
         _checks.count(points, "points", 2)
-        self._check_window(lo, hi)
+        _checks.interval((lo, hi), "window")
+        _checks.inside((lo, hi), "window", self.a, self.b)
         grid = np.linspace(lo, hi, points)
         left, right = np.triu_indices(points, 1)
         keep = grid[right] - grid[left] >= min_len - 1e-12
@@ -263,11 +256,11 @@ class PiecewisePolyPrimitive(Primitive):
 
     QUAD_ORDER = 3  # exact through degree 5, enough for squared quadratics
 
-    def __init__(self, nodes, coeffs, base, lipschitz, periodic):
+    def __init__(self, nodes, coeffs, base, periodic):
         nodes = np.asarray(nodes, dtype=float)
         coeffs = np.asarray(coeffs, dtype=float)  # rows (c0, c1, c2)
         full = _poly_value(nodes, coeffs, nodes[-1])
-        super().__init__(nodes[0], nodes[-1], base, lipschitz, periodic, full)
+        super().__init__(nodes[0], nodes[-1], periodic, full)
         offset = _poly_value(nodes, coeffs, base)
         coeffs = coeffs.copy()
         coeffs[:, 0] -= offset
@@ -311,8 +304,8 @@ class SmoothPrimitive(Primitive):
 
     QUAD_ORDER = 10
 
-    def __init__(self, fn, a, b, base, lipschitz, periodic, full_integral, panels_per_unit):
-        super().__init__(a, b, base, lipschitz, periodic, full_integral)
+    def __init__(self, fn, a, b, periodic, full_integral, panels_per_unit):
+        super().__init__(a, b, periodic, full_integral)
         self._fn = fn
         self._per_unit = panels_per_unit
 
@@ -342,7 +335,10 @@ class VelocityField:
 
     def __init__(self, domain=None):
         """`domain` is None or "torus" for the unit torus, else an interval [a, b]."""
-        if domain is None or domain == "torus":
+        if isinstance(domain, str):
+            _checks.choice(domain, "domain", ("torus",))
+            domain = None
+        if domain is None:
             self.domain, self.a, self.b, self.periodic = None, 0.0, 1.0, True
         else:
             self.domain = list(_checks.interval(domain, "domain"))
@@ -353,16 +349,13 @@ class VelocityField:
     def length(self):
         return self.b - self.a
 
-    def _wrap(self, x):
+    def __call__(self, x):
         x = _checks.finite_array(x, "x")
         if self.periodic:
-            return self.a + np.mod(x - self.a, self.length)
-        if np.any(x < self.a - 1e-12) or np.any(x > self.b + 1e-12):
-            raise DomainError(f"point outside domain [{self.a}, {self.b}]")
-        return np.clip(x, self.a, self.b)
-
-    def __call__(self, x):
-        out = self._eval_inside(self._wrap(x))
+            x = self.a + np.mod(x - self.a, self.length)
+        else:
+            x = _checks.inside(x, "x", self.a, self.b)
+        out = self._eval_inside(x)
         return out if out.shape else float(out)
 
     def _eval_inside(self, x):
@@ -448,7 +441,7 @@ class _StepField(VelocityField):
         widths = np.diff(self.edges)
         cumint = np.concatenate([[0.0], np.cumsum(widths * self.values)])
         coeffs = np.column_stack([cumint[:-1], self.values, np.zeros_like(self.values)])
-        return PiecewisePolyPrimitive(self.edges, coeffs, base, self.bound(), self.periodic)
+        return PiecewisePolyPrimitive(self.edges, coeffs, base, self.periodic)
 
     def _all_plateaus(self):
         return _constant_runs(self.edges, self.values, self.periodic)
@@ -635,7 +628,7 @@ class PiecewiseLinearField(VelocityField):
         seg_int = widths * (self._v[:-1] + 0.5 * slopes * widths)
         cum = np.concatenate([[0.0], np.cumsum(seg_int)])
         coeffs = np.column_stack([cum[:-1], self._v[:-1], 0.5 * slopes])
-        return PiecewisePolyPrimitive(self._x, coeffs, base, self.bound(), self.periodic)
+        return PiecewisePolyPrimitive(self._x, coeffs, base, self.periodic)
 
     def _all_plateaus(self):
         # a segment is flat by exact equality of its end values, per the representation
@@ -673,8 +666,7 @@ class SineField(VelocityField):
         def pv(x):
             return scale * (c0 - np.cos(2.0 * np.pi * freq * x + phase))
 
-        return SmoothPrimitive(pv, 0.0, 1.0, base, abs(amp), True, 0.0,
-                               panels_per_unit=32 * freq)
+        return SmoothPrimitive(pv, 0.0, 1.0, True, 0.0, panels_per_unit=32 * freq)
 
 
 class SawtoothField(VelocityField):
@@ -696,8 +688,7 @@ class SawtoothField(VelocityField):
     def primitive(self, base=None):
         base = 0.0 if base is None else float(base)
         coeffs = np.array([[0.0, 0.0, 0.5 * self.amplitude]])
-        return PiecewisePolyPrimitive(np.array([0.0, 1.0]), coeffs, base,
-                                      abs(self.amplitude), True)
+        return PiecewisePolyPrimitive(np.array([0.0, 1.0]), coeffs, base, True)
 
 
 def two_plateau(low=0.0, high=1.0, split=0.5):

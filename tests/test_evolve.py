@@ -222,7 +222,7 @@ class TestRelaxTrace:
         relax_trace(initial_samples("random", 16, 5, seed=3), COS, 1.0, n_samples=5,
                     correlation_grid=64, evolution=evo)
         relax_trace(u0, COS, 1.0, n_samples=5, correlation_grid=32, evolution=evo)
-        assert solves == [64, 32]  # the LP once per field and correlation grid
+        assert solves == [64, 64, 32]  # the LP once per call: an Evolution keeps operators only
         assert shared.deviation.tolist() == fresh.deviation.tolist()
         assert shared.envelope.tolist() == fresh.envelope.tolist()
         assert sorted(k for k, *_ in evo._ops) == [0, 1, 2]

@@ -15,10 +15,16 @@ belongs, breakpoints and knots out of order, and names that are unknown or
 not strings (a list, an array of names, None).  Every array row probes a
 string, a boolean, a list mixing a boolean with numbers and a NaN or an
 infinity: an array argument goes through `_checks.finite_array`, whose own
-contract is tested at the end.
+contract is tested at the end.  Every row of a pair that a caller passes
+whole probes the values in NOT_A_PAIR, and every point set or window that
+must lie in a domain has a row in OUTSIDE, whose values are a DomainError;
+a test reads the `_checks.interval` and `_checks.inside` calls of the
+package and finds the row of each.
 """
 
+import ast
 import math
+import pathlib
 import signal
 
 import numpy as np
@@ -26,7 +32,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shearmix import _checks, evolve, functionals, kernels, mcsim, spectral, validation
+import shearmix
+from shearmix import (_checks, evolve, functionals, kernels, mcsim, spectral, validation,
+                      velocity)
 from shearmix.velocity import (BinaryCascadeField, GridField, HeavisideField,
                                PiecewiseConstantField, PiecewiseLinearField, SawtoothField,
                                SineField, estimate_flatness_constant, field_from_config,
@@ -59,6 +67,9 @@ def not_increasing(lo=-1.0, hi=1.0):
 
 
 FIELD = two_plateau()
+PV = FIELD.primitive()
+# a field, and its primitive, on the interval [0, 2]
+FIELD_02 = GridField([0.0, 1.0, 3.0], domain=[0.0, 2.0])
 OP = spectral.make_operator(FIELD, 1, n=16)
 U0 = evolve.initial_samples("cos_y", 16, 5)
 KERNEL = np.array([[0.75, 0.25], [0.25, 0.75]])
@@ -83,6 +94,13 @@ def with_entry(samples, value):
 NOT_A_NAME = st.sampled_from([None, 1, ["periodic"], np.array(["periodic", "dirichlet"])])
 # a second point of [0, 1] that does not lie strictly between 0 and 1
 OFF_UNIT = st.floats(-10.0, 10.0).filter(lambda v: not 0.0 < v < 1.0)
+
+
+# values that are no (lo, hi) pair: a scalar, a triple, a mapping, a set and a string;
+# the rows hold these very objects, which the call-site test looks for
+NOT_A_PAIR = [5, (0.0, 0.5, 1.0), {0.0: 1.0, 1.0: 2.0}, {0.0, 1.0}, "tor"]
+# windows with a NaN, reversed, empty, or with a string or a boolean end
+BAD_WINDOWS = [(NAN, 0.5), (0.8, 0.2), (0.2, 0.2), ("0.1", 0.5), (True, 0.5)]
 
 
 def kolmogorov_state(**bad):
@@ -168,7 +186,7 @@ ROWS = [
      [NAN, "0.5", True], NOT_AN_ENTRY),
     ("make_operator", "interval",
      lambda v: spectral.make_operator(FIELD, 1, boundary="dirichlet", interval=v, n=16),
-     [(0.7, 0.2)], not_increasing(0.0, 1.0)),
+     [(0.7, 0.2), *NOT_A_PAIR], not_increasing(0.0, 1.0)),
     ("make_operator", "n",
      lambda v: spectral.make_operator(SawtoothField(1.0), 1, n=v, discretization="fd2"),
      [16.5], NOT_INTEGER | below(16)),
@@ -191,14 +209,14 @@ ROWS = [
      NOT_INTEGER | below(2)),
     ("compute_bounds_report", "flatness_interval",
      lambda v: functionals.compute_bounds_report(FIELD, grid_n=16, flatness_interval=v),
-     [(0.6, 0.4), (0.5, 0.5), (0.5, 1.5)], not_increasing(0.0, 1.0)),
+     [(0.6, 0.4), (0.5, 0.5), (0.5, 1.5), *NOT_A_PAIR], not_increasing(0.0, 1.0)),
     ("compute_bounds_report", "eps_grid",
      lambda v: functionals.compute_bounds_report(FIELD, grid_n=16, eps_grid=[0.1, v]),
      [NAN, 0.6, "0.1", True, np.float32(NAN)],
      NOT_POSITIVE | st.floats(min_value=0.5, exclude_min=True)),
     ("lipschitz_correlation", "interval",
      lambda v: functionals.lipschitz_correlation(FIELD, "dirichlet", v, grid_n=16),
-     [(0.6, 0.2), (NAN, 0.5)], not_increasing()),
+     [(0.6, 0.2), (NAN, 0.5), *NOT_A_PAIR], not_increasing()),
     ("mixing_rate", "correlation", lambda v: functionals.mixing_rate(v, 1.0), [NAN],
      NONFINITE),
     ("gap_bound_from_correlation", "oscillation",
@@ -255,7 +273,7 @@ ROWS = [
      NOT_INTEGER | below(1)),
     ("estimate_flatness_constant", "interval",
      lambda v: estimate_flatness_constant(SineField(), v, [0.05], j_points=9),
-     [(0.5, 1.5), (0.6, 0.6)], not_increasing(0.0, 1.0)),
+     [(0.5, 1.5), (0.6, 0.6), *NOT_A_PAIR], not_increasing(0.0, 1.0)),
     ("estimate_flatness_constant", "eps_grid",
      lambda v: estimate_flatness_constant(SineField(), (0.0, 1.0), [0.05, v], j_points=9),
      [NAN, "0.1", True, 0.0, 1.0], NOT_AN_ENTRY | st.floats(min_value=1.0)),
@@ -327,6 +345,46 @@ ROWS = [
      ["bogus", np.array(["cos_y"]), ["cos_y"], None], NOT_A_NAME | st.text(max_size=3)),
     ("field_from_config", "kind", lambda v: field_from_config({"kind": v}),
      ["fourier", ["sine"], None, np.array(["sine"])], NOT_A_NAME | st.text(max_size=3)),
+    # every pair: no pair at all, or a pair that is reversed, empty or not finite
+    ("VelocityField", "domain", lambda v: GridField([0.0, 1.0], domain=v),
+     [*NOT_A_PAIR, (2.0, 0.0), np.array([NAN, 2.0]), np.zeros((2, 2))], not_increasing()),
+    ("heat_dirichlet", "interval", lambda v: kernels.heat_dirichlet(0.5, 0.5, v, 0.1),
+     [*NOT_A_PAIR, (1.0, 0.0)], not_increasing()),
+    ("strip_trace", "interval", lambda v: evolve.strip_trace(U0, FIELD, v, 1.0, n_samples=3),
+     [*NOT_A_PAIR, (1.0, 1.0)], not_increasing()),
+    ("field_from_samples", "interval", lambda v: evolve.field_from_samples(U0, interval=v),
+     [*NOT_A_PAIR, (1.0, 0.0)], not_increasing()),
+    ("simulate_starts", "kill_interval",
+     lambda v: mcsim.simulate_starts([(0.5, 0.5)], FIELD, path_config(), [1.0], kill_interval=v),
+     [*NOT_A_PAIR, (0.8, 0.2)], not_increasing()),
+    ("laplace_eigs", "interval", lambda v: spectral.laplace_eigs("dirichlet", v, n=16),
+     [*NOT_A_PAIR, (INF, 1.0)], not_increasing()),
+    ("ModeOperator", "interval",
+     lambda v: spectral.ModeOperator("periodic", v, np.zeros(16), 1), [*NOT_A_PAIR, (0.5, 0.5)],
+     not_increasing()),
+    ("Primitive.affine_residual", "window", lambda v: PV.affine_residual(*v), BAD_WINDOWS,
+     not_increasing(0.0, 1.0)),
+    ("Primitive.window_table", "window", lambda v: PV.window_table(*v, 9, 0.0), BAD_WINDOWS,
+     not_increasing(0.0, 1.0)),
+    ("flatness_constants", "correlation",
+     lambda v: functionals.flatness_constants(1.0, 1.0, v, 2.0), ["0.1", True, NAN],
+     NOT_AN_ENTRY),
+]
+
+# (entry point, parameter, call with the value, values outside the domain, more such
+# values): each is a DomainError named for the parameter; the domain is [0, 2] or [0, 1]
+OFF_02 = st.floats(2.0 + 1e-9, 1e6) | st.floats(-1e6, -1e-9)
+OUTSIDE = [
+    ("VelocityField.__call__", "x", FIELD_02, [2.5, -0.1, [1.0, 3.0]], OFF_02),
+    ("Primitive.__call__", "x", FIELD_02.primitive(), [2.5, -0.1, [1.0, 3.0]], OFF_02),
+    ("heat_dirichlet", "x", lambda v: kernels.heat_dirichlet(v, 0.5, (0.0, 2.0), 0.1),
+     [2.5, [0.5, -0.1]], OFF_02),
+    ("heat_dirichlet", "xp", lambda v: kernels.heat_dirichlet(0.5, v, (0.0, 2.0), 0.1),
+     [-0.1, [0.5, 2.5]], OFF_02),
+    ("Primitive.affine_residual", "window", lambda v: PV.affine_residual(*v),
+     [(0.5, 1.5), (-0.25, 0.5)], st.floats(1.0 + 1e-9, 5.0).map(lambda v: (0.5, v))),
+    ("Primitive.window_table", "window", lambda v: PV.window_table(*v, 9, 0.1),
+     [(0.5, 1.5), (-0.25, 0.5)], st.floats(-5.0, -1e-9).map(lambda v: (v, 0.5))),
 ]
 
 
@@ -359,6 +417,82 @@ def test_refused_by_name(name, call, probed, more, data):
     for value in [*probed, data.draw(more, label=name)]:
         message = str(_refused(call, value))
         assert message.startswith(f"{name} "), (value, message)
+
+
+@pytest.mark.parametrize("name,call,probed,more", [row[1:] for row in OUTSIDE],
+                         ids=[f"{row[0]}-{row[1]}" for row in OUTSIDE])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_outside_the_domain_is_a_domain_error_by_name(name, call, probed, more, data):
+    for value in [*probed, data.draw(more, label=name)]:
+        err = _refused(call, value)
+        assert isinstance(err, _checks.DomainError), (value, err)
+        assert str(err).startswith(f"{name} must lie within ["), (value, str(err))
+
+
+def test_domain_error_is_one_class():
+    assert velocity.DomainError is _checks.DomainError
+    assert issubclass(_checks.DomainError, ValueError)
+
+
+def test_an_array_domain_builds_the_field_of_the_list():
+    listed = GridField([0.0, 1.0, 3.0], domain=[0.0, 2.0])
+    arrayed = GridField([0.0, 1.0, 3.0], domain=np.array([0.0, 2.0]))
+    assert arrayed.to_config() == listed.to_config()
+    x = np.linspace(0.0, 2.0, 9)
+    assert arrayed(x).tobytes() == listed(x).tobytes()
+    assert arrayed.primitive()(x).tobytes() == listed.primitive()(x).tobytes()
+
+
+class _RangeChecks(ast.NodeVisitor):
+    """(rule, entry point, parameter, whole) of each `_checks.interval` and
+    `_checks.inside` call: the entry point is the function that holds the call,
+    its class for an __init__, and `whole` is false when the pair is a tuple
+    built at the call, which cannot be anything but a pair."""
+
+    def __init__(self):
+        self.scope, self.calls = [], []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        func = node.func
+        if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                and func.value.id == "_checks" and func.attr in ("interval", "inside")):
+            scope = self.scope[:-1] if self.scope[-1] == "__init__" else self.scope
+            self.calls.append((func.attr, ".".join(scope), node.args[1].value,
+                               not isinstance(node.args[0], ast.Tuple)))
+        self.generic_visit(node)
+
+
+def _rows(table, entry, name):
+    """The rows of `table` for the parameter `name` of `entry`, whatever their qualifier."""
+    return [row for row in table if row[0].split("(")[0] == entry and row[1] == name]
+
+
+def test_every_range_check_has_its_refusal_rows():
+    """A new `_checks.interval` or `_checks.inside` call needs its rows here."""
+    finder = _RangeChecks()
+    for path in sorted(pathlib.Path(shearmix.__file__).parent.glob("*.py")):
+        finder.visit(ast.parse(path.read_text()))
+    assert len(finder.calls) > 10
+    missing = []
+    for rule, entry, name, whole in finder.calls:
+        if rule == "inside":
+            found = _rows(OUTSIDE, entry, name)
+        elif whole:  # the row probes every value of NOT_A_PAIR, the very objects
+            found = [row for row in _rows(ROWS, entry, name)
+                     if all(any(value is bad for value in row[3]) for bad in NOT_A_PAIR)]
+        else:
+            found = _rows(ROWS, entry, name)
+        if not found:
+            missing.append((rule, entry, name))
+    assert missing == []
 
 
 def test_run_all_refuses_workers_before_the_first_criterion():

@@ -129,11 +129,12 @@ class TestPrimitive:
     def test_lipschitz(self, kind, seed, x, y):
         # |PV(x) - PV(y)| <= sup|V| |x - y| for every pair, across the torus seam too
         rng = np.random.default_rng(seed)
-        pv = _random_field(kind, rng).primitive(base=rng.uniform(0.0, 1.0))
+        field = _random_field(kind, rng)
+        pv = field.primitive(base=rng.uniform(0.0, 1.0))
         pts = np.concatenate([[x, y], rng.uniform(-1.0, 2.0, 30)])
         vals = pv(pts)
         gap = np.abs(vals[:, None] - vals[None, :])
-        bound = pv.lipschitz * np.abs(pts[:, None] - pts[None, :])
+        bound = field.bound() * np.abs(pts[:, None] - pts[None, :])
         assert np.all(gap <= bound + 1e-12 * (1.0 + np.abs(vals).max()))
 
     @pytest.mark.parametrize(
@@ -388,9 +389,9 @@ class TestAffineResidual:
     ])
     def test_window_must_lie_in_the_domain(self, field, base, window):
         pv = field.primitive(base=base)
-        with pytest.raises(DomainError, match="outside the primitive's domain"):
+        with pytest.raises(DomainError, match=r"^window must lie within \[0, 1\]"):
             pv.affine_residual(*window)
-        with pytest.raises(DomainError, match="outside the primitive's domain"):
+        with pytest.raises(DomainError, match=r"^window must lie within \[0, 1\]"):
             pv.window_table(*window, 9, 0.1)
 
     def test_window_edge_slack(self):
