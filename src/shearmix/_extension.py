@@ -1,12 +1,15 @@
 """Load one compiled extension that scipy ships, without its parent packages.
 
 The correlation LP calls the HiGHS binding `scipy.optimize._highspy._core`
-and the spectral module calls LAPACK through `scipy.linalg._flapack`.
-Importing either by name would first run the `__init__` of every package
-above it, which loads most of `scipy.optimize` and `scipy.sparse`, or the
-whole of `scipy.linalg`.  Each loads on its own here.  Standard library only.
+and the spectral module calls LAPACK, expm's Pade kernels and the batched
+inverse through `scipy.linalg._flapack`, `_matfuncs_expm` and
+`_batched_linalg`.  Importing any of them by name would first run the
+`__init__` of every package above it, which loads most of `scipy.optimize`
+and `scipy.sparse`, or the whole of `scipy.linalg`.  Each loads on its own
+here.  Standard library only.
 """
 
+import importlib
 import importlib.machinery
 import importlib.util
 import os
@@ -26,6 +29,9 @@ def load(subpackage, module):
     import <module>` gives this module, but the attribute chain
     `scipy.<subpackage>.<module>` does not: the import system binds a
     submodule to its package only when it loads the submodule itself.
+    A scipy that keeps the extension elsewhere than 1.17 does gets the
+    ordinary import, parent packages and all: the same module, at their
+    memory cost.  ImportError, naming the directory, when that fails too.
     """
     name = f"scipy.{subpackage}.{module}"
     found = sys.modules.get(name)
@@ -38,7 +44,10 @@ def load(subpackage, module):
         directory, (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
     spec = finder.find_spec(name)
     if spec is None:
-        raise ImportError(f"no extension {module} in {directory}", name=name)
+        try:
+            return importlib.import_module(name)
+        except ImportError as err:
+            raise ImportError(f"no extension {module} in {directory}", name=name) from err
     found = importlib.util.module_from_spec(spec)
     sys.modules[name] = found
     try:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import _checks, functionals
-from .spectral import _grid, make_operator
+from .spectral import BOUNDARIES, _grid, make_operator
 
 __all__ = [
     "ModeField",
@@ -47,6 +47,8 @@ class ModeField:
     interval: tuple = (0.0, 1.0)
 
     def __post_init__(self):
+        _checks.choice(self.boundary, "boundary", BOUNDARIES)
+        self.interval = _checks.interval(self.interval, "interval")
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
         if self.coeffs.ndim != 2 or len(self.coeffs) != 2 * self.k_max + 1:
             raise ValueError(f"coeffs must have {2 * self.k_max + 1} rows, got shape "
@@ -101,7 +103,6 @@ def field_from_samples(u0, k_max=None, boundary="periodic", interval=(0.0, 1.0))
     Requires ny >= 2*k_max + 1 so the retained modes are alias-free.
     """
     u0 = _checks.finite_array(u0, "u0")
-    interval = _checks.interval(interval, "interval")
     if u0.ndim != 2:
         raise ValueError("u0 must be a 2D array (x by y)")
     ny = u0.shape[1]

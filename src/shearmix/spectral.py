@@ -18,11 +18,12 @@ where cond_2(W) exceeds EIG_COND_MAX they come from one dense expm per time
 (route "expm").  A propagator exp(-dt A) is a dense expm, or, when a cached
 step d has dt = 2^j d and |tr(d A)| / n >= THETA_13, the cached exp(-d A)
 squared j times, bit for bit the expm result (see ModeOperator.propagator).
-Accretivity edges and resolvent gaps call LAPACK through scipy's extension
-`scipy.linalg._flapack`, loaded by itself, with the arguments that
-scipy.linalg's eigvalsh and svdvals pass, so they keep those functions' bits
-and a `spectrum` run loads no scipy.linalg package; eigendecompositions,
-semigroup norms and propagators import scipy.linalg.
+Every dense factorization calls scipy's compiled extensions, each loaded by
+itself: LAPACK through `scipy.linalg._flapack`, expm's Pade kernels through
+`scipy.linalg._matfuncs_expm` and the inverse through
+`scipy.linalg._batched_linalg`.  Each call passes the arguments and work
+sizes that scipy.linalg's eigvalsh, svdvals, eig, qr, inv and expm pass, so
+it keeps those functions' bits, and this module loads no scipy.linalg package.
 """
 
 from __future__ import annotations
@@ -98,11 +99,12 @@ def _check_info(info, routine, failure=None):
         raise np.linalg.LinAlgError(f"{routine} {failure} (info {info})")
 
 
-def _sigma_min(a, overwrite_a=False):
-    """scipy.linalg.svdvals(a, overwrite_a)[-1] of a complex matrix, bit for bit.
+def _svdvals(a, overwrite_a=False):
+    """scipy.linalg.svdvals(a, overwrite_a) of a complex matrix, bit for bit.
 
     The zgesdd call of scipy 1.17.1's svdvals: the finite check, the lwork of
     zgesdd_lwork (on which gesdd's blocking depends), no singular vectors.
+    The values are in descending order.
     """
     lapack = _lapack()
     a = np.asarray_chkfinite(a)
@@ -111,7 +113,7 @@ def _sigma_min(a, overwrite_a=False):
     _, s, _, info = lapack.zgesdd(a, compute_uv=0, lwork=int(work.real), full_matrices=True,
                                   overwrite_a=overwrite_a)
     _check_info(info, "zgesdd", "did not converge")
-    return float(s[-1])
+    return s
 
 
 def _lambda_min(a):
@@ -129,6 +131,79 @@ def _lambda_min(a):
                                      lwork=int(work.real), liwork=int(iwork.real))
     _check_info(info, "dsyevr", "did not converge")
     return float(w[0])
+
+
+def _eig(a):
+    """scipy.linalg.eig(a) of a complex matrix, bit for bit: (values, right vectors).
+
+    The zgeev call of scipy 1.17.1's eig: the finite check, the lwork of
+    zgeev_lwork, no left eigenvectors.
+    """
+    lapack = _lapack()
+    a = np.asarray_chkfinite(a)
+    work, info = lapack.zgeev_lwork(len(a), compute_vl=0, compute_vr=1)
+    _check_info(info, "zgeev_lwork", "failed")
+    w, _, vr, info = lapack.zgeev(a, compute_vl=0, compute_vr=1, lwork=int(work.real))
+    _check_info(info, "zgeev", "did not converge")
+    return w, vr
+
+
+def _qr_r(a):
+    """scipy.linalg.qr(a, mode="r")[0] of a complex square matrix, bit for bit.
+
+    The zgeqrf call of scipy 1.17.1's qr: the finite check, the workspace
+    query lwork=-1 and the factorization with the lwork it returns; R is the
+    upper triangle of the factored matrix.
+    """
+    lapack = _lapack()
+    a = np.asarray_chkfinite(a)
+    work = lapack.zgeqrf(a, lwork=-1)[-2]
+    qr, _, _, info = lapack.zgeqrf(a, lwork=int(work[0].real))
+    _check_info(info, "zgeqrf")
+    return np.triu(qr)
+
+
+def _inv(a):
+    """scipy.linalg.inv(a) of a complex square matrix, bit for bit.
+
+    The call of scipy 1.17.1's inv with no assumed structure, through the
+    extension `scipy.linalg._batched_linalg`.  Any reported problem raises
+    LinAlgError: a singular matrix, an illegal argument, or an ill-conditioned
+    matrix, on which scipy only warns.
+    """
+    a = np.asarray_chkfinite(a)
+    inverse, errors = _extension.load("linalg", "_batched_linalg")._inv(a, -1, False, False)
+    if errors:
+        raise np.linalg.LinAlgError(f"inverse failed: {errors}")
+    return inverse
+
+
+def _expm(a):
+    """scipy.linalg.expm(a) of a complex matrix with nonzero first sub- and
+    super-diagonals, bit for bit.
+
+    scipy 1.17.1's generic path, through the extension
+    `scipy.linalg._matfuncs_expm`: pick_pade_structure chooses the Pade
+    degree m and the scaling 2^-s on a (5, n, n) work array that holds a in
+    its first slice, pade_UV_calc leaves the approximant there, and it is
+    squared s times.  The result is a copy, so it keeps no reference to the
+    work array.  Every ModeOperator matrix has those diagonals, and so has
+    its product with a nonzero time, so expm's diagonal and triangular
+    branches never apply; a matrix without them is refused.
+    """
+    if not (np.diagonal(a, 1).all() and np.diagonal(a, -1).all()):
+        raise ValueError("a must have nonzero first sub- and super-diagonals")
+    kernels = _extension.load("linalg", "_matfuncs_expm")
+    work = np.empty((5, *a.shape), dtype=a.dtype)
+    work[0] = a
+    m, s = kernels.pick_pade_structure(work)
+    info = kernels.pade_UV_calc(work, m) if m >= 0 else m
+    if info:
+        raise np.linalg.LinAlgError(f"expm's Pade step failed (error code {info})")
+    result = work[0].copy()
+    for _ in range(s):
+        result = result @ result
+    return result
 
 
 # cond_2(W) above which semigroup_norm leaves the eigenvector route for expm.
@@ -293,19 +368,17 @@ class ModeOperator:
 
         On the "eig" route it adds one inv and two QR factorizations.
         """
-        import scipy.linalg as sla
-
-        values, vectors = sla.eig(self.matrix())
+        values, vectors = _eig(self.matrix())
         order = np.argsort(values.real, kind="stable")
         values, vectors = values[order], vectors[:, order]
         values.setflags(write=False)
-        sv = sla.svdvals(vectors)
+        sv = _svdvals(vectors)
         with np.errstate(divide="ignore"):
             cond_w = float(sv[0] / sv[-1])
         if cond_w > EIG_COND_MAX:
             return Eigendecomposition(values, None, None, cond_w, "expm")
-        left = sla.qr(vectors, mode="r")[0]
-        right = sla.qr(sla.inv(vectors).conj().T, mode="r")[0].conj().T
+        left = _qr_r(vectors)
+        right = _qr_r(_inv(vectors).conj().T).conj().T
         left.setflags(write=False)
         right.setflags(write=False)
         return Eigendecomposition(values, left, right, cond_w, "eig")
@@ -326,8 +399,6 @@ class ModeOperator:
         norms for n >= 400) and implies ||d A||_1 >= THETA_13.  Only requested
         steps are cached.
         """
-        import scipy.linalg as sla
-
         key = float(_checks.positive(dt, "dt"))
         if key not in self._propagators:
             mat = self.matrix()
@@ -342,7 +413,7 @@ class ModeOperator:
                     prop = prop @ prop
             else:
                 mat *= -key  # -dt A in place: expm holds no unscaled copy
-                prop = sla.expm(mat)
+                prop = _expm(mat)
             prop.setflags(write=False)
             self._propagators[key] = prop
         return self._propagators[key]
@@ -653,7 +724,7 @@ def resolvent_gap(op, s_points=192):
         evals["dense"] += 1
         shifted = np.array(mat, order="F")
         shifted[diag, diag] -= shift + 1j * s
-        return _sigma_min(shifted, overwrite_a=True)
+        return float(_svdvals(shifted, overwrite_a=True)[-1])
 
     def densify(point):
         if point[2]:
@@ -735,8 +806,6 @@ def semigroup_norm(op, times):
     (cond_2(W) > EIG_COND_MAX) each norm is ||expm(-tA)||_2, one dense
     matrix exponential per time.
     """
-    import scipy.linalg as sla
-
     times = np.atleast_1d(_checks.finite_array(times, "times"))
     if (times < 0.0).any():
         raise ValueError(f"times must be nonnegative, got {times.min()}")
@@ -753,5 +822,5 @@ def semigroup_norm(op, times):
             decay = np.exp(-t * eig.values[:k])
             out[i] = float(np.linalg.norm((eig.left[:k, :k] * decay) @ eig.right[:k, :k], 2))
         else:
-            out[i] = float(np.linalg.norm(sla.expm(-t * mat), 2))
+            out[i] = float(np.linalg.norm(_expm(-t * mat), 2))
     return out

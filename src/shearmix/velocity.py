@@ -234,6 +234,7 @@ class Primitive:
         in lattice order; [lo, hi] must lie in [a, b].  The lattice needs at
         least 2 points, so [lo, hi] is a window of the table when min_len allows."""
         _checks.count(points, "points", 2)
+        _checks.positive(min_len, "min_len", strict=False)
         _checks.interval((lo, hi), "window")
         _checks.inside((lo, hi), "window", self.a, self.b)
         grid = np.linspace(lo, hi, points)

@@ -5,9 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
-from shearmix import cli, evolve, functionals, mcsim, validation, velocity
+from shearmix import cli, evolve, functionals, mcsim, spectral, validation, velocity
 from shearmix.evolve import load_snapshot
 from shearmix.velocity import BinaryCascadeField
 
@@ -520,7 +519,7 @@ class TestEvolveTask:
 
         monkeypatch.setattr(evolve, "make_operator", counted("make_operator",
                                                              evolve.make_operator))
-        monkeypatch.setattr(scipy.linalg, "expm", counted("expm", scipy.linalg.expm))
+        monkeypatch.setattr(spectral, "_expm", counted("expm", spectral._expm))
         cfg = write_config(tmp_path, {
             "task": "evolve", "velocity": TWO_PLATEAU,
             "params": {"nx": 32, "ny": 9, "samples": 17, "snapshots": snapshots},

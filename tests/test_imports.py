@@ -7,12 +7,14 @@ itself, without the scipy.linalg package or any of scipy.sparse,
 scipy.optimize, scipy.spatial or scipy.stats.  The correlation LP of
 `bounds`, `evolve` and `validate` loads the HiGHS extension
 `scipy.optimize._highspy._core` (and the submodules its binding registers)
-by itself, without the scipy.optimize package or scipy.sparse; `evolve`
-loads scipy.linalg for expm, and the vertex-enumeration criterion loads
+by itself, without the scipy.optimize package or scipy.sparse.  `evolve`
+adds expm's extension `scipy.linalg._matfuncs_expm`, and semigroup norms
+`_flapack` and the inverse's `scipy.linalg._batched_linalg`, again without
+the scipy.linalg package; the vertex-enumeration criterion loads
 scipy.spatial.  Each check runs in a fresh interpreter, since this test
 session has long since imported them.  So does each check of the extension
-loader, one per extension and import order, since each needs a process that
-has not yet loaded the extension.
+loader, one per extension and import order or file layout, since each needs
+a process that has not yet loaded the extension.
 """
 
 import json
@@ -29,6 +31,8 @@ SRC = str(Path(shearmix.__file__).resolve().parent.parent)
 LAZY = ("scipy.sparse", "scipy.stats", "scipy.optimize", "scipy.spatial")
 HIGHS = "scipy.optimize._highspy._core"
 FLAPACK = "scipy.linalg._flapack"
+EXPM = "scipy.linalg._matfuncs_expm"
+BATCHED = "scipy.linalg._batched_linalg"
 TWO_PLATEAU = {"kind": "piecewise_constant", "breakpoints": [0.0, 0.5], "values": [0.0, 1.0]}
 
 REPORT = """
@@ -42,13 +46,23 @@ def _lazy(loaded):
     return [m for m in loaded if any(m == p or m.startswith(p + ".") for p in LAZY)]
 
 
-def _loaded_after(code):
-    """The scipy modules loaded after `code` runs in a fresh interpreter."""
+def _output(code):
+    """The lines that `code` prints in a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code + REPORT], env=env,
+    done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True, timeout=120)
-    return json.loads(done.stdout.splitlines()[-1])
+    return done.stdout.splitlines()
+
+
+def _loaded_after(code):
+    """The scipy modules loaded after `code` runs in a fresh interpreter."""
+    return json.loads(_output(code + REPORT)[-1])
+
+
+def _linalg(loaded):
+    """The modules in `loaded` that lie under scipy.linalg, or are it."""
+    return [m for m in loaded if m.startswith("scipy.linalg")]
 
 
 def _run_task(tmp_path, task, params, velocity=TWO_PLATEAU):
@@ -77,7 +91,7 @@ def test_simulate_task_loads_no_scipy_module(tmp_path):
 def test_spectrum_task_loads_the_lapack_extension_alone(tmp_path, velocity, params):
     loaded = _run_task(tmp_path, "spectrum", {"k": 1, "n": 32, "s_points": 64, **params},
                        velocity)
-    assert [m for m in loaded if m.startswith("scipy.linalg")] == [FLAPACK]
+    assert _linalg(loaded) == [FLAPACK]
     assert _lazy(loaded) == []
     assert (tmp_path / "out" / "spectral_summary.json").exists()
 
@@ -91,6 +105,26 @@ def test_lp_task_loads_the_highs_extension_alone(tmp_path, task, params, artifac
     assert HIGHS in loaded
     assert [m for m in _lazy(loaded) if m != HIGHS and not m.startswith(HIGHS + ".")] == []
     assert (tmp_path / "out" / artifact).exists()
+
+
+def test_evolve_task_loads_no_linalg_package(tmp_path):
+    loaded = _run_task(tmp_path, "evolve", {"nx": 16, "ny": 8, "t_end": 0.5, "samples": 3})
+    assert _linalg(loaded) == [EXPM]
+    assert (tmp_path / "out" / "decay.csv").exists()
+
+
+def test_semigroup_norms_load_three_linalg_extensions_alone():
+    # both routes: eigenvectors (eig, svdvals, qr, inv), and one expm per time
+    loaded = _loaded_after("""
+from shearmix import spectral
+from shearmix.velocity import two_plateau
+for k, cond_max in ((1, spectral.EIG_COND_MAX), (2, 0.0)):
+    spectral.EIG_COND_MAX = cond_max
+    op = spectral.make_operator(two_plateau(), k, n=32)
+    assert spectral.semigroup_norm(op, [0.1])[0] > 0.0
+""")
+    assert _linalg(loaded) == sorted([FLAPACK, EXPM, BATCHED])
+    assert _lazy(loaded) == []
 
 
 # per extension: its module, the library call that loads it (`value()`), its
@@ -133,6 +167,45 @@ def value():
         "package_call": """
 assert scipy.linalg.lapack.zgesdd is ext.zgesdd
 assert scipy.linalg.svdvals([[3.0, 0.0], [0.0, 4.0]]).tolist() == [4.0, 3.0]
+""",
+    },
+    "matfuncs_expm": {
+        "module": EXPM,
+        "value": """
+import numpy as np
+from shearmix import spectral
+from shearmix.velocity import SineField
+
+def value():
+    op = spectral.make_operator(SineField(1.0, 1, 0.3), 1, "dirichlet", n=32)
+    return float(np.abs(op.propagator(0.01)).sum())
+""",
+        "loader": "spectral._extension.load('linalg', '_matfuncs_expm')",
+        "package": "scipy.linalg",
+        "chain": "scipy.linalg._matfuncs_expm",
+        "from_import": "from scipy.linalg import _matfuncs_expm as ext",
+        "package_call": """
+assert scipy.linalg._matfuncs.pick_pade_structure is ext.pick_pade_structure
+a = np.array([[1.0, 2.0], [-3.0, 0.5]], dtype=complex)
+assert scipy.linalg.expm(a).tolist() == spectral._expm(a).tolist()
+""",
+    },
+    "batched_linalg": {
+        "module": BATCHED,
+        "value": """
+import numpy as np
+from shearmix import spectral
+
+def value():
+    return float(spectral._inv(np.array([[2.0, 1.0], [1.0, 3.0]], dtype=complex))[0, 0].real)
+""",
+        "loader": "spectral._extension.load('linalg', '_batched_linalg')",
+        "package": "scipy.linalg",
+        "chain": "scipy.linalg._batched_linalg",
+        "from_import": "from scipy.linalg import _batched_linalg as ext",
+        "package_call": """
+assert scipy.linalg._basic._batched_linalg is ext
+assert scipy.linalg.inv([[2.0, 0.0], [0.0, 4.0]]).tolist() == [[0.5, 0.0], [0.0, 0.25]]
 """,
     },
 }
@@ -191,4 +264,18 @@ except ImportError as err:
 else:
     raise AssertionError("no ImportError")
 assert "{{module}}" not in sys.modules
+"""))
+
+
+@pytest.mark.parametrize("extension", sorted(EXTENSIONS))
+def test_extension_elsewhere_is_imported_with_its_package(tmp_path, extension):
+    # a scipy that keeps the extension elsewhere than 1.17 does: an empty
+    # directory heads scipy's path, so the loader finds no file there and
+    # imports the module by name, parent packages and all, with the same value
+    expected = _output(_script(extension, "print(repr(value()))"))[-1]
+    _loaded_after(_script(extension, f"""
+import scipy
+scipy.__path__.insert(0, {str(tmp_path)!r})
+assert repr(value()) == {expected!r}
+assert "{{package}}" in sys.modules and {{loader}} is sys.modules["{{module}}"]
 """))

@@ -40,7 +40,10 @@ from shearmix.velocity import (BinaryCascadeField, GridField, HeavisideField,
                                SineField, estimate_flatness_constant, field_from_config,
                                two_plateau)
 
-pytestmark = pytest.mark.filterwarnings("error")
+# warnings are errors, except the DeprecationWarning that libcst's import emits when
+# hypothesis reports a failure: raised in that report hook, it would end the session
+pytestmark = pytest.mark.filterwarnings(
+    "error", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 
 NAN, INF = math.nan, math.inf
 NONFINITE = st.sampled_from([NAN, INF, -INF])
@@ -369,6 +372,15 @@ ROWS = [
     ("flatness_constants", "correlation",
      lambda v: functionals.flatness_constants(1.0, 1.0, v, 2.0), ["0.1", True, NAN],
      NOT_AN_ENTRY),
+    ("Primitive.window_table", "min_len", lambda v: PV.window_table(0.0, 1.0, 9, v),
+     [NAN, -0.1, "0.1", True], NONFINITE | st.floats(max_value=-1e-300, allow_nan=False)),
+    ("ModeField", "boundary", lambda v: evolve.ModeField(np.zeros((3, 4)), 1, boundary=v),
+     ["bogus", np.array(["periodic", "dirichlet"]), ["periodic"], None],
+     NOT_A_NAME | st.text(max_size=3)),
+    ("field_from_samples", "boundary", lambda v: evolve.field_from_samples(U0, boundary=v),
+     ["bogus", ["periodic"], None], NOT_A_NAME | st.text(max_size=3)),
+    ("ModeField", "interval", lambda v: evolve.ModeField(np.zeros((3, 4)), 1, interval=v),
+     [*NOT_A_PAIR, (1.0, 0.0)], not_increasing()),
 ]
 
 # (entry point, parameter, call with the value, values outside the domain, more such
@@ -447,8 +459,8 @@ def test_an_array_domain_builds_the_field_of_the_list():
 class _RangeChecks(ast.NodeVisitor):
     """(rule, entry point, parameter, whole) of each `_checks.interval` and
     `_checks.inside` call: the entry point is the function that holds the call,
-    its class for an __init__, and `whole` is false when the pair is a tuple
-    built at the call, which cannot be anything but a pair."""
+    its class for an __init__ or a __post_init__, and `whole` is false when the
+    pair is a tuple built at the call, which cannot be anything but a pair."""
 
     def __init__(self):
         self.scope, self.calls = [], []
@@ -464,7 +476,8 @@ class _RangeChecks(ast.NodeVisitor):
         func = node.func
         if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
                 and func.value.id == "_checks" and func.attr in ("interval", "inside")):
-            scope = self.scope[:-1] if self.scope[-1] == "__init__" else self.scope
+            init = self.scope[-1] in ("__init__", "__post_init__")
+            scope = self.scope[:-1] if init else self.scope
             self.calls.append((func.attr, ".".join(scope), node.args[1].value,
                                not isinstance(node.args[0], ast.Tuple)))
         self.generic_visit(node)

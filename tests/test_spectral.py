@@ -125,27 +125,36 @@ class TestPropagator:
            n=st.integers(16, 64), j=st.integers(1, 3), log2_scale=st.floats(-4.0, 6.0))
     def test_doubled_step_is_expm_bit_for_bit(self, seed, sine, boundary, disc, k, n, j,
                                               log2_scale):
-        rng = np.random.default_rng(seed)
-        if sine:
-            field = SineField(rng.uniform(0.1, 2.0), int(rng.integers(1, 4)),
-                              rng.uniform(0.0, 2 * math.pi))
-        else:
-            field = GridField(rng.uniform(-1.0, 1.0, int(rng.integers(1, 17))))
-        op = make_operator(field, k, boundary=boundary, n=n, discretization=disc)
-        # ||d A||_1 log-uniform on both sides of theta_13
-        d = spectral.THETA_13 / np.abs(op.matrix()).sum(axis=0).max() * 2.0**log2_scale
+        op = _drawn_operator(seed, sine, boundary, disc, k, n)
+        d = _drawn_step(op, log2_scale)
         op.propagator(d)
-        calls, expm = [], sla.expm
+        calls, expm = [], spectral._expm
 
         def counted(mat):
             calls.append(1)
             return expm(mat)
 
-        with mock.patch.object(sla, "expm", counted):
+        with mock.patch.object(spectral, "_expm", counted):
             got = op.propagator(2**j * d)
         squared = d * abs(np.trace(op.matrix())) / n >= spectral.THETA_13
         assert len(calls) == (0 if squared else 1)
         assert np.array_equal(got, sla.expm(-(2**j * d) * op.matrix()))
+
+
+def _drawn_operator(seed, sine, boundary, disc, k, n):
+    """A mode operator of a random sine or grid field."""
+    rng = np.random.default_rng(seed)
+    if sine:
+        field = SineField(rng.uniform(0.1, 2.0), int(rng.integers(1, 4)),
+                          rng.uniform(0.0, 2 * math.pi))
+    else:
+        field = GridField(rng.uniform(-1.0, 1.0, int(rng.integers(1, 17))))
+    return make_operator(field, k, boundary=boundary, n=n, discretization=disc)
+
+
+def _drawn_step(op, log2_scale):
+    """A time step d with ||d A||_1 = THETA_13 2^log2_scale, so on both sides of theta_13."""
+    return spectral.THETA_13 / np.abs(op.matrix()).sum(axis=0).max() * 2.0**log2_scale
 
 
 def _arrays(value):
@@ -818,16 +827,16 @@ class TestCollocationBand:
 
 
 class TestLapackWrappers:
-    """The dense sigma_min and lambda_min call scipy's LAPACK extension as
-    scipy.linalg's svdvals and eigvalsh do, so their values are scipy's bit for
-    bit; a scipy release that changes those calls fails here."""
+    """The dense factorizations call scipy's extensions as scipy.linalg's
+    svdvals, eigvalsh, eig, qr, inv and expm do, so their values are scipy's bit
+    for bit; a scipy release that changes those calls fails here."""
 
     @staticmethod
-    def _check_sigma_min(a):
-        assert spectral._sigma_min(a) == sla.svdvals(a)[-1]
+    def _check_svdvals(a):
+        assert np.array_equal(spectral._svdvals(a), sla.svdvals(a))
         # resolvent_gap's call: an F-ordered copy, overwritten
-        assert spectral._sigma_min(np.array(a, order="F"), overwrite_a=True) == \
-            sla.svdvals(np.array(a, order="F"), overwrite_a=True)[-1]
+        assert np.array_equal(spectral._svdvals(np.array(a, order="F"), overwrite_a=True),
+                              sla.svdvals(np.array(a, order="F"), overwrite_a=True))
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 40), n=st.integers(1, 40),
@@ -835,7 +844,7 @@ class TestLapackWrappers:
     def test_random_matrices(self, seed, m, n, scale):
         rng = np.random.default_rng(seed)
         a = scale * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
-        self._check_sigma_min(a)
+        self._check_svdvals(a)
         b = scale * rng.standard_normal((m, m))
         b = b + b.T
         assert spectral._lambda_min(b) == sla.eigvalsh(b)[0]
@@ -852,17 +861,64 @@ class TestLapackWrappers:
         w = op.skew_values
         spread = float(w.max() - w.min())
         s = w.min() - 3.0 * spread - 1.0 + fraction * (8.0 * spread + 2.0)
-        self._check_sigma_min(op.matrix() - (op.lambda1_discrete + 1j * s) * np.eye(n))
+        self._check_svdvals(op.matrix() - (op.lambda1_discrete + 1j * s) * np.eye(n))
 
     def test_non_finite_matrix_is_refused(self):
         a = np.eye(4, dtype=complex)
         a[1, 2] = np.nan
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            spectral._sigma_min(a)
+        for wrapper in (spectral._svdvals, spectral._eig, spectral._qr_r, spectral._inv):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                wrapper(a)
         with pytest.raises(ValueError, match="infs or NaNs"):
             spectral._lambda_min(np.full((4, 4), np.inf))
 
-    @pytest.mark.parametrize("routine", ["zgbtrf", "zgbtrs", "zgesdd", "dsyevr"])
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), sine=st.booleans(),
+           boundary=st.sampled_from(["periodic", "dirichlet"]),
+           disc=st.sampled_from(["fd2", "spectral"]), k=st.integers(0, 16),
+           n=st.integers(16, 64), log2_scale=st.floats(-4.0, 6.0))
+    def test_mode_operators(self, seed, sine, boundary, disc, k, n, log2_scale):
+        op = _drawn_operator(seed, sine, boundary, disc, k, n)
+        mat = op.matrix()
+        step = -_drawn_step(op, log2_scale) * mat
+        got = spectral._expm(step)
+        assert np.array_equal(got, sla.expm(step))
+        assert got.base is None  # no view of expm's (5, n, n) work array
+        values, vectors = spectral._eig(mat)
+        ref_values, ref_vectors = sla.eig(mat)
+        assert np.array_equal(values, ref_values) and np.array_equal(vectors, ref_vectors)
+        assert np.array_equal(spectral._svdvals(vectors), sla.svdvals(vectors))
+        assert np.array_equal(spectral._qr_r(vectors), sla.qr(vectors, mode="r")[0])
+        inverse = spectral._inv(vectors)
+        assert np.array_equal(inverse, sla.inv(vectors))
+        assert np.array_equal(spectral._qr_r(inverse.conj().T),
+                              sla.qr(inverse.conj().T, mode="r")[0])
+        # the eigendecomposition as scipy.linalg's functions give it
+        order = np.argsort(ref_values.real, kind="stable")
+        ref_values, ref_vectors = ref_values[order], ref_vectors[:, order]
+        sv = sla.svdvals(ref_vectors)
+        eig = op.eigendecomposition
+        assert np.array_equal(eig.values, ref_values) and eig.cond_w == sv[0] / sv[-1]
+        if eig.route == "eig":
+            assert np.array_equal(eig.left, sla.qr(ref_vectors, mode="r")[0])
+            assert np.array_equal(eig.right, sla.qr(sla.inv(ref_vectors).conj().T,
+                                                    mode="r")[0].conj().T)
+
+    def test_expm_refuses_a_matrix_off_its_generic_path(self):
+        tridiagonal = np.diag(np.full(4, 2.0 + 1j)) - np.eye(4, k=1) - np.eye(4, k=-1)
+        broken = tridiagonal.copy()
+        broken[2, 1] = 0.0
+        for a in (np.diag([1.0, 2.0, 3.0]) + 0j, np.triu(tridiagonal), np.tril(tridiagonal),
+                  broken):
+            with pytest.raises(ValueError, match="^a must have nonzero first sub- and super-"):
+                spectral._expm(a)
+
+    def test_singular_matrix_has_no_inverse(self):
+        with pytest.raises(np.linalg.LinAlgError, match="^inverse failed"):
+            spectral._inv(np.ones((3, 3), dtype=complex))
+
+    @pytest.mark.parametrize("routine", ["zgbtrf", "zgbtrs", "zgesdd", "dsyevr", "zgeev",
+                                         "zgeqrf"])
     def test_negative_info_raises(self, monkeypatch, routine):
         # an illegal argument is a fault, never a singular factor or a fallback
         lapack = spectral._lapack()
@@ -876,5 +932,7 @@ class TestLapackWrappers:
         with pytest.raises(np.linalg.LinAlgError, match=f"argument 1 of {routine}"):
             if routine == "dsyevr":
                 spectral._lambda_min(op.laplacian())
+            elif routine in ("zgeev", "zgeqrf"):
+                op.eigendecomposition
             else:
                 resolvent_gap(op, s_points=64)
