@@ -131,7 +131,7 @@ class Workspace:
         self.record_file(name)
 
     def write_json(self, name, payload):
-        self.write_text(name, json.dumps(payload, indent=1, sort_keys=True) + "\n")
+        self.write_text(name, _dumps(payload))
 
     def record_file(self, name):
         """Record a file of the directory, as it is on disk, with its size and digest."""
@@ -144,8 +144,26 @@ class Workspace:
 
     def finish(self):
         manifest = {"config": self.config, "artifacts": self.artifacts}
-        path = self.out / "manifest.json"
-        path.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+        (self.out / "manifest.json").write_text(_dumps(manifest))
+
+
+def _jsonable(obj):
+    """`obj` as JSON values: tuples and arrays as lists, numpy scalars as Python's,
+    and every dict key as its `str`, which reads a float key back to the same float."""
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+        return obj.item()
+    return obj
+
+
+def _dumps(payload):
+    """The text of a JSON artifact: `payload` through `_jsonable`, indented, keys sorted."""
+    return json.dumps(_jsonable(payload), indent=1, sort_keys=True) + "\n"
 
 
 def _require(ok, message):
@@ -185,7 +203,7 @@ def _seeded(config, args):
 
 def task_bounds(field, params, ws, args):
     report = functionals.compute_bounds_report(field, **params)
-    ws.write_json("bounds.json", report.to_json_dict())
+    ws.write_json("bounds.json", vars(report))
     return EXIT_OK
 
 
@@ -193,7 +211,8 @@ def task_spectrum(field, params, ws, args):
     op = make_operator(field, params.get("k", 1),
                        **_given(params, "boundary", "n", "discretization"))
     summary = resolvent_gap(op, **_given(params, "s_points"))
-    ws.write_json("spectral_summary.json", summary.to_json_dict())
+    ws.write_json("spectral_summary.json",
+                  {key: value for key, value in vars(summary).items() if key != "trace"})
     ws.write_text("sweep.csv", summary.sweep_csv())
     return EXIT_OK
 
@@ -239,28 +258,14 @@ def task_validate(field, params, ws, args):
                                  **_given(vars(args), "workers"))
     # artifacts must regenerate bit-identically, so timings stay on stdout
     lines = [r.status() for r in results]
-    payload = [
-        {"criterion": r.cid, "name": r.name, "passed": r.passed,
-         "details": _jsonable(r.details)}
+    ws.write_json("validation.json", [
+        {"criterion": r.cid, "name": r.name, "passed": r.passed, "details": r.details}
         for r in results
-    ]
-    ws.write_json("validation.json", payload)
+    ])
     ws.write_text("validation.txt", "\n".join(lines) + "\n")
     if all(r.passed for r in results):
         return EXIT_OK
     return EXIT_VALIDATION
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    return obj
 
 
 def task_report(field, params, ws, args):

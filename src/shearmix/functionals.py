@@ -441,6 +441,9 @@ class BoundsReport:
     Mass constants are reported both directly and in log form since the
     theory produces values far below double-precision underflow.  Fields tied
     to an assumption (plateau pair / non-flatness) are None when it fails.
+    The two tables are keyed by the float eps of each scale.  The CLI's
+    `bounds.json` holds these fields as `cli._jsonable` writes them, with
+    each eps key as its `str`, which parses back to the same float.
     """
 
     oscillation: float
@@ -470,19 +473,6 @@ class BoundsReport:
     doeblin_rho: float | None = None
     doeblin_rho_log: float | None = None
     provenance: dict = dc_field(default_factory=dict)
-
-    def to_json_dict(self):
-        out = {}
-        for key, value in self.__dict__.items():
-            if isinstance(value, dict) and key != "provenance":
-                out[key] = {f"{k:.6g}": v for k, v in value.items()}
-            elif isinstance(value, tuple):
-                out[key] = list(value)
-            elif isinstance(value, np.floating):
-                out[key] = float(value)
-            else:
-                out[key] = value
-        return out
 
     def _doeblin_route(self):
         """(route, t, log mass) behind the Doeblin constants: the plateau route

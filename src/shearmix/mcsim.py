@@ -106,6 +106,8 @@ class TransitionHistogram:
         (1 - level) quantile of Beta(k, n - k + 1) from
         `scipy.special.betaincinv`, bit for bit `scipy.stats.beta.ppf`.
         """
+        if not (_checks.finite(level) and 0.0 < level < 1.0):
+            raise ValueError(f"level must lie in (0, 1), got {level!r}")
         from scipy import special
 
         k = int(self.counts.min())
@@ -254,6 +256,14 @@ def _torus_vfun(field):
     return _checks.torus_field(field, "field")._eval_inside
 
 
+def _times(times):
+    """`times` as a list of floats, if a non-empty 1-D array of finite numbers."""
+    out = _checks.finite_array(times, "times")
+    if out.ndim != 1 or not len(out):
+        raise ValueError(f"times must be a non-empty 1-D array, got {times!r}")
+    return out.tolist()
+
+
 def simulate(start, field, cfg, kill_interval=None):
     """Transition histogram of the process at time t_end.
 
@@ -285,6 +295,7 @@ def simulate_starts(starts, field, cfg, times, kill_interval=None):
         raise ValueError(f"starts must be one or more (x, y) pairs, got {starts!r}")
     kill = None if kill_interval is None else _checks.interval(kill_interval, "kill_interval")
     n_steps, dt = _steps_for(cfg)
+    times = _times(times)
     step_of = {}
     for t in times:
         s = int(round(_checks.positive(t, "times") / dt))
@@ -347,7 +358,7 @@ def doeblin_estimate(field, t_star, starts, cfg):
     the same way.  Any empty cell is reported with its index and forces
     alpha_hat = 0.
     """
-    run_cfg = cfg.replace(t_end=t_star)
+    run_cfg = cfg.replace(t_end=_checks.positive(t_star, "t_star"))
     per_start = []
     empty = []
     alpha = math.inf
@@ -380,7 +391,7 @@ def tv_decay(field, start1, start2, times, cfg):
     carries an upward bias at equality of roughly M(pi n)^{-1/2}; a normal
     approximation of that floor is reported per time.
     """
-    times = np.sort(_checks.finite_array(times, "times")).tolist()
+    times = sorted(_times(times))
     run_cfg = cfg.replace(t_end=max(times))
     h1, h2 = simulate_starts([start1, start2], field, run_cfg, times)
     tv = np.empty(len(times))

@@ -460,16 +460,6 @@ class SpectralSummary:
         lines = ["s,sigma_min"] + [f"{s:.17g},{v:.17g}" for s, v in self.trace]
         return "\n".join(lines) + "\n"
 
-    def to_json_dict(self):
-        return {
-            "lambda1": self.lambda1,
-            "lambda2": self.lambda2,
-            "r_lambda1": self.r_lambda1,
-            "s_argmin": self.s_argmin,
-            "meta": dict(self.meta),
-            "e1": self.e1.tolist(),
-        }
-
 
 def _candidates(vals, slack):
     """Mask of the sweep points that are refined as local minima.

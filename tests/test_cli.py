@@ -420,7 +420,20 @@ class TestBoundsTask:
         field = velocity.field_from_config(config["velocity"])
         report = functionals.compute_bounds_report(field, grid_n=512)
         assert (out / "bounds.json").read_text() == json.dumps(
-            report.to_json_dict(), indent=1, sort_keys=True) + "\n"
+            cli._jsonable(vars(report)), indent=1, sort_keys=True) + "\n"
+
+    def test_close_eps_keep_a_row_each(self, tmp_path):
+        # two scales that agree to 6 significant digits: each keeps its row, keyed by its value
+        eps_grid = [0.1, 0.1000001]
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {
+            "task": "bounds", "velocity": TWO_PLATEAU,
+            "params": {"grid_n": 64, "j_points": 9, "eps_grid": eps_grid},
+        })
+        assert cli.main(["bounds", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+        bounds = json.loads((out / "bounds.json").read_text())
+        for table in ("affine_residual_table", "gap_bound_residual_table"):
+            assert sorted(map(float, bounds[table])) == eps_grid, table
 
     def test_manifest_digests_reproducible(self, tmp_path):
         digests = []

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shearmix import cli
 from shearmix import functionals as fn
 from shearmix.velocity import (
     BinaryCascadeField,
@@ -462,8 +463,9 @@ UNDERFLOW_GRID = GridField(np.random.default_rng(3).uniform(-1.0, 1.0, 16))
 class TestBoundsGolden:
     """Whole bounds reports pinned bit for bit.
 
-    Each digest is the SHA-256 of the report's sorted-key JSON, whose float
-    reprs round-trip exactly.  Recorded at grid_n=128 and the default
+    Each digest is the SHA-256 of the report's sorted-key JSON, its fields
+    converted by the CLI's one rule, `cli._jsonable`, whose float reprs and
+    eps keys round-trip exactly.  Recorded at grid_n=128 and the default
     j_points=65 with numpy 2.4.6 and scipy 1.17.1; the LP values depend on
     the HiGHS build.
     """
@@ -495,7 +497,7 @@ class TestBoundsGolden:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_report_bits(self, name):
         field, kwargs = self.CASES[name]
-        report = fn.compute_bounds_report(field, grid_n=128, **kwargs).to_json_dict()
+        report = cli._jsonable(vars(fn.compute_bounds_report(field, grid_n=128, **kwargs)))
         blob = json.dumps(report, sort_keys=True)
         assert hashlib.sha256(blob.encode()).hexdigest() == self.DIGESTS[name], blob
 
@@ -611,6 +613,6 @@ class TestBoundsReport:
         import json
 
         report = fn.compute_bounds_report(two_plateau(), grid_n=64, j_points=9)
-        blob = json.dumps(report.to_json_dict())
+        blob = json.dumps(cli._jsonable(vars(report)))
         parsed = json.loads(blob)
         assert parsed["plateau_time"] == pytest.approx(1.4375)

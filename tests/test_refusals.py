@@ -8,11 +8,12 @@ alarm, so that a regression to a hang fails instead of stalling the suite.
 Every test here runs with warnings as errors, so a refusal that goes through
 a numpy warning (a cast that overflows, a NaN in a comparison) fails too.
 The drawn values are NaN and infinities, integers beyond the largest float,
-numbers out of range, reversed, empty or too long intervals, non-integral
-floats and booleans where a count belongs, unknown criterion ids, too few
-velocity samples, velocity fields off the unit torus where a torus field
-belongs, breakpoints and knots out of order, and names that are unknown or
-not strings (a list, an array of names, None).  Every array row probes a
+numbers out of range, times that are empty or no 1-D array, reversed, empty
+or too long intervals, non-integral floats and booleans where a count
+belongs, unknown criterion ids, too few velocity samples, velocity fields
+off the unit torus where a torus field belongs, breakpoints and knots out
+of order, and names that are unknown or not strings (a list, an array of
+names, None).  Every array row probes a
 string, a boolean, a list mixing a boolean with numbers and a NaN or an
 infinity: an array argument goes through `_checks.finite_array`, whose own
 contract is tested at the end.  Every row of a pair that a caller passes
@@ -84,6 +85,11 @@ OFF_TORUS = [PiecewiseLinearField([0.0, 1.0, 2.0], [0.0, 1.0, 0.0], domain=(0.0,
 
 def path_config(**bad):
     return mcsim.PathConfig(**dict(dict(dt=0.1, n_paths=10, t_end=1.0), **bad))
+
+
+# times that are no non-empty 1-D array, and a histogram of 20 paths on 2 x 2 cells
+NOT_TIMES = [[], (), np.zeros(0), 0.5, [[0.5]]]
+HISTOGRAM = mcsim.TransitionHistogram(2, np.array([[4, 6], [5, 5]]), 20, (0.5, 0.5), 1.0)
 
 
 def with_entry(samples, value):
@@ -381,6 +387,22 @@ ROWS = [
      ["bogus", ["periodic"], None], NOT_A_NAME | st.text(max_size=3)),
     ("ModeField", "interval", lambda v: evolve.ModeField(np.zeros((3, 4)), 1, interval=v),
      [*NOT_A_PAIR, (1.0, 0.0)], not_increasing()),
+    # the times of a run: a non-empty 1-D array, not an empty one, a scalar or a matrix
+    ("simulate_starts(shape)", "times",
+     lambda v: mcsim.simulate_starts([(0.5, 0.5)], FIELD, path_config(), v), NOT_TIMES,
+     st.sampled_from(NOT_TIMES) | st.floats(0.1, 1.0)),
+    ("simulate_snapshots(shape)", "times",
+     lambda v: mcsim.simulate_snapshots((0.5, 0.5), FIELD, path_config(), v), NOT_TIMES,
+     st.sampled_from(NOT_TIMES) | st.floats(0.1, 1.0)),
+    ("tv_decay(shape)", "times",
+     lambda v: mcsim.tv_decay(FIELD, (0.1, 0.2), (0.3, 0.4), v, path_config()), NOT_TIMES,
+     st.sampled_from(NOT_TIMES) | st.floats(0.1, 1.0)),
+    ("TransitionHistogram.alpha_lower_confidence", "level", HISTOGRAM.alpha_lower_confidence,
+     [0.0, 1.0, 1.5, NAN, True, "0.9"],
+     NOT_AN_ENTRY | st.floats(allow_nan=False).filter(lambda v: not 0.0 < v < 1.0)),
+    ("doeblin_estimate", "t_star",
+     lambda v: mcsim.doeblin_estimate(FIELD, v, [(0.5, 0.5)], path_config()),
+     [-1.0, 0.0, NAN, "0.5", True], NOT_POSITIVE),
 ]
 
 # (entry point, parameter, call with the value, values outside the domain, more such

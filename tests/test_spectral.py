@@ -8,7 +8,7 @@ import scipy.linalg as sla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shearmix import evolve
+from shearmix import cli, evolve
 from shearmix import functionals as fn
 from shearmix import spectral
 from shearmix.spectral import (
@@ -343,7 +343,7 @@ class TestResolventGap:
         op = make_operator(COS, k=1, boundary="periodic", n=32)
         summary = resolvent_gap(op, s_points=64)
         assert summary.trace is not None and summary.trace.shape[1] == 2
-        blob = summary.to_json_dict()
+        blob = cli._jsonable(vars(summary))
         assert blob["lambda1"] == 0.0 and len(blob["e1"]) == 32
 
 
