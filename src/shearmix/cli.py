@@ -3,7 +3,8 @@
 Every run reads one JSON config, writes its artifacts into an output
 directory, and finishes with a manifest listing each artifact with its
 SHA-256 digest, so any artifact can be regenerated bit-identically from the
-config alone.
+config alone.  The manifest keeps, under `earlier`, the config and artifacts
+of each other task run into the same directory.
 
 Config schema (unknown keys anywhere are rejected)::
 
@@ -143,8 +144,32 @@ class Workspace:
         })
 
     def finish(self):
+        """Write manifest.json: this run's config and artifacts, and under `earlier` the
+        last record of each other task that wrote into the directory."""
+        path = self.out / "manifest.json"
+        earlier = _task_records(path)
+        earlier.pop(self.config["task"], None)
         manifest = {"config": self.config, "artifacts": self.artifacts}
-        (self.out / "manifest.json").write_text(_dumps(manifest))
+        if earlier:
+            manifest["earlier"] = earlier
+        path.write_text(_dumps(manifest))
+
+
+def _task_records(path):
+    """{task: {"config", "artifacts"}} of each task in the manifest at `path`; {} when
+    there is none, or it is no JSON or of another layout, so that it is replaced."""
+    try:
+        old = json.loads(path.read_text())
+    except (OSError, ValueError):  # a JSONDecodeError or a UnicodeDecodeError
+        return {}
+    if not (isinstance(old, dict) and isinstance(old.get("earlier", {}), dict)):
+        return {}
+    records = [*old.pop("earlier", {}).values(), old]
+    if not all(isinstance(r, dict) and set(r) == {"config", "artifacts"}
+               and isinstance(r["config"], dict) and isinstance(r["config"].get("task"), str)
+               and isinstance(r["artifacts"], list) for r in records):
+        return {}
+    return {r["config"]["task"]: r for r in records}
 
 
 def _jsonable(obj):
@@ -290,21 +315,15 @@ def task_report(field, params, ws, args):
         summary.append("spectral summary")
         summary.append(f"  {'r_lambda1':36s} {spectrum['r_lambda1']}")
         summary.append(f"  {'s_argmin':36s} {spectrum['s_argmin']}")
-        refs = {"sigma_min_gap": spectrum["r_lambda1"]}
         meta = spectrum.get("meta", {})
         comparable = meta.get("boundary") == "periodic" and meta.get("k", 0) >= 1
         if bounds_path.exists() and comparable:
             # for periodic modes k >= 1 the mode gap dominates the k = 1
             # correlation bound (the bound only improves with the mode index)
             ref = bounds["gap_bound_correlation_periodic"]
-            refs["gap_bound_correlation_periodic"] = ref
-            gap_table = bounds.get("gap_bound_residual_table", {})
-            if gap_table:
-                refs["gap_bound_residual_max"] = max(gap_table.values())
             ordered = spectrum["r_lambda1"] >= ref - 1e-8
             summary.append(f"  gap >= correlation bound: {'PASS' if ordered else 'FAIL'}"
                            f" ({spectrum['r_lambda1']:.3e} vs {ref:.3e})")
-        ws.write_json("spectrum-references.json", refs)
     else:
         missing.append("spectral_summary.json")
     decay_path = ws.out / "decay.csv"

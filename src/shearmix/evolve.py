@@ -49,6 +49,7 @@ class ModeField:
     def __post_init__(self):
         _checks.choice(self.boundary, "boundary", BOUNDARIES)
         self.interval = _checks.interval(self.interval, "interval")
+        self.k_max = _checks.count(self.k_max, "k_max", 0)
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
         if self.coeffs.ndim != 2 or len(self.coeffs) != 2 * self.k_max + 1:
             raise ValueError(f"coeffs must have {2 * self.k_max + 1} rows, got shape "

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import re
@@ -485,7 +486,7 @@ class TestSpectrumTask:
                                       "params": {"n": 16, "s_points": 64}})
         assert cli.main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
         summary = json.loads((out / "spectral_summary.json").read_text())
-        assert self.READ_KEYS - set(summary) == set()
+        assert set(summary) == self.READ_KEYS  # and no key that nothing reads
         assert self.READ_META_KEYS - set(summary["meta"]) == set()
 
 
@@ -660,6 +661,46 @@ class TestReportTask:
         assert cli.main(["report", "--out", str(out)]) == 0
         text = (out / "report.txt").read_text()
         assert "gap >= correlation bound: PASS" in text
+
+    def test_one_directory_keeps_every_tasks_record(self, tmp_path):
+        out = tmp_path / "out"
+        argvs = {"report": ["report", "--out", str(out)]}
+        for task, params in (("bounds", {"grid_n": 64, "j_points": 9}),
+                             ("spectrum", {"k": 1, "n": 48, "s_points": 64})):
+            cfg = write_config(tmp_path, {"task": task, "velocity": TWO_PLATEAU,
+                                          "params": params}, name=f"{task}.json")
+            argvs[task] = [task, "--config", cfg, "--out", str(out)]
+        manifests = []
+        for task in ("bounds", "spectrum", "report"):
+            for _ in range(2):  # a rerun rewrites the manifest byte for byte
+                assert cli.main(argvs[task]) == 0
+                manifests.append((out / "manifest.json").read_bytes())
+            assert manifests[-1] == manifests[-2], task
+        assert sorted(json.loads(manifests[0])) == ["artifacts", "config"]  # one task: no `earlier`
+        manifest = json.loads(manifests[-1])
+        assert manifest["config"] == {"task": "report", "params": {}}
+        assert sorted(manifest["earlier"]) == ["bounds", "spectrum"]
+        records = [manifest, *manifest["earlier"].values()]
+        listed = {a["name"]: a["sha256"] for r in records for a in r["artifacts"]}
+        assert sorted(listed) == ["bounds.json", "report.txt", "spectral_summary.json",
+                                  "sweep.csv"]
+        for name, digest in listed.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+        # a second pass in the same order ends in the same manifest
+        for task in ("bounds", "spectrum", "report"):
+            assert cli.main(argvs[task]) == 0
+        assert (out / "manifest.json").read_bytes() == manifests[-1]
+
+    @pytest.mark.parametrize("old", [b"\xff", b"[1, 2]", b'{"config": {}, "artifacts": []}',
+                                     b'{"config": {"task": "bounds"}, "artifacts": [], '
+                                     b'"earlier": {"spectrum": 5}}'])
+    def test_a_manifest_of_another_layout_is_replaced(self, tmp_path, old):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "manifest.json").write_bytes(old)
+        assert cli.main(["report", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest) == ["artifacts", "config"]
 
     def test_summarizes_decay_trace(self, tmp_path):
         out = tmp_path / "out"

@@ -169,6 +169,8 @@ ROWS = [
      [NAN, "0", True], NOT_AN_ENTRY),
     ("semigroup_norm", "times", lambda v: spectral.semigroup_norm(OP, [0.5, v]),
      [NAN, "0.5", True], NONFINITE | st.floats(max_value=-1e-300, allow_nan=False)),
+    ("semigroup_norm(shape)", "times", lambda v: spectral.semigroup_norm(OP, v),
+     [[[0.5, 0.1]], [[0.5]], np.zeros((2, 2))], st.sampled_from([[[0.5]], np.ones((3, 1))])),
     ("relax_trace", "t_end", lambda v: evolve.relax_trace(U0, FIELD, v, n_samples=3), [NAN],
      NOT_POSITIVE),
     ("relax_trace", "n_samples", lambda v: evolve.relax_trace(U0, FIELD, 1.0, n_samples=v),
@@ -311,6 +313,8 @@ ROWS = [
      [2.0, 1.5], st.floats(1.1, 1e6)),
     ("field_from_samples", "k_max", lambda v: evolve.field_from_samples(U0, k_max=v), [3, 10],
      st.integers(3, 1000)),
+    ("ModeField", "k_max", lambda v: evolve.ModeField(np.zeros((3, 4)), v),
+     [1.5, True, "1", -1, None], NOT_INTEGER | below(0)),
     ("ModeField", "coeffs", lambda v: evolve.ModeField(v, 1),
      [np.zeros((2, 4)), np.zeros((4, 4)), np.zeros(3)],
      st.integers(0, 9).filter(lambda r: r != 3).map(lambda r: np.zeros((r, 4)))),
@@ -366,8 +370,6 @@ ROWS = [
     ("simulate_starts", "kill_interval",
      lambda v: mcsim.simulate_starts([(0.5, 0.5)], FIELD, path_config(), [1.0], kill_interval=v),
      [*NOT_A_PAIR, (0.8, 0.2)], not_increasing()),
-    ("laplace_eigs", "interval", lambda v: spectral.laplace_eigs("dirichlet", v, n=16),
-     [*NOT_A_PAIR, (INF, 1.0)], not_increasing()),
     ("ModeOperator", "interval",
      lambda v: spectral.ModeOperator("periodic", v, np.zeros(16), 1), [*NOT_A_PAIR, (0.5, 0.5)],
      not_increasing()),

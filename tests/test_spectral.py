@@ -13,7 +13,6 @@ from shearmix import functionals as fn
 from shearmix import spectral
 from shearmix.spectral import (
     ModeOperator,
-    laplace_eigs,
     make_operator,
     resolvent_gap,
     semigroup_norm,
@@ -29,25 +28,6 @@ from shearmix.velocity import (
 )
 
 COS = SineField(1.0, 1, math.pi / 2)
-
-
-class TestLaplaceEigs:
-    def test_dirichlet_unit(self):
-        l1, l2, e1 = laplace_eigs("dirichlet", (0.0, 1.0), n=64)
-        assert l1 == pytest.approx(math.pi**2)
-        assert l2 == pytest.approx(4 * math.pi**2)
-        h = 1.0 / 65
-        assert h * np.dot(e1, e1) == pytest.approx(1.0, abs=1e-12)
-
-    def test_periodic_unit(self):
-        l1, l2, e1 = laplace_eigs("periodic", (0.0, 1.0), n=64)
-        assert l1 == 0.0
-        assert l2 == pytest.approx(4 * math.pi**2)
-        np.testing.assert_allclose(e1, 1.0, atol=1e-12)
-
-    def test_dirichlet_half_interval(self):
-        l1, _, _ = laplace_eigs("dirichlet", (0.0, 0.5), n=32)
-        assert l1 == pytest.approx(4 * math.pi**2)
 
 
 class TestModeOperator:
@@ -84,6 +64,16 @@ class TestModeOperator:
     def test_fd2_periodic_lambda1_zero(self):
         op = make_operator(COS, k=1, boundary="periodic", n=32, discretization="fd2")
         assert abs(op.lambda1_discrete) < 1e-9
+
+    @pytest.mark.parametrize("interval", [(0.0, 1.0), (0.25, 0.75), (0.1, 0.6)])
+    @pytest.mark.parametrize("n", [16, 97, 512])
+    def test_fd2_dirichlet_lambda1_closed_form(self, interval, n):
+        # the three-point Dirichlet Laplacian's lowest eigenvalue, (4/h^2) sin^2(pi h / 2L)
+        op = make_operator(COS, k=1, boundary="dirichlet", interval=interval, n=n,
+                           discretization="fd2")
+        h = op.length / (n + 1)
+        exact = 4.0 / h**2 * math.sin(math.pi * h / (2.0 * op.length)) ** 2
+        assert abs(op.lambda1_discrete - exact) <= 16 * np.finfo(float).eps * 4.0 / h**2
 
 
 class TestPropagator:
@@ -234,6 +224,14 @@ class TestSemigroupNorm:
         op = make_operator(COS, k=1, boundary="periodic", n=32)
         assert semigroup_norm(op, [0.0])[0] == 1.0
 
+    def test_times_of_two_dimensions_are_refused_before_the_eigendecomposition(self):
+        op = make_operator(COS, k=1, boundary="periodic", n=32)
+        for times in ([[0.5, 0.1]], [[0.5]], np.zeros((2, 0))):
+            with pytest.raises(ValueError, match="^times must be a number or a 1-D array"):
+                semigroup_norm(op, times)
+        assert "eigendecomposition" not in vars(op)
+        assert semigroup_norm(op, 0.5).tolist() == semigroup_norm(op, [0.5]).tolist()
+
     def test_free_dirichlet_heat_decay(self):
         zero = PiecewiseConstantField([0.0], [0.0])
         op = make_operator(zero, k=1, boundary="dirichlet", n=64,
@@ -343,8 +341,10 @@ class TestResolventGap:
         op = make_operator(COS, k=1, boundary="periodic", n=32)
         summary = resolvent_gap(op, s_points=64)
         assert summary.trace is not None and summary.trace.shape[1] == 2
+        assert set(vars(summary)) == {"r_lambda1", "s_argmin", "trace", "meta"}
         blob = cli._jsonable(vars(summary))
-        assert blob["lambda1"] == 0.0 and len(blob["e1"]) == 32
+        assert blob["meta"]["lambda1_discrete"] == op.lambda1_discrete
+        assert len(blob["trace"]) == 64
 
 
 GOLDEN_FIELDS = {
